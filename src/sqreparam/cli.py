@@ -88,7 +88,12 @@ from .polyhedra import (
     project_onto_polyhedron,
     vrep_ri_membership,
 )
-from .reparam import DEFAULT_TOL_SUPPORT, classify_first_order, lifted_residual
+from .reparam import (
+    DEFAULT_TOL_SUPPORT,
+    classify_first_order,
+    lift_point,
+    lifted_residual,
+)
 from .second_order import correspondence_check, d2_lifted_g
 
 _EXIT_OK = 0
@@ -367,8 +372,8 @@ def _cmd_certify(args) -> int:
     _kv("problem", args.file)
     _kv("n", p.n)
     _kv("y", y)
-    report = classify_first_order(p, y, tol=args.tol,
-                                  tol_support=args.tol_support)
+    pt = lift_point(p, y, tol_support=args.tol_support, tol=args.tol)
+    report = classify_first_order(p, pt)
     _kv("in_domain", report.in_domain)
     _kv("support", list(report.support))
     _kv("lifted_residual", report.lifted_residual)
@@ -380,8 +385,7 @@ def _cmd_certify(args) -> int:
     if not report.in_domain:
         print("second_order = skipped (y*y lies outside the domain of g)")
         return _EXIT_OK
-    corr = correspondence_check(p, y, tol=args.tol,
-                                tol_support=args.tol_support)
+    corr = correspondence_check(p, pt)
     _kv("second_order_nonneg_on_SI", corr.second_order_nonneg_on_SI)
     if corr.witness_lambda is not None:
         _kv("witness_lambda", np.asarray(corr.witness_lambda))
@@ -447,7 +451,8 @@ def _cmd_solve(args) -> int:
         start = _parse_vector_arg(args.y0, p.n, "--y0")
     f_star = None
     if "known_minimizer" in pf.meta:
-        xm = np.asarray(pf.meta["known_minimizer"], dtype=float).ravel()
+        xm = np.array(_num_list(pf.meta["known_minimizer"],
+                                f"{args.file}.meta.known_minimizer"))
         if xm.size != p.n:
             raise ValidationError("meta.known_minimizer has the wrong length")
         f_star = phi_value(p, xm)

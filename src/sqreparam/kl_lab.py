@@ -40,8 +40,6 @@ from .errors import (
 from .polyfunc import (
     CompositeProblem,
     g_subdiff,
-    is_orthant_indicator,
-    is_simplex_indicator,
     phi_residual,
     phi_subdiff,
     phi_value,
@@ -140,6 +138,45 @@ class ScatterConfig:
             raise InvalidRange("need n_bins >= min_bins >= 2")
 
 
+def _perturbations(p: CompositeProblem, xbar, base: float,
+                   config: ScatterConfig, tol: float):
+    """Feasible points near xbar whose gap phi(x) - base clears the floor.
+
+    Yields (x, gap, signs) in the sampling plan's order: every radius
+    with every seeded unit direction, the perturbed point projected back
+    onto the domain of g.  signs is a random sign vector, drawn for each
+    candidate before the gap-floor test, from the same generator as the
+    directions.  Raises InsufficientSamples when no candidate clears
+    the floor.
+    """
+    rng = np.random.default_rng(config.seed)
+    dirs = rng.standard_normal((config.n_dirs, p.n))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
+    floor = 10.0 * np.finfo(float).eps * (1.0 + abs(base))
+    kept = 0
+    for delta in deltas:
+        for u in dirs:
+            x = project_onto_polyhedron(p.g.domain, xbar + delta * u,
+                                        start=xbar)
+            signs = rng.integers(0, 2, size=p.n) * 2.0 - 1.0
+            gap = phi_value(p, x, tol) - base
+            if gap > floor:
+                kept += 1
+                yield x, gap, signs
+    if not kept:
+        raise InsufficientSamples("no sample cleared the gap floor")
+
+
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of ys against xs and its R^2."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((ys - fitted) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return slope, (1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot)
+
+
 def sample_scatter(p: CompositeProblem, ybar,
                    config: ScatterConfig = ScatterConfig(),
                    tol: float = DEFAULT_TOL,
@@ -157,28 +194,11 @@ def sample_scatter(p: CompositeProblem, ybar,
     if lifted_residual(p, ybar, tol_support, tol) > tol:
         raise NotAStationaryPoint("ybar is not lifted stationary")
 
-    xbar = ybar * ybar
-    rng = np.random.default_rng(config.seed)
-    dirs = rng.standard_normal((config.n_dirs, p.n))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
-    deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
-    floor = 10.0 * np.finfo(float).eps * (1.0 + abs(base))
-
-    rows = []
-    for delta in deltas:
-        for u in dirs:
-            x = project_onto_polyhedron(p.g.domain, xbar + delta * u,
-                                        start=xbar)
-            signs = rng.integers(0, 2, size=p.n) * 2.0 - 1.0
-            y = signs * np.sqrt(np.maximum(x, 0.0))
-            gap = phi_value(p, x, tol) - base
-            if gap <= floor:
-                continue
-            rows.append((gap, lifted_residual(p, y, tol_support, tol)))
-    if not rows:
-        raise InsufficientSamples("no sample cleared the gap floor")
-    arr = np.array(sorted(rows))
-    return arr
+    rows = [(gap, lifted_residual(p, signs * np.sqrt(np.maximum(x, 0.0)),
+                                  tol_support, tol))
+            for x, gap, signs in _perturbations(p, ybar * ybar, base,
+                                                config, tol)]
+    return np.array(sorted(rows))
 
 
 @dataclass(frozen=True)
@@ -239,13 +259,8 @@ def estimate_exponent(p: CompositeProblem, ybar,
         raise InsufficientSamples(
             f"only {len(minima)} nonempty bins, need {config.min_bins}")
 
-    xs = np.array([m[0] for m in minima])
-    ys = np.array([m[1] for m in minima])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
+    slope, r_squared = _line_fit(np.array([m[0] for m in minima]),
+                                 np.array([m[1] for m in minima]))
 
     predicted = predict_exponent(inputs) if inputs is not None else None
     verdict = (bool(abs(slope - predicted) <= config.verdict_tol)
@@ -287,31 +302,15 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
         raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
 
     support = np.abs(xbar) > tol_support
-    rng = np.random.default_rng(config.seed)
-    dirs = rng.standard_normal((config.n_dirs, p.n))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
-    deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
-    floor = 10.0 * np.finfo(float).eps * (1.0 + abs(base))
-
     best = _INF
-    found = False
-    for delta in deltas:
-        for u in dirs:
-            x = project_onto_polyhedron(p.g.domain, xbar + delta * u,
-                                        start=xbar)
-            gap = phi_value(p, x, tol) - base
-            if gap <= floor:
-                continue
-            _, z = min_norm_weighted(g_subdiff(p.g, x, tol=tol),
-                                     p.f.grad(x), np.ones(p.n))
-            v = p.f.grad(x) + z
-            lhs = float(np.sum(v[support] ** 2)
-                        + np.abs(x[~support] - xbar[~support])
-                        @ (v[~support] ** 2))
-            best = min(best, lhs / gap ** (1.0 + beta))
-            found = True
-    if not found:
-        raise InsufficientSamples("no sample cleared the gap floor")
+    for x, gap, _ in _perturbations(p, xbar, base, config, tol):
+        _, z = min_norm_weighted(g_subdiff(p.g, x, tol=tol),
+                                 p.f.grad(x), np.ones(p.n))
+        v = p.f.grad(x) + z
+        lhs = float(np.sum(v[support] ** 2)
+                    + np.abs(x[~support] - xbar[~support])
+                    @ (v[~support] ** 2))
+        best = min(best, lhs / gap ** (1.0 + beta))
     return best
 
 
@@ -408,7 +407,7 @@ def _armijo_step(h, y, grad, descent_sq, retract):
 def _run_lifted_descent(p: CompositeProblem, start, steps: int,
                         f_star: float | None) -> SolverTrace:
     y = np.asarray(start, dtype=float).copy()
-    if is_orthant_indicator(p.g):
+    if p.g.kind == "orthant":
         def h(v):
             return float(p.f.value(v * v))
 
@@ -417,7 +416,7 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
 
         def retract(v):
             return v
-    elif is_simplex_indicator(p.g):
+    elif p.g.kind == "simplex":
         radius = math.sqrt(float(p.g.domain.b_eq[0] / p.g.domain.A_eq[0, 0]))
 
         def h(v):
@@ -468,7 +467,7 @@ def _finish_trace(variant: str, records, values, f_star) -> SolverTrace:
 
 
 def run_first_order(p: CompositeProblem, variant: str, start,
-                    steps: int = 10000, step_rule: str = "auto",
+                    steps: int = 10000,
                     f_star: float | None = None) -> SolverTrace:
     """Run a first-order method and log its trace.
 
@@ -476,11 +475,8 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     step 1/L, L estimated by power iteration on the Hessian; g must be
     an indicator.  variant "lifted": descent on f(y*y), plain Armijo
     backtracking when g is the orthant indicator and sphere-retracted
-    backtracking when g is a simplex indicator.  step_rule "auto" picks
-    exactly these rules; no other rule is implemented.
+    backtracking when g is a simplex indicator.
     """
-    if step_rule != "auto":
-        raise UnsupportedProblemClass(f"unknown step rule {step_rule!r}")
     start = _as_vector(start, p.n, "start")
     if steps < 1:
         raise InvalidRange("steps must be positive")
@@ -511,17 +507,10 @@ def fit_rate(trace: SolverTrace, min_points: int = 20) -> RateFit:
         raise InsufficientTrace("gap tail shows no decay")
     log_gap = np.log(gaps)
 
-    def fit(xs):
-        slope, intercept = np.polyfit(xs, log_gap, 1)
-        fitted = slope * xs + intercept
-        ss_res = float(np.sum((log_gap - fitted) ** 2))
-        ss_tot = float(np.sum((log_gap - log_gap.mean()) ** 2))
-        r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-        return slope, r2
-
-    slope_lin, r2_lin = fit(ks)
+    slope_lin, r2_lin = _line_fit(ks, log_gap)
     positive_k = ks > 0.0
-    slope_sub, r2_sub = fit(np.log(ks[positive_k])) if positive_k.all() else (0.0, -_INF)
+    slope_sub, r2_sub = (_line_fit(np.log(ks[positive_k]), log_gap)
+                         if positive_k.all() else (0.0, -_INF))
 
     if r2_lin >= r2_sub:
         return RateFit("linear", float(np.exp(slope_lin)), r2_lin)

@@ -10,7 +10,7 @@ methods works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,16 +71,11 @@ class SmoothQuadratic:
         return self.Q
 
 
-def _dedup_against_orthant_rows(A: np.ndarray, b: np.ndarray, n: int):
-    """Indices i whose row -e_i <= 0 is already present (up to positive
-    scaling) among the user rows."""
-    present = set()
-    for row, rhs in zip(A, b):
-        nz = np.nonzero(row)[0]
-        if nz.size != 1 or rhs != 0.0 or row[nz[0]] >= 0.0:
-            continue
-        present.add(int(nz[0]))
-    return present
+def _orthant_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows that are a positive multiple of some -e_i with
+    zero right-hand side, i.e. a row -c x_i <= 0 with c > 0."""
+    return ((np.count_nonzero(A, axis=1) == 1) & (b == 0.0)
+            & (A.min(axis=1) < 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +85,19 @@ class PolyhedralFunction:
     An empty piece list means the plain indicator (value 0 on the
     domain).  The stored domain is the user polyhedron intersected with
     the nonnegative orthant; construction fails on an empty domain.
+
+    kind is decided once, at construction: "orthant" for the plain
+    indicator of the nonnegative orthant, "simplex" for the indicator of
+    {x >= 0, sum x = c} with c > 0, and "general" otherwise.  The test is
+    syntactic: every inequality row must be a positive multiple of some
+    -e_i with zero right-hand side (duplicates allowed).
     """
 
     n: int
     pieces_A: np.ndarray = None
     pieces_b: np.ndarray = None
     domain: Polyhedron = None
+    kind: str = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -105,21 +107,32 @@ class PolyhedralFunction:
         dom = self.domain if self.domain is not None else Polyhedron(self.n)
         if dom.n != self.n:
             raise DimensionMismatch("domain dimension does not match n")
-        present = _dedup_against_orthant_rows(dom.A_ineq, dom.b_ineq, self.n)
-        missing = [i for i in range(self.n) if i not in present]
-        if missing:
-            extra = np.zeros((len(missing), self.n))
-            for k, i in enumerate(missing):
-                extra[k, i] = -1.0
+        orthant = _orthant_rows(dom.A_ineq, dom.b_ineq)
+        present = np.zeros(self.n, dtype=bool)
+        present[np.argmin(dom.A_ineq[orthant], axis=1)] = True
+        missing = np.flatnonzero(~present)
+        if missing.size:
+            extra = np.zeros((missing.size, self.n))
+            extra[np.arange(missing.size), missing] = -1.0
             dom = Polyhedron(self.n,
                              A_ineq=np.vstack([dom.A_ineq, extra]),
                              b_ineq=np.concatenate([dom.b_ineq,
-                                                    np.zeros(len(missing))]),
+                                                    np.zeros(missing.size)]),
                              A_eq=dom.A_eq, b_eq=dom.b_eq)
+        kind = "general"
+        if A.shape[0] == 0 and orthant.all():
+            if dom.m_eq == 0:
+                kind = "orthant"
+            elif dom.m_eq == 1:
+                row, rhs = dom.A_eq[0], dom.b_eq[0]
+                if row[0] != 0.0 and np.allclose(row, row[0]) \
+                        and rhs / row[0] > 0.0:
+                    kind = "simplex"
         feasible_point(dom)          # raises InfeasiblePolyhedron when empty
         object.__setattr__(self, "pieces_A", A)
         object.__setattr__(self, "pieces_b", b)
         object.__setattr__(self, "domain", dom)
+        object.__setattr__(self, "kind", kind)
         A.setflags(write=False)
         b.setflags(write=False)
 
@@ -145,38 +158,6 @@ class PolyhedralFunction:
         A = np.array([np.asarray(a, float).ravel() for a, _ in pieces])
         b = np.array([float(bb) for _, bb in pieces])
         return PolyhedralFunction(domain.n, A, b, domain)
-
-
-def is_orthant_indicator(g: PolyhedralFunction) -> bool:
-    """True when g is the plain indicator of the nonnegative orthant.
-
-    Syntactic check: no pieces, no equality rows, and every inequality
-    row a positive multiple of some -e_i with zero right-hand side.
-    """
-    if g.n_pieces or g.domain.m_eq:
-        return False
-    for row, rhs in zip(g.domain.A_ineq, g.domain.b_ineq):
-        nz = np.nonzero(row)[0]
-        if nz.size != 1 or rhs != 0.0 or row[nz[0]] >= 0.0:
-            return False
-    return True
-
-
-def is_simplex_indicator(g: PolyhedralFunction) -> bool:
-    """True when g is the indicator of {x >= 0, sum x = c} for some c > 0."""
-    if g.n_pieces or g.domain.m_eq != 1:
-        return False
-    row = g.domain.A_eq[0]
-    rhs = g.domain.b_eq[0]
-    if row[0] == 0.0 or not np.allclose(row, row[0]):
-        return False
-    if rhs / row[0] <= 0.0:
-        return False
-    for irow, irhs in zip(g.domain.A_ineq, g.domain.b_ineq):
-        nz = np.nonzero(irow)[0]
-        if nz.size != 1 or irhs != 0.0 or irow[nz[0]] >= 0.0:
-            return False
-    return True
 
 
 def g_eval(g: PolyhedralFunction, x, tol: float = DEFAULT_TOL) -> float:

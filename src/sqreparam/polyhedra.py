@@ -436,7 +436,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 
 
 def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0, *,
-                   tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+                   max_iter: int | None = None) -> np.ndarray:
     """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
 
     Equality rows stay in every working set; inequality rows enter and
@@ -546,8 +546,8 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
     return theta
 
 
-def min_norm_weighted(S: GeneratorSet, shift, weights, *,
-                      tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def min_norm_weighted(S: GeneratorSet, shift,
+                      weights) -> tuple[float, np.ndarray]:
     """Minimize ||weights o (shift + z)|| over z in S.
 
     Returns (value, minimizer).  Coordinates with weight zero do not
@@ -636,8 +636,7 @@ def feasible_point(P: Polyhedron) -> np.ndarray:
     return out.witness
 
 
-def project_onto_polyhedron(P: Polyhedron, x, *, tol: float = DEFAULT_TOL,
-                            start=None) -> np.ndarray:
+def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     """Euclidean projection of x onto P.
 
     ``start`` may supply a known feasible point to skip the feasibility

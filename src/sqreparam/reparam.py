@@ -19,17 +19,18 @@ arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import OutOfLiftedDomain
+from .errors import DimensionMismatch, OutOfLiftedDomain
 from .polyfunc import (
     DEFAULT_TOL_ACTIVE,
     CompositeProblem,
+    PolyhedralFunction,
     activity_pattern,
     g_eval,
     g_subdiff,
-    phi_residual,
 )
 from .polyhedra import DEFAULT_TOL, min_norm_weighted, _as_vector
 
@@ -52,24 +53,87 @@ def support_set(y, tol_support: float = DEFAULT_TOL_SUPPORT):
     return idx[mask], idx[~mask]
 
 
-@dataclass(frozen=True, eq=False)
 class LiftedPoint:
-    """A candidate y with its squared point and support."""
+    """The local model of the lift at y, read by the first- and
+    second-order certificates alike.
 
-    y: np.ndarray
-    x: np.ndarray
-    support: tuple
-    in_domain: bool
+    y, x = y*y and in_domain (x in dom g) are built at construction.
+    Built on first use, once each: the support sup (tuple: support) and
+    its complement comp, which the lifted residual alone does not need;
+    S = subdiff g(x), which raises OutOfLiftedDomain outside the domain,
+    and its generator matrix G; grad f(x) (f is None when only g is
+    modelled); the lifted and phi residuals.
+    """
+
+    def __init__(self, g: PolyhedralFunction, f, y,
+                 tol_support: float = DEFAULT_TOL_SUPPORT,
+                 tol: float = DEFAULT_TOL):
+        self.g, self.f = g, f
+        self.tol, self.tol_support = tol, tol_support
+        self.y = _as_vector(y, g.n, "y")
+        self.x = self.y * self.y
+        self.in_domain = g.domain.contains(self.x, tol)
+
+    @cached_property
+    def _support_split(self):
+        return support_set(self.y, self.tol_support)
+
+    @property
+    def sup(self) -> np.ndarray:
+        return self._support_split[0]
+
+    @property
+    def comp(self) -> np.ndarray:
+        return self._support_split[1]
+
+    @cached_property
+    def support(self) -> tuple:
+        return tuple(self.sup.tolist())
+
+    @cached_property
+    def S(self):
+        if not self.in_domain:
+            raise OutOfLiftedDomain("y*y is outside the domain of g")
+        return g_subdiff(self.g, self.x, tol=self.tol)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.S.generator_matrix()
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.f.grad(self.x)
+
+    @cached_property
+    def lifted_residual(self) -> float:
+        """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
+        value, _ = min_norm_weighted(self.S, self.grad, np.abs(self.y))
+        return 2.0 * value
+
+    @cached_property
+    def phi_residual(self) -> float:
+        """dist(0, subdiff phi(x)) for the squared point x."""
+        value, _ = min_norm_weighted(self.S, self.grad, np.ones(self.g.n))
+        return value
+
+
+def _lift(g: PolyhedralFunction, f, y, tol_support: float,
+          tol: float) -> LiftedPoint:
+    """The model at y; a model of the same problem passes through."""
+    if not isinstance(y, LiftedPoint):
+        return LiftedPoint(g, f, y, tol_support, tol)
+    if y.g is not g or (f is not None and y.f is not f):
+        raise DimensionMismatch("y is the lifted point of another problem")
+    return y
 
 
 def lift_point(p: CompositeProblem, y,
                tol_support: float = DEFAULT_TOL_SUPPORT,
                tol: float = DEFAULT_TOL) -> LiftedPoint:
-    y = _as_vector(y, p.n, "y")
-    x = y * y
-    sup, _ = support_set(y, tol_support)
-    return LiftedPoint(y, x, tuple(int(i) for i in sup),
-                       p.g.domain.contains(x, tol))
+    """The local model of the lift at y.  Every certificate function of
+    reparam and second_order takes it in place of y, with the tolerances
+    it was built with, so certificates at one point share one model."""
+    return _lift(p.g, p.f, y, tol_support, tol)
 
 
 def lift_eval(p: CompositeProblem, y, tol: float = DEFAULT_TOL) -> float:
@@ -86,13 +150,7 @@ def lifted_residual(p: CompositeProblem, y,
                     tol_support: float = DEFAULT_TOL_SUPPORT,
                     tol: float = DEFAULT_TOL) -> float:
     """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
-    y = _as_vector(y, p.n, "y")
-    x = y * y
-    if not p.g.domain.contains(x, tol):
-        raise OutOfLiftedDomain("y*y is outside the domain of g")
-    S = g_subdiff(p.g, x, tol=tol)
-    value, _ = min_norm_weighted(S, p.f.grad(x), np.abs(y))
-    return 2.0 * value
+    return lift_point(p, y, tol_support, tol).lifted_residual
 
 
 @dataclass(frozen=True)
@@ -120,16 +178,13 @@ def classify_first_order(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
                          tol_support: float = DEFAULT_TOL_SUPPORT
                          ) -> StationarityReport:
     """Classify y; out-of-domain points are reported, not raised."""
-    y = _as_vector(y, p.n, "y")
-    point = lift_point(p, y, tol_support, tol)
-    if not point.in_domain:
-        return StationarityReport(False, point.support, None, None,
+    pt = lift_point(p, y, tol_support, tol)
+    if not pt.in_domain:
+        return StationarityReport(False, pt.support, None, None,
                                   False, False, None, False)
-    res_Phi = lifted_residual(p, y, tol_support, tol)
-    res_phi = phi_residual(p, point.x, tol=tol)
-    pattern = activity_pattern(p.g, point.x, DEFAULT_TOL_ACTIVE)
-    min_abs = (float(np.min(np.abs(y[list(point.support)])))
-               if point.support else None)
+    res_Phi, res_phi = pt.lifted_residual, pt.phi_residual
+    pattern = activity_pattern(p.g, pt.x, DEFAULT_TOL_ACTIVE)
+    min_abs = float(np.min(np.abs(pt.y[pt.sup]))) if pt.support else None
     return StationarityReport(
-        True, point.support, res_Phi, res_phi,
-        res_Phi <= tol, res_phi <= tol, min_abs, pattern.degenerate)
+        True, pt.support, res_Phi, res_phi,
+        res_Phi <= pt.tol, res_phi <= pt.tol, min_abs, pattern.degenerate)

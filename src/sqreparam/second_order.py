@@ -19,6 +19,10 @@ turn equivalent to feasibility of
 another LP.  correspondence_check runs both routes plus the original
 first-order test and fails loudly when the advertised equivalence does
 not hold numerically.
+
+Every LP reads the local model at y (reparam.LiftedPoint), so the
+subdifferential and gradient are built once per point, however many
+multipliers and directions are tried.
 """
 
 from __future__ import annotations
@@ -31,17 +35,9 @@ from .errors import (
     InconsistencyDetected,
     InfeasibleMultiplier,
     NotStationaryError,
-    OutOfLiftedDomain,
     UnsupportedProblemClass,
 )
-from .polyfunc import (
-    CompositeProblem,
-    PolyhedralFunction,
-    g_subdiff,
-    is_orthant_indicator,
-    phi_residual,
-    phi_subdiff,
-)
+from .polyfunc import CompositeProblem, PolyhedralFunction
 from .polyhedra import (
     DEFAULT_TOL,
     LPStatus,
@@ -49,13 +45,13 @@ from .polyhedra import (
     vrep_membership,
     _as_vector,
 )
-from .reparam import (
-    DEFAULT_TOL_SUPPORT,
-    lifted_residual,
-    support_set,
-)
+from .reparam import DEFAULT_TOL_SUPPORT, LiftedPoint, _lift, lift_point
 
 _INF = float("inf")
+
+# sampled directions that cross-check the second-order LP verdict
+_N_DIRS = 8
+_DIRECTION_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +67,26 @@ class Multiplier:
     lam: np.ndarray
 
 
-def _coefficient_lp(S, extra_eq_rows, extra_eq_rhs, extra_ineq_rows=None,
-                    extra_ineq_rhs=None, objective=None):
-    """LP over generator coefficients theta = (lam, mu, nu).
+def _slice_lp(pt: LiftedPoint, anchor, objective=None, A_ineq=None,
+              b_ineq=None):
+    """LP over the generator coefficients theta = (lam, mu, nu) of
+    S = subdiff g(y*y), on the slice where G theta equals anchor on the
+    support of y.
 
     Always includes the simplex row on the convex block and sign
-    constraints on the convex and conic blocks.  extra rows act on
+    constraints on the convex and conic blocks.  A_ineq rows act on
     theta.  Maximizes objective @ theta (zero objective by default).
     Returns the LPOutcome.
     """
-    n_pts, n_rays, n_lin = S.n_points, S.n_rays, S.n_lines
-    K = n_pts + n_rays + n_lin
+    S, G = pt.S, pt.G
+    K = G.shape[1]
     simplex_row = np.zeros((1, K))
-    simplex_row[0, :n_pts] = 1.0
-    A_eq = np.vstack([simplex_row] + ([extra_eq_rows] if len(extra_eq_rows) else []))
-    b_eq = np.concatenate([np.ones(1)] + ([extra_eq_rhs] if len(extra_eq_rhs) else []))
-    lower = np.concatenate([np.zeros(n_pts + n_rays), np.full(n_lin, -_INF)])
+    simplex_row[0, :S.n_points] = 1.0
+    lower = np.concatenate([np.zeros(S.n_points + S.n_rays),
+                            np.full(S.n_lines, -_INF)])
     c = objective if objective is not None else np.zeros(K)
-    return lp_solve(c, lower, None, A_eq, b_eq, extra_ineq_rows,
-                    extra_ineq_rhs)
+    return lp_solve(c, lower, None, np.vstack([simplex_row, G[pt.sup]]),
+                    np.concatenate([np.ones(1), anchor]), A_ineq, b_ineq)
 
 
 def stationarity_multiplier(p: CompositeProblem, y,
@@ -103,31 +100,25 @@ def stationarity_multiplier(p: CompositeProblem, y,
     cross-checked against the lifted residual; disagreement beyond the
     tolerance band raises InconsistencyDetected.
     """
-    y = _as_vector(y, p.n, "y")
-    x = y * y
-    if not p.g.domain.contains(x, tol):
-        raise OutOfLiftedDomain("y*y is outside the domain of g")
-    S = g_subdiff(p.g, x, tol=tol)
-    sup, _ = support_set(y, tol_support)
-    G = S.generator_matrix()
-    grad = p.f.grad(x)
-    out = _coefficient_lp(S, G[sup, :], -grad[sup])
+    pt = lift_point(p, y, tol_support, tol)
+    sup, grad = pt.sup, pt.grad
+    out = _slice_lp(pt, -grad[sup])
 
-    residual = lifted_residual(p, y, tol_support, tol)
+    residual = pt.lifted_residual
     scale = 1.0 + float(np.linalg.norm(grad))
     if out.status is LPStatus.OPTIMAL:
         if residual > 1e-6 * scale:
             raise InconsistencyDetected(
                 f"multiplier found but lifted residual is {residual:.3e}")
-        v = S.combine(out.witness)
-        if not vrep_membership(S, v, 1e-7):
+        v = pt.S.combine(out.witness)
+        if not vrep_membership(pt.S, v, 1e-7):
             raise InconsistencyDetected(
                 "multiplier witness escaped the subdifferential")
         if sup.size and np.linalg.norm(v[sup] + grad[sup]) > 1e-7 * scale:
             raise InconsistencyDetected(
                 "multiplier witness violates the support equations")
-        return Multiplier(v, 2.0 * y * v)
-    if residual <= tol * scale:
+        return Multiplier(v, 2.0 * pt.y * v)
+    if residual <= pt.tol * scale:
         raise InconsistencyDetected(
             f"no multiplier although lifted residual is {residual:.3e}")
     return None
@@ -145,20 +136,12 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w,
     means +inf, an infeasible one means the supplied v is not a valid
     slice anchor (InfeasibleMultiplier).
     """
-    ybar = _as_vector(ybar, g.n, "ybar")
+    pt = _lift(g, None, ybar, tol_support, tol)
     v = _as_vector(v, g.n, "v")
     w = _as_vector(w, g.n, "w")
-    x = ybar * ybar
-    S = g_subdiff(g, x, tol=tol)
-    sup, comp = support_set(ybar, tol_support)
-    w_si = w.copy()
-    w_si[sup] = 0.0
-
-    G = S.generator_matrix()
     weights = np.zeros(g.n)
-    weights[comp] = w_si[comp] ** 2
-    objective = G.T @ weights
-    out = _coefficient_lp(S, G[sup, :], v[sup], objective=objective)
+    weights[pt.comp] = w[pt.comp] ** 2
+    out = _slice_lp(pt, v[pt.sup], objective=pt.G.T @ weights)
     if out.status is LPStatus.UNBOUNDED:
         return _INF
     if out.status is LPStatus.INFEASIBLE:
@@ -167,27 +150,15 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w,
     return 2.0 * out.value
 
 
-def _second_multiplier(p: CompositeProblem, y, S, sup) -> np.ndarray | None:
-    """A second, generically different multiplier witness (or None)."""
-    G = S.generator_matrix()
-    grad = p.f.grad(y * y)
-    objective = G.T @ np.ones(p.n)
-    out = _coefficient_lp(S, G[sup, :], -grad[sup], objective=objective)
-    if out.status is not LPStatus.OPTIMAL:
-        return None
-    return S.combine(out.witness)
-
-
-def _d2_objective_given(p: CompositeProblem, y, w, v,
-                        tol: float, tol_support: float) -> float:
-    x = y * y
-    sup, _ = support_set(y, tol_support)
-    w_si = np.asarray(w, float).copy()
-    w_si[sup] = 0.0
-    quad = d2_lifted_g(p.g, y, v, w_si, tol, tol_support)
+def _d2_objective(p: CompositeProblem, pt: LiftedPoint, v, w) -> float:
+    """Second-order quotient of the lifted objective at the model pt,
+    anchored at the multiplier v, in w with its support part zeroed."""
+    w_si = w.copy()
+    w_si[pt.sup] = 0.0
+    quad = d2_lifted_g(p.g, pt, v, w_si)
     if not np.isfinite(quad):
         return quad
-    return quad + 2.0 * float(p.f.grad(x) @ (w_si * w_si))
+    return quad + 2.0 * float(pt.grad @ (w_si * w_si))
 
 
 def d2_lifted_objective_on_SI(p: CompositeProblem, y, w,
@@ -202,19 +173,20 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w,
     subdifferential slice; when a second witness exists the computation
     is repeated and compared.
     """
-    y = _as_vector(y, p.n, "y")
+    pt = lift_point(p, y, tol_support, tol)
     w = _as_vector(w, p.n, "w")
-    mult = stationarity_multiplier(p, y, tol, tol_support)
+    mult = stationarity_multiplier(p, pt)
     if mult is None:
         raise NotStationaryError("y is not a lifted stationary point")
-    value = _d2_objective_given(p, y, w, mult.v, tol, tol_support)
+    value = _d2_objective(p, pt, mult.v, w)
 
-    x = y * y
-    S = g_subdiff(p.g, x, tol=tol)
-    sup, _ = support_set(y, tol_support)
-    other = _second_multiplier(p, y, S, sup)
-    if other is not None and np.max(np.abs(other - mult.v)) > 1e-9:
-        second = _d2_objective_given(p, y, w, other, tol, tol_support)
+    # a second, generically different multiplier witness
+    out = _slice_lp(pt, -pt.grad[pt.sup], objective=pt.G.T @ np.ones(p.n))
+    if out.status is not LPStatus.OPTIMAL:
+        return value
+    other = pt.S.combine(out.witness)
+    if np.max(np.abs(other - mult.v)) > 1e-9:
+        second = _d2_objective(p, pt, other, w)
         both_inf = not np.isfinite(value) and not np.isfinite(second)
         if not both_inf and abs(second - value) > 1e-8 * (1.0 + abs(value)):
             raise InconsistencyDetected(
@@ -232,7 +204,7 @@ def d2_smooth_orthant_lift(p: CompositeProblem, y, w) -> float:
 
         2 <grad f(x), w*w> + 4 <y o w, hess f(x) (y o w)>.
     """
-    if not is_orthant_indicator(p.g):
+    if p.g.kind != "orthant":
         raise UnsupportedProblemClass(
             "closed form requires g to be the orthant indicator")
     y = _as_vector(y, p.n, "y")
@@ -263,8 +235,7 @@ class CorrespondenceReport:
 
 
 def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
-                         tol_support: float = DEFAULT_TOL_SUPPORT,
-                         n_dirs: int = 8, seed: int = 0
+                         tol_support: float = DEFAULT_TOL_SUPPORT
                          ) -> CorrespondenceReport:
     """Check the lifted/original stationarity correspondence at y.
 
@@ -275,45 +246,39 @@ def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
     two must agree; the second-order LP verdict is additionally
     cross-validated against sampled directional second-order values.
     """
-    y = _as_vector(y, p.n, "y")
-    x = y * y
-    mult = stationarity_multiplier(p, y, tol, tol_support)
+    pt = lift_point(p, y, tol_support, tol)
+    mult = stationarity_multiplier(p, pt)
     lifted_stationary = mult is not None
 
-    S = g_subdiff(p.g, x, tol=tol)
-    sup, comp = support_set(y, tol_support)
-    G = S.generator_matrix()
-    grad = p.f.grad(x)
-    ineq_rows = -G[comp, :] if comp.size else None
-    ineq_rhs = grad[comp] if comp.size else None
-    out = _coefficient_lp(S, G[sup, :], -grad[sup], ineq_rows, ineq_rhs)
+    sup, comp, grad = pt.sup, pt.comp, pt.grad
+    out = _slice_lp(pt, -grad[sup], A_ineq=-pt.G[comp], b_ineq=grad[comp])
     second_order = out.status is LPStatus.OPTIMAL
-    witness_lambda = (grad + S.combine(out.witness)) if second_order else None
+    witness_lambda = (grad + pt.S.combine(out.witness)) if second_order else None
 
-    res_phi = phi_residual(p, x, tol=tol)
-    original_stationary = res_phi <= tol * (1.0 + float(np.linalg.norm(grad)))
+    original_stationary = \
+        pt.phi_residual <= pt.tol * (1.0 + float(np.linalg.norm(grad)))
 
     negative_direction = None
     if lifted_stationary:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_DIRECTION_SEED)
         directions = []
-        for i in comp[:n_dirs]:
+        for i in comp[:_N_DIRS]:
             e = np.zeros(p.n)
             e[i] = 1.0
             directions.append(e)
-        while len(directions) < n_dirs and comp.size:
+        while len(directions) < _N_DIRS and comp.size:
             d = np.zeros(p.n)
             d[comp] = rng.standard_normal(comp.size)
             norm = float(np.linalg.norm(d))
             if norm > 1e-12:
                 directions.append(d / norm)
         for w in directions:
-            val = _d2_objective_given(p, y, w, mult.v, tol, tol_support)
+            val = _d2_objective(p, pt, mult.v, w)
             if second_order and np.isfinite(val) and val < -1e-7 * (1.0 + abs(val)):
                 raise InconsistencyDetected(
                     f"second-order LP feasible but direction {w} gives "
                     f"{val:.3e}")
-            if not second_order and np.isfinite(val) and val < -tol:
+            if not second_order and np.isfinite(val) and val < -pt.tol:
                 negative_direction = w
 
     if not lifted_stationary and second_order:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,72 @@ def test_certify_accepts_negative_vector_form(capsys):
     assert "stationary_for_phi = True" in capsys.readouterr().out
 
 
+# The shipped problems at their documented points, with every verdict
+# line of the certificate: in_domain, support, stationary_for_Phi,
+# stationary_for_phi, degenerate_activity, second_order_nonneg_on_SI,
+# consistent, and whether a negative direction is printed.
+SHIPPED_CERTIFICATES = [
+    ("nnls1.json", "1", "True", "[0]", "True", "True", "False", "True",
+     "True", False),
+    ("orthant2.json", "0,0", "True", "[]", "True", "False", "False", "False",
+     "True", True),
+    ("orthant2.json", "1,0", "True", "[0]", "True", "True", "False", "True",
+     "True", False),
+    ("quartic1.json", "0", "True", "[]", "True", "True", "False", "True",
+     "True", False),
+    ("simplex2.json", "1,0", "True", "[0]", "True", "True", "False", "True",
+     "True", False),
+    ("pieces2.json", "0.7071067811865476,0.7071067811865476", "True",
+     "[0, 1]", "True", "True", "False", "True", "True", False),
+]
+
+
+@pytest.mark.parametrize("name, y, in_domain, support, Phi, phi, degenerate, "
+                         "second_order, consistent, negative",
+                         SHIPPED_CERTIFICATES)
+def test_certify_shipped_points(capsys, name, y, in_domain, support, Phi, phi,
+                                degenerate, second_order, consistent,
+                                negative):
+    assert main(["certify", str(PROBLEMS / name), f"--y={y}"]) == 0
+    out = capsys.readouterr().out
+    lines = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert lines["in_domain"] == in_domain
+    assert lines["support"] == support
+    assert lines["stationary_for_Phi"] == Phi
+    assert lines["stationary_for_phi"] == phi
+    assert lines["degenerate_activity"] == degenerate
+    assert lines["second_order_nonneg_on_SI"] == second_order
+    assert lines["consistent"] == consistent
+    assert ("negative_direction" in lines) is negative
+
+
+def _count_calls(monkeypatch, func):
+    """Count the calls of func made through any sqreparam module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "sqreparam" or name.startswith("sqreparam."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_certify_builds_one_local_model(monkeypatch, capsys):
+    # one point, one model: subdiff g(y*y) is built once, and the weighted
+    # min-norm QP runs for the lifted residual, the phi residual and the
+    # membership check of the multiplier, once each
+    subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
+    qps = _count_calls(monkeypatch, sq.min_norm_weighted)
+    assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
+    assert "consistent = True" in capsys.readouterr().out
+    assert (len(subdiffs), len(qps)) == (1, 3)
+
+
 def test_strict_comp_subcommand(capsys):
     rc = main(["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1"])
     assert rc == 0
@@ -206,6 +273,22 @@ def test_solve_original_variant(capsys):
     out = capsys.readouterr().out
     assert "variant = original" in out
     assert "final_gap" in out
+
+
+@pytest.mark.parametrize("value, code", [
+    ("abc", 2), ([[1], [2, 3]], 2), ({"a": 1}, 2), ([1, "x"], 2),
+    ([0.0, 1.0], 3),
+])
+def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
+    data = json.loads((PROBLEMS / "quartic1.json").read_text())
+    data["meta"]["known_minimizer"] = value
+    path = tmp_path / "bad_meta.json"
+    path.write_text(json.dumps(data))
+    rc = main(["solve", str(path), "--variant", "lifted", "--y0", "0.5",
+               "--steps", "10"])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert ("parse error" if code == 2 else "validation error") in err
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -51,6 +51,30 @@ def test_domain_nonnegativity_rows_deduped():
     assert g.domain.m_ineq == 3
 
 
+@pytest.mark.parametrize("make, kind, m_ineq", [
+    (lambda: sq.PolyhedralFunction.orthant_indicator(3), "orthant", 3),
+    # 2 * sum x = 2 is the unit simplex written with a scaled row
+    (lambda: sq.PolyhedralFunction.indicator(
+        sq.Polyhedron(3, A_eq=[[2.0, 2.0, 2.0]], b_eq=[2.0])), "simplex", 3),
+    # two copies of -2 e_0: both rows stay, no -e_0 is added, and the
+    # kind counts rows, not coordinates
+    (lambda: sq.PolyhedralFunction.indicator(
+        sq.Polyhedron(2, A_ineq=[[-2.0, 0.0], [-2.0, 0.0]],
+                      b_ineq=[0.0, 0.0])), "orthant", 3),
+    (lambda: sq.PolyhedralFunction.indicator(
+        sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0])), "general", 4),
+    (lambda: sq.PolyhedralFunction.indicator(
+        sq.Polyhedron(2, A_ineq=[[1.0, 1.0]], b_ineq=[2.0])), "general", 3),
+    (lambda: sq.PolyhedralFunction.max_of_pieces(
+        [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)],
+        sq.Polyhedron.nonneg_orthant(2)), "general", 2),
+])
+def test_domain_kind_decided_at_construction(make, kind, m_ineq):
+    g = make()
+    assert g.kind == kind
+    assert g.domain.m_ineq == m_ineq
+
+
 def test_domain_nonnegativity_rows_appended():
     P = sq.Polyhedron(2, A_ineq=np.array([[1.0, 1.0]]), b_ineq=np.array([2.0]))
     g = sq.PolyhedralFunction(2, domain=P)

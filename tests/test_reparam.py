@@ -36,6 +36,19 @@ def test_lift_point_squares_and_flags_domain():
     assert not sq.lift_point(p2, np.array([2.0])).in_domain
 
 
+def test_lifted_point_is_shared_across_certificates():
+    p, y = random_nonsmooth_instance(4)
+    pt = sq.lift_point(p, y)
+    assert sq.lift_point(p, pt) is pt
+    assert sq.lifted_residual(p, pt) == sq.lifted_residual(p, y)
+    assert sq.classify_first_order(p, pt) == sq.classify_first_order(p, y)
+    # the model caches what it built: a second certificate reuses it
+    assert pt.S is sq.lift_point(p, pt).S
+    other = sq.CompositeProblem(p.f, sq.PolyhedralFunction.orthant_indicator(p.n))
+    with pytest.raises(sq.DimensionMismatch):
+        sq.lifted_residual(other, pt)
+
+
 def test_lift_eval_matches_composite_value():
     rng = np.random.default_rng(11)
     for s in range(20):
