@@ -51,6 +51,7 @@ from .polyfunc import (
     DEFAULT_TOL_ACTIVE,
     ActivityPattern,
     CompositeProblem,
+    LocalModel,
     PolyhedralFunction,
     SmoothQuadratic,
     activity_pattern,

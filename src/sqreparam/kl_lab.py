@@ -37,16 +37,9 @@ from .errors import (
     OutOfDomain,
     UnsupportedProblemClass,
 )
-from .polyfunc import (
-    CompositeProblem,
-    g_subdiff,
-    phi_residual,
-    phi_subdiff,
-    phi_value,
-)
+from .polyfunc import CompositeProblem, LocalModel, phi_value
 from .polyhedra import (
     DEFAULT_TOL,
-    min_norm_weighted,
     project_onto_polyhedron,
     vrep_ri_membership,
     _as_vector,
@@ -96,13 +89,12 @@ def strict_complementarity(p: CompositeProblem, xbar,
     Requires xbar to be stationary in the first place
     (NotAStationaryPoint otherwise).
     """
-    xbar = _as_vector(xbar, p.n, "xbar")
-    if not p.g.domain.contains(xbar, tol):
+    pt = LocalModel(p.g, p.f, _as_vector(xbar, p.n, "xbar"), tol)
+    if not pt.in_domain:
         raise OutOfDomain("xbar is outside the domain of g")
-    grad = p.f.grad(xbar)
-    if phi_residual(p, xbar, tol=tol) > tol * (1.0 + float(np.linalg.norm(grad))):
+    if not pt.phi_stationary:
         raise NotAStationaryPoint("xbar is not stationary for phi")
-    return vrep_ri_membership(phi_subdiff(p, xbar), np.zeros(p.n))
+    return vrep_ri_membership(pt.S.translate(pt.grad), np.zeros(p.n))
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +283,21 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
     if not (0.0 <= beta < 1.0):
         raise InvalidRange(f"beta must lie in [0, 1), got {beta}")
     xbar = _as_vector(xbar, p.n, "xbar")
-    if not p.g.domain.contains(xbar, tol):
+    centre = LocalModel(p.g, p.f, xbar, tol)
+    if not centre.in_domain:
         raise OutOfDomain("xbar is outside the domain of g")
     eigs = np.linalg.eigvalsh(np.asarray(p.f.hess(xbar), dtype=float))
     if eigs.size and eigs.min() < -1e-9:
         raise NotConvex("smooth part has a negative curvature direction")
     base = phi_value(p, xbar, tol)
-    grad = p.f.grad(xbar)
-    if phi_residual(p, xbar, tol=tol) > tol * (1.0 + float(np.linalg.norm(grad))):
+    if not centre.phi_stationary:
         raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
 
     support = np.abs(xbar) > tol_support
     best = _INF
     for x, gap, _ in _perturbations(p, xbar, base, config, tol):
-        _, z = min_norm_weighted(g_subdiff(p.g, x, tol=tol),
-                                 p.f.grad(x), np.ones(p.n))
-        v = p.f.grad(x) + z
+        pt = LocalModel(p.g, p.f, x, tol)
+        v = pt.grad + pt.phi_min_norm[1]
         lhs = float(np.sum(v[support] ** 2)
                     + np.abs(x[~support] - xbar[~support])
                     @ (v[~support] ** 2))
@@ -353,6 +344,8 @@ class SolverTrace:
 _ARMIJO_C1 = 0.1
 _ARMIJO_SHRINK = 0.8
 _ARMIJO_MAX_BACKTRACKS = 120
+# fewest positive-gap iterates fit_rate classifies
+_MIN_RATE_POINTS = 20
 
 
 def _power_iteration_bound(Q: np.ndarray, iters: int = 80) -> float:
@@ -407,10 +400,11 @@ def _armijo_step(h, y, grad, descent_sq, retract):
 def _run_lifted_descent(p: CompositeProblem, start, steps: int,
                         f_star: float | None) -> SolverTrace:
     y = np.asarray(start, dtype=float).copy()
-    if p.g.kind == "orthant":
-        def h(v):
-            return float(p.f.value(v * v))
 
+    def h(v):
+        return float(p.f.value(v * v))
+
+    if p.g.kind == "orthant":
         def rgrad(v):
             return 2.0 * v * p.f.grad(v * v)
 
@@ -418,9 +412,6 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
             return v
     elif p.g.kind == "simplex":
         radius = math.sqrt(float(p.g.domain.b_eq[0] / p.g.domain.A_eq[0, 0]))
-
-        def h(v):
-            return float(p.f.value(v * v))
 
         def retract(v):
             norm = float(np.linalg.norm(v))
@@ -487,7 +478,7 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     raise UnsupportedProblemClass(f"unknown variant {variant!r}")
 
 
-def fit_rate(trace: SolverTrace, min_points: int = 20) -> RateFit:
+def fit_rate(trace: SolverTrace) -> RateFit:
     """Classify the tail decay of a trace as linear or sublinear.
 
     Uses the last half of the positive-gap iterates and compares the
@@ -498,9 +489,9 @@ def fit_rate(trace: SolverTrace, min_points: int = 20) -> RateFit:
     gaps = np.array([rec[1] for rec in trace.iterates], dtype=float)
     pos = gaps > 0.0
     ks, gaps = ks[pos], gaps[pos]
-    if ks.size < min_points:
+    if ks.size < _MIN_RATE_POINTS:
         raise InsufficientTrace(
-            f"only {ks.size} positive-gap iterates, need {min_points}")
+            f"only {ks.size} positive-gap iterates, need {_MIN_RATE_POINTS}")
     tail = slice(ks.size // 2, None)
     ks, gaps = ks[tail], gaps[tail]
     if float(gaps.max()) <= float(gaps.min()):

@@ -11,6 +11,7 @@ methods works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,9 +176,9 @@ class ActivityPattern:
     """Which pieces and inequality rows are active at a point.
 
     degenerate is set when some activity gap lands in the band
-    (tol_active, 10 * tol_active]: the pattern would change under a
-    slightly looser threshold, so downstream certificates deserve
-    suspicion.
+    (DEFAULT_TOL_ACTIVE, 10 * DEFAULT_TOL_ACTIVE]: the pattern would
+    change under a slightly looser threshold, so downstream certificates
+    deserve suspicion.
     """
 
     active_pieces: tuple
@@ -185,46 +186,89 @@ class ActivityPattern:
     degenerate: bool
 
 
-def activity_pattern(g: PolyhedralFunction, x,
-                     tol_active: float = DEFAULT_TOL_ACTIVE) -> ActivityPattern:
+def activity_pattern(g: PolyhedralFunction, x) -> ActivityPattern:
     x = _as_vector(x, g.n, "x")
     degenerate = False
     active_pieces = []
     if g.n_pieces:
         vals = g.pieces_A @ x + g.pieces_b
         gaps = float(np.max(vals)) - vals
-        active_pieces = np.nonzero(gaps <= tol_active)[0].tolist()
-        degenerate |= bool(np.any((gaps > tol_active)
-                                  & (gaps <= 10.0 * tol_active)))
+        active_pieces = np.nonzero(gaps <= DEFAULT_TOL_ACTIVE)[0].tolist()
+        degenerate |= bool(np.any((gaps > DEFAULT_TOL_ACTIVE)
+                                  & (gaps <= 10.0 * DEFAULT_TOL_ACTIVE)))
     slacks = g.domain.b_ineq - g.domain.A_ineq @ x
-    active_rows = np.nonzero(slacks <= tol_active)[0].tolist()
-    degenerate |= bool(np.any((slacks > tol_active)
-                              & (slacks <= 10.0 * tol_active)))
+    active_rows = np.nonzero(slacks <= DEFAULT_TOL_ACTIVE)[0].tolist()
+    degenerate |= bool(np.any((slacks > DEFAULT_TOL_ACTIVE)
+                              & (slacks <= 10.0 * DEFAULT_TOL_ACTIVE)))
     return ActivityPattern(tuple(active_pieces), tuple(active_rows),
                            degenerate)
 
 
-def g_subdiff(g: PolyhedralFunction, x, tol_active: float = DEFAULT_TOL_ACTIVE,
-              tol: float = DEFAULT_TOL) -> GeneratorSet:
-    """Subdifferential of g at x as a generator set.
+class LocalModel:
+    """The local variational model of phi = f + g at a point x.
 
-    conv(active piece gradients) + cone(active inequality normals)
-    + span(equality normals).  When the piece list is empty the single
-    point is the origin.  Exact when x is exactly feasible and the
-    activity pattern is exact.
+    x and in_domain (x in dom g, up to tol) are built at construction.
+    Built on first use, once each: the activity pattern; from it
+    S = subdiff g(x) = conv(active piece gradients, or the origin when
+    there are no pieces) + cone(active inequality normals) + span(equality
+    normals), exact when x and the pattern are, and raising outside the
+    domain; its generator matrix G; grad f(x) (f is None when only g is
+    modelled); and the phi min-norm pair (dist(0, subdiff phi(x)), argmin
+    z in S of ||grad + z||), read by phi_residual and phi_stationary.
     """
-    x = _as_vector(x, g.n, "x")
-    if not g.domain.contains(x, tol):
-        raise OutOfDomain("g_subdiff: point outside the domain")
-    pattern = activity_pattern(g, x, tol_active)
-    if g.n_pieces:
-        points = g.pieces_A[list(pattern.active_pieces)]
-    else:
-        points = np.zeros((1, g.n))
-    rays = g.domain.A_ineq[list(pattern.active_rows)] \
-        if pattern.active_rows else np.zeros((0, g.n))
-    lines = g.domain.A_eq
-    return GeneratorSet(g.n, points, rays, lines)
+
+    def __init__(self, g: PolyhedralFunction, f, x, tol: float = DEFAULT_TOL):
+        self._build(g, f, _as_vector(x, g.n, "x"), tol)
+
+    def _build(self, g, f, x, tol):
+        """Set up from a validated x (LiftedPoint passes y*y unchecked)."""
+        self.g, self.f, self.tol, self.x = g, f, tol, x
+        self.in_domain = g.domain.contains(x, tol)
+
+    def _outside(self) -> OutOfDomain:
+        return OutOfDomain("g_subdiff: point outside the domain")
+
+    @cached_property
+    def pattern(self) -> ActivityPattern:
+        return activity_pattern(self.g, self.x)
+
+    @cached_property
+    def S(self) -> GeneratorSet:
+        if not self.in_domain:
+            raise self._outside()
+        g, pattern = self.g, self.pattern
+        points = g.pieces_A[list(pattern.active_pieces)] if g.n_pieces \
+            else np.zeros((1, g.n))
+        rays = g.domain.A_ineq[list(pattern.active_rows)]
+        return GeneratorSet(g.n, points, rays, g.domain.A_eq)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self.S.generator_matrix()
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.f.grad(self.x)
+
+    @cached_property
+    def phi_min_norm(self) -> tuple[float, np.ndarray]:
+        return min_norm_weighted(self.S, self.grad, np.ones(self.g.n))
+
+    @property
+    def phi_residual(self) -> float:
+        return self.phi_min_norm[0]
+
+    @cached_property
+    def phi_stationary(self) -> bool:
+        """phi_residual <= tol * (1 + ||grad f(x)||)."""
+        return self.phi_residual <= \
+            self.tol * (1.0 + float(np.linalg.norm(self.grad)))
+
+
+def g_subdiff(g: PolyhedralFunction, x,
+              tol: float = DEFAULT_TOL) -> GeneratorSet:
+    """Subdifferential of g at x as a generator set (LocalModel.S)."""
+    return LocalModel(g, None, x, tol).S
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +300,13 @@ def phi_value(p: CompositeProblem, x, tol: float = DEFAULT_TOL) -> float:
 
 
 def phi_subdiff(p: CompositeProblem, x,
-                tol_active: float = DEFAULT_TOL_ACTIVE,
                 tol: float = DEFAULT_TOL) -> GeneratorSet:
     """Subdifferential of phi at x: grad f translates the points of
     the g subdifferential, rays and lines are unchanged."""
-    S = g_subdiff(p.g, x, tol_active, tol)
-    return S.translate(p.f.grad(x))
+    pt = LocalModel(p.g, p.f, x, tol)
+    return pt.S.translate(pt.grad)
 
 
-def phi_residual(p: CompositeProblem, x,
-                 tol_active: float = DEFAULT_TOL_ACTIVE,
-                 tol: float = DEFAULT_TOL) -> float:
+def phi_residual(p: CompositeProblem, x, tol: float = DEFAULT_TOL) -> float:
     """dist(0, subdiff phi(x)); raises OutOfDomain outside dom g."""
-    x = _as_vector(x, p.n, "x")
-    S = g_subdiff(p.g, x, tol_active, tol)
-    value, _ = min_norm_weighted(S, p.f.grad(x), np.ones(p.n))
-    return value
+    return LocalModel(p.g, p.f, x, tol).phi_residual

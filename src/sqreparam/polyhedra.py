@@ -277,8 +277,8 @@ def _run_simplex(T: np.ndarray, basis: list, cost: np.ndarray,
 
 
 def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
-             A_ineq=None, b_ineq=None, *, tol: float = DEFAULT_TOL,
-             max_iter: int | None = None) -> LPOutcome:
+             A_ineq=None, b_ineq=None, *,
+             tol: float = DEFAULT_TOL) -> LPOutcome:
     """Maximize <c, z> over bounds and linear rows.
 
     lower/upper are per-variable bounds and may contain -inf/+inf (the
@@ -353,7 +353,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 
     scale = 1.0 + (float(np.max(np.abs(b_std))) if m else 0.0)
     pivot_tol = 1e-10
-    budget = max_iter if max_iter is not None else 2000 + 50 * (m + N)
+    budget = 2000 + 50 * (m + N)
 
     # Phase 1: artificial variables on every row.
     if m:
@@ -435,8 +435,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 # ---------------------------------------------------------------------------
 
 
-def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0, *,
-                   max_iter: int | None = None) -> np.ndarray:
+def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
     """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
 
     Equality rows stay in every working set; inequality rows enter and
@@ -455,7 +454,7 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0, *,
         raise NumericalFailure("active-set QP needs a feasible start")
     working = sorted(np.nonzero(slack0 <= 1e-11)[0].tolist()) if m_in else []
     scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-    budget = max_iter if max_iter is not None else 100 + 20 * (n + m_in)
+    budget = 100 + 20 * (n + m_in)
 
     for _ in range(budget):
         act = np.vstack([A_eq, A_ineq[working]]) if (m_eq or working) \

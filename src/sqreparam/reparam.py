@@ -25,18 +25,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfLiftedDomain
 from .polyfunc import (
-    DEFAULT_TOL_ACTIVE,
     CompositeProblem,
+    LocalModel,
     PolyhedralFunction,
-    activity_pattern,
-    g_eval,
-    g_subdiff,
+    phi_value,
 )
 from .polyhedra import DEFAULT_TOL, min_norm_weighted, _as_vector
 
 DEFAULT_TOL_SUPPORT = 1e-8
-
-_INF = float("inf")
 
 
 def support_set(y, tol_support: float = DEFAULT_TOL_SUPPORT):
@@ -53,26 +49,27 @@ def support_set(y, tol_support: float = DEFAULT_TOL_SUPPORT):
     return idx[mask], idx[~mask]
 
 
-class LiftedPoint:
+class LiftedPoint(LocalModel):
     """The local model of the lift at y, read by the first- and
-    second-order certificates alike.
+    second-order certificates alike: the model of phi at x = y*y
+    (LocalModel) plus y, the support split and the lifted residual.
 
     y, x = y*y and in_domain (x in dom g) are built at construction.
     Built on first use, once each: the support sup (tuple: support) and
     its complement comp, which the lifted residual alone does not need;
-    S = subdiff g(x), which raises OutOfLiftedDomain outside the domain,
-    and its generator matrix G; grad f(x) (f is None when only g is
-    modelled); the lifted and phi residuals.
+    the lifted residual; and everything LocalModel builds, with S raising
+    OutOfLiftedDomain outside the domain.
     """
 
     def __init__(self, g: PolyhedralFunction, f, y,
                  tol_support: float = DEFAULT_TOL_SUPPORT,
                  tol: float = DEFAULT_TOL):
-        self.g, self.f = g, f
-        self.tol, self.tol_support = tol, tol_support
+        self.tol_support = tol_support
         self.y = _as_vector(y, g.n, "y")
-        self.x = self.y * self.y
-        self.in_domain = g.domain.contains(self.x, tol)
+        self._build(g, f, self.y * self.y, tol)
+
+    def _outside(self) -> OutOfLiftedDomain:
+        return OutOfLiftedDomain("y*y is outside the domain of g")
 
     @cached_property
     def _support_split(self):
@@ -91,30 +88,10 @@ class LiftedPoint:
         return tuple(self.sup.tolist())
 
     @cached_property
-    def S(self):
-        if not self.in_domain:
-            raise OutOfLiftedDomain("y*y is outside the domain of g")
-        return g_subdiff(self.g, self.x, tol=self.tol)
-
-    @cached_property
-    def G(self) -> np.ndarray:
-        return self.S.generator_matrix()
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        return self.f.grad(self.x)
-
-    @cached_property
     def lifted_residual(self) -> float:
         """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
         value, _ = min_norm_weighted(self.S, self.grad, np.abs(self.y))
         return 2.0 * value
-
-    @cached_property
-    def phi_residual(self) -> float:
-        """dist(0, subdiff phi(x)) for the squared point x."""
-        value, _ = min_norm_weighted(self.S, self.grad, np.ones(self.g.n))
-        return value
 
 
 def _lift(g: PolyhedralFunction, f, y, tol_support: float,
@@ -137,13 +114,9 @@ def lift_point(p: CompositeProblem, y,
 
 
 def lift_eval(p: CompositeProblem, y, tol: float = DEFAULT_TOL) -> float:
-    """Phi(y) = f(y*y) + g(y*y), +inf when y*y leaves the domain of g."""
+    """Phi(y) = phi(y*y), +inf when y*y leaves the domain of g."""
     y = _as_vector(y, p.n, "y")
-    x = y * y
-    gx = g_eval(p.g, x, tol)
-    if not np.isfinite(gx):
-        return _INF
-    return float(p.f.value(x)) + gx
+    return phi_value(p, y * y, tol)
 
 
 def lifted_residual(p: CompositeProblem, y,
@@ -183,8 +156,7 @@ def classify_first_order(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
         return StationarityReport(False, pt.support, None, None,
                                   False, False, None, False)
     res_Phi, res_phi = pt.lifted_residual, pt.phi_residual
-    pattern = activity_pattern(p.g, pt.x, DEFAULT_TOL_ACTIVE)
     min_abs = float(np.min(np.abs(pt.y[pt.sup]))) if pt.support else None
     return StationarityReport(
         True, pt.support, res_Phi, res_phi,
-        res_Phi <= pt.tol, res_phi <= pt.tol, min_abs, pattern.degenerate)
+        res_Phi <= pt.tol, res_phi <= pt.tol, min_abs, pt.pattern.degenerate)

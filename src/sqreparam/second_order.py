@@ -255,9 +255,6 @@ def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
     second_order = out.status is LPStatus.OPTIMAL
     witness_lambda = (grad + pt.S.combine(out.witness)) if second_order else None
 
-    original_stationary = \
-        pt.phi_residual <= pt.tol * (1.0 + float(np.linalg.norm(grad)))
-
     negative_direction = None
     if lifted_stationary:
         rng = np.random.default_rng(_DIRECTION_SEED)
@@ -285,9 +282,9 @@ def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
         raise InconsistencyDetected(
             "sign-constrained multiplier exists without lifted stationarity")
 
-    consistent = (lifted_stationary and second_order) == original_stationary
+    consistent = (lifted_stationary and second_order) == pt.phi_stationary
     report = CorrespondenceReport(lifted_stationary, second_order,
-                                  original_stationary, consistent,
+                                  pt.phi_stationary, consistent,
                                   witness_lambda, negative_direction)
     if not consistent:
         raise InconsistencyDetected(

@@ -187,15 +187,43 @@ def _count_calls(monkeypatch, func):
     return calls
 
 
+def _count_grads(monkeypatch):
+    """Count the calls of SmoothQuadratic.grad."""
+    calls = []
+    grad = sq.SmoothQuadratic.grad
+
+    def counted(self, x):
+        calls.append(x)
+        return grad(self, x)
+
+    monkeypatch.setattr(sq.SmoothQuadratic, "grad", counted)
+    return calls
+
+
 def test_certify_builds_one_local_model(monkeypatch, capsys):
-    # one point, one model: subdiff g(y*y) is built once, and the weighted
-    # min-norm QP runs for the lifted residual, the phi residual and the
-    # membership check of the multiplier, once each
+    # one point, one model: one activity pass builds subdiff g(y*y) inside
+    # the model (not through the g_subdiff wrapper), grad f is evaluated
+    # once, and the weighted min-norm QP runs for the lifted residual, the
+    # phi residual and the membership check of the multiplier, once each
     subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
+    patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
+    lps = _count_calls(monkeypatch, sq.lp_solve)
+    grads = _count_grads(monkeypatch)
     assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
     assert "consistent = True" in capsys.readouterr().out
-    assert (len(subdiffs), len(qps)) == (1, 3)
+    assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 3)
+    assert (len(grads), len(lps)) == (1, 11)
+
+
+def test_strict_comp_builds_one_local_model(monkeypatch, capsys):
+    # the stationarity test and the relative-interior test read one model
+    patterns = _count_calls(monkeypatch, sq.activity_pattern)
+    qps = _count_calls(monkeypatch, sq.min_norm_weighted)
+    grads = _count_grads(monkeypatch)
+    assert main(["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1"]) == 0
+    assert "strict_complementarity = True" in capsys.readouterr().out
+    assert (len(patterns), len(grads), len(qps)) == (1, 1, 1)
 
 
 def test_strict_comp_subcommand(capsys):
@@ -205,6 +233,21 @@ def test_strict_comp_subcommand(capsys):
     rc = main(["strict-comp", str(PROBLEMS / "quartic1.json"), "--x", "0"])
     assert rc == 0
     assert "strict_complementarity = False" in capsys.readouterr().out
+
+
+def test_strict_comp_tol_reaches_the_subdifferential(capsys):
+    # --tol decides the domain test, the stationarity test and the
+    # subdifferential alike: a point 1e-8 outside the half-line is inside
+    # at 1e-6, so the run prints a verdict instead of failing in subdiff g
+    quartic = str(PROBLEMS / "quartic1.json")
+    rc = main(["strict-comp", quartic, "--x=-1e-8", "--tol", "1e-6"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "strict_complementarity = False" in out
+    rc = main(["strict-comp", quartic, "--x=-1e-8"])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "validation error: xbar is outside the domain of g\n"
 
 
 def test_kl_fit_quartic_with_csv(tmp_path, capsys):

@@ -128,6 +128,28 @@ def test_lemma61_probe_orders():
     assert vs == pytest.approx(2.0, rel=0.05)
 
 
+def test_lemma61_probe_one_gradient_per_model(monkeypatch):
+    # one model at the centre and one per kept sample, each evaluating
+    # grad f once: 1 + 32 * 4 on the strict instance, where every sample
+    # clears the gap floor
+    builds, grads = [], []
+    init, grad = sq.LocalModel.__init__, sq.SmoothQuadratic.grad
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_grad(self, x):
+        grads.append(x)
+        return grad(self, x)
+
+    monkeypatch.setattr(sq.LocalModel, "__init__", counted_init)
+    monkeypatch.setattr(sq.SmoothQuadratic, "grad", counted_grad)
+    config = sq.ScatterConfig(n_radii=32, n_dirs=4)
+    sq.lemma61_probe(strict1(), np.array([1.0]), 0.0, config)
+    assert len(grads) == len(builds) == 129
+
+
 def test_lemma61_probe_errors():
     with pytest.raises(sq.InvalidRange):
         sq.lemma61_probe(quartic(), np.array([0.0]), 1.0)
