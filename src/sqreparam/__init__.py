@@ -5,8 +5,8 @@ phi(x) = f(x) + g(x) under the lift x = y*y, test strict
 complementarity, predict how sharpness exponents transform under the
 lift, and verify the predictions with sampling and first-order solver
 experiments.  Every fast computation has a brute-force oracle shipped
-alongside it (see sqreparam.oracles and the `sqreparam selftest`
-command).
+alongside it (see sqreparam.oracles, the batteries in
+sqreparam.checks and the `sqreparam selftest` command).
 """
 
 from .errors import (
@@ -95,7 +95,6 @@ from .kl_lab import (
     strict_complementarity,
 )
 from .oracles import (
-    OracleConfig,
     enumerate_vertices,
     fd_second_subderivative,
     grid_min_norm,

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import CHECKS
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -61,40 +62,15 @@ from .kl_lab import (
     sample_scatter,
     strict_complementarity,
 )
-from .oracles import (
-    OracleConfig,
-    enumerate_vertices,
-    fd_second_subderivative,
-    grid_min_norm,
-    grid_min_norm_gap_bound,
-    random_lp_instance,
-    random_nonsmooth_instance,
-    random_orthant_instance,
-)
 from .polyfunc import (
     CompositeProblem,
     PolyhedralFunction,
     SmoothQuadratic,
-    g_eval,
-    g_subdiff,
     phi_value,
 )
-from .polyhedra import (
-    DEFAULT_TOL,
-    GeneratorSet,
-    LPStatus,
-    Polyhedron,
-    lp_solve,
-    project_onto_polyhedron,
-    vrep_ri_membership,
-)
-from .reparam import (
-    DEFAULT_TOL_SUPPORT,
-    classify_first_order,
-    lift_point,
-    lifted_residual,
-)
-from .second_order import correspondence_check, d2_lifted_g
+from .polyhedra import DEFAULT_TOL, Polyhedron
+from .reparam import DEFAULT_TOL_SUPPORT, classify_first_order, lift_point
+from .second_order import correspondence_check
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -343,6 +319,12 @@ def _parse_vector_arg(text: str, n: int, flag: str) -> np.ndarray:
     return np.array(values)
 
 
+def _check_tol(value: float, flag: str) -> None:
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValidationError(
+            f"{flag}: must be finite and nonnegative, got {value!r}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool) or value is None:
         return str(value)
@@ -368,6 +350,8 @@ def _cmd_certify(args) -> int:
     pf = parse_problem_file(args.file)
     p = pf.problem
     y = _parse_vector_arg(args.y, p.n, "--y")
+    _check_tol(args.tol, "--tol")
+    _check_tol(args.tol_support, "--tol-support")
     _kv("command", "certify")
     _kv("problem", args.file)
     _kv("n", p.n)
@@ -399,6 +383,7 @@ def _cmd_strict_comp(args) -> int:
     pf = parse_problem_file(args.file)
     p = pf.problem
     x = _parse_vector_arg(args.x, p.n, "--x")
+    _check_tol(args.tol, "--tol")
     _kv("command", "strict-comp")
     _kv("problem", args.file)
     _kv("x", x)
@@ -482,155 +467,17 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Self test batteries (fast oracle-agreement checks)
-# ---------------------------------------------------------------------------
-
-
-def _st_lp_vs_enumeration(seed: int, count: int = 60):
-    worst = 0.0
-    for s in range(count):
-        c, P = random_lp_instance(seed + s)
-        out = lp_solve(c, None, None, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq)
-        if out.status is not LPStatus.OPTIMAL:
-            return False, f"instance {s}: status {out.status.name}"
-        verts = enumerate_vertices(P)
-        if verts.shape[0] == 0:
-            return False, f"instance {s}: no vertices found"
-        truth = float(np.max(verts @ c))
-        err = abs(out.value - truth) / (1.0 + abs(truth))
-        if err > 1e-9:
-            return False, f"instance {s}: value off by {err:.2e}"
-        if abs(out.duality_gap) > 1e-9 * (1.0 + abs(out.value)):
-            return False, f"instance {s}: duality gap {out.duality_gap:.2e}"
-        worst = max(worst, err)
-    return True, f"{count} instances, worst relative value gap {worst:.1e}"
-
-
-def _st_projection_idempotence(seed: int, count: int = 40):
-    worst = 0.0
-    for s in range(count):
-        _, P = random_lp_instance(seed + 10_000 + s)
-        rng = np.random.default_rng(seed + 20_000 + s)
-        z = 4.0 * rng.standard_normal(P.n)
-        p1 = project_onto_polyhedron(P, z)
-        p2 = project_onto_polyhedron(P, p1, start=p1)
-        drift = float(np.linalg.norm(p1 - p2)) / (1.0 + float(np.linalg.norm(p1)))
-        if drift > 1e-9:
-            return False, f"instance {s}: projection drift {drift:.2e}"
-        if P.max_violation(p1) > 1e-8:
-            return False, f"instance {s}: infeasible projection"
-        worst = max(worst, drift)
-    return True, f"{count} instances, worst drift {worst:.1e}"
-
-
-def _st_smooth_identity(seed: int, count: int = 50):
-    worst = 0.0
-    for s in range(count):
-        p, y = random_orthant_instance(seed + s)
-        analytic = float(np.linalg.norm(2.0 * y * p.f.grad(y * y)))
-        err = abs(lifted_residual(p, y) - analytic) / (1.0 + analytic)
-        if err > 1e-8:
-            return False, f"instance {s}: residual off by {err:.2e}"
-        worst = max(worst, err)
-    return True, f"{count} instances, worst relative error {worst:.1e}"
-
-
-def _st_grid_agreement(seed: int, count: int = 8):
-    cfg = OracleConfig(grid_resolution=12)
-    for s in range(count):
-        p, y = random_nonsmooth_instance(seed + s)
-        x = y * y
-        S = g_subdiff(p.g, x)
-        weights = np.abs(y)
-        half = 0.5 * lifted_residual(p, y)
-        grid = grid_min_norm(S, p.f.grad(x), weights, cfg)
-        bound = grid_min_norm_gap_bound(S, weights, cfg)
-        if grid < half - 1e-7 * (1.0 + half):
-            return False, f"instance {s}: grid {grid:.6g} beats QP {half:.6g}"
-        if grid - half > bound + 1e-9:
-            return False, (f"instance {s}: grid gap {grid - half:.3g} "
-                           f"exceeds bound {bound:.3g}")
-    return True, f"{count} instances within grid tolerance"
-
-
-def _st_ri_catalog(_seed: int):
-    cases = []
-    seg = GeneratorSet(1, points=[[0.0], [2.0]])
-    cases += [(seg, [1.0], True), (seg, [2.0], False), (seg, [0.0], False)]
-    halfline = GeneratorSet(1, points=[[0.0]], rays=[[1.0]])
-    cases += [(halfline, [0.0], False), (halfline, [1.0], True)]
-    corner = GeneratorSet(2, points=[[0.0, 0.0]],
-                          rays=[[-1.0, 0.0], [0.0, -1.0]])
-    cases += [(corner, [-1.0, -1.0], True), (corner, [-1.0, 0.0], False),
-              (corner, [0.0, 0.0], False)]
-    strip = GeneratorSet(2, points=[[0.0, 1.0]], rays=[[0.0, -1.0]])
-    cases += [(strip, [0.0, 0.0], True), (strip, [0.0, 1.0], False),
-              (strip, [1.0, 0.0], False)]
-    line = GeneratorSet(2, points=[[0.0, 0.0]], lines=[[1.0, 0.0]])
-    cases += [(line, [3.0, 0.0], True), (line, [0.0, 0.1], False)]
-    point = GeneratorSet(2, points=[[0.5, -0.5]])
-    cases += [(point, [0.5, -0.5], True), (point, [0.5, 0.5], False)]
-    for i, (S, z, expect) in enumerate(cases):
-        if vrep_ri_membership(S, np.array(z)) is not expect:
-            return False, f"case {i}: expected {expect}"
-    return True, f"{len(cases)} catalog cases"
-
-
-def _st_d2_designed(_seed: int):
-    orthant2 = PolyhedralFunction.orthant_indicator(2)
-    val = d2_lifted_g(orthant2, [1.0, 0.0], [0.0, -3.0], [0.0, 1.0])
-    if abs(val) > 1e-9:
-        return False, f"orthant case: {val!r} instead of 0"
-    fd = fd_second_subderivative(
-        lambda yv: g_eval(orthant2, yv * yv), np.array([1.0, 0.0]),
-        np.zeros(2), np.array([0.0, 1.0]))
-    if abs(fd - val) > 0.05 * (1.0 + abs(val)):
-        return False, f"orthant case: fd {fd!r} vs {val!r}"
-
-    simplex2 = PolyhedralFunction.simplex_indicator(2)
-    val = d2_lifted_g(simplex2, [1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-    if abs(val - 2.0) > 1e-9:
-        return False, f"simplex case: {val!r} instead of 2"
-    fd = fd_second_subderivative(
-        lambda yv: g_eval(simplex2, yv * yv), np.array([1.0, 0.0]),
-        np.array([2.0, 0.0]), np.array([0.0, 1.0]))
-    if abs(fd - val) > 0.05 * (1.0 + abs(val)):
-        return False, f"simplex case: fd {fd!r} vs {val!r}"
-
-    origin1 = PolyhedralFunction.indicator(
-        Polyhedron(1, A_eq=[[1.0]], b_eq=[0.0]))
-    val = d2_lifted_g(origin1, [0.0], [0.0], [1.0])
-    if val != float("inf"):
-        return False, f"point case: {val!r} instead of +inf"
-    fd = fd_second_subderivative(
-        lambda yv: g_eval(origin1, yv * yv), np.zeros(1), np.zeros(1),
-        np.ones(1))
-    if fd != float("inf"):
-        return False, f"point case: fd {fd!r} instead of +inf"
-    return True, "3 designed cases, finite ones fd-checked"
-
-
-_SELFTEST_GROUPS = (
-    ("lp-vs-vertex-enumeration", _st_lp_vs_enumeration),
-    ("projection-idempotence", _st_projection_idempotence),
-    ("smooth-lift-residual-identity", _st_smooth_identity),
-    ("nonsmooth-residual-grid-agreement", _st_grid_agreement),
-    ("ri-membership-catalog", _st_ri_catalog),
-    ("second-subderivative-designed-cases", _st_d2_designed),
-)
-
-
 def _cmd_selftest(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed: must be nonnegative, got {args.seed}")
     _kv("command", "selftest")
     _kv("seed", args.seed)
     failures = 0
-    for name, battery in _SELFTEST_GROUPS:
-        ok, detail = battery(args.seed)
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        failures += 0 if ok else 1
-    total = len(_SELFTEST_GROUPS)
-    print(f"selftest: {total - failures}/{total} groups passed")
+    for name, battery, count in CHECKS:
+        result = battery() if count is None else battery(args.seed, count)
+        print(f"[{'PASS' if result.ok else 'FAIL'}] {name}: {result.detail}")
+        failures += 0 if result.ok else 1
+    print(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} groups passed")
     return _EXIT_OK if failures == 0 else _EXIT_INCONSISTENT
 
 

@@ -21,7 +21,7 @@ observe the matching solver behaviour (linear versus sublinear decay).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,10 +124,14 @@ class ScatterConfig:
     def __post_init__(self):
         if not (0.0 < self.delta_min < self.delta_max):
             raise InvalidRange("need 0 < delta_min < delta_max")
+        if not math.isfinite(self.delta_max):
+            raise InvalidRange("delta_max must be finite")
         if self.n_radii < 2 or self.n_dirs < 1:
             raise InvalidRange("need at least 2 radii and 1 direction")
         if self.n_bins < self.min_bins or self.min_bins < 2:
             raise InvalidRange("need n_bins >= min_bins >= 2")
+        if self.seed < 0:
+            raise InvalidRange(f"seed must be nonnegative, got {self.seed}")
 
 
 def _perturbations(p: CompositeProblem, xbar, base: float,
@@ -335,7 +339,6 @@ class SolverTrace:
     variant: str
     iterates: list
     f_star: float | None = None
-    fitted_rate: RateFit | None = None
 
 
 # c1 = 0.1 intentionally steep: on the sphere a unit step can flip the
@@ -348,12 +351,13 @@ _ARMIJO_MAX_BACKTRACKS = 120
 _MIN_RATE_POINTS = 20
 
 
-def _power_iteration_bound(Q: np.ndarray, iters: int = 80) -> float:
-    """Spectral norm estimate of a symmetric matrix, deterministic start."""
+def _power_iteration_bound(Q: np.ndarray) -> float:
+    """Spectral norm estimate of a symmetric matrix: 80 power iterations
+    from a deterministic start."""
     n = Q.shape[0]
     v = np.ones(n) / math.sqrt(n)
     bound = 0.0
-    for _ in range(iters):
+    for _ in range(80):
         w = Q @ v
         norm = float(np.linalg.norm(w))
         if norm <= 1e-300:

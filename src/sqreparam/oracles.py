@@ -4,14 +4,14 @@ Each oracle recomputes a quantity the fast path obtains by LP/QP duality
 or a closed formula, using nothing smarter than enumeration, grids, and
 raw difference quotients.  They refuse inputs above small hard caps
 (``TooLarge``) because their cost is combinatorial by design.  Ship them
-anyway: the self-test command and the acceptance suite run the fast path
-against these on seeded random instances.
+anyway: the batteries in ``sqreparam.checks``, which the self-test
+command and the acceptance suite run, judge the fast path against these
+on seeded random instances.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,37 +34,18 @@ from .polyhedra import (
 )
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Shared knobs for the brute-force oracles.
-
-    grid_resolution: subdivisions per coefficient block (>= 8).
-    box_bound: half-width of the box searched for unbounded coefficients.
-    t_min/t_max/n_t: geometric grid of step sizes for difference quotients.
-    n_perturb: random perturbation directions per step size.
-    divergence_threshold: quotients beyond this count as +inf.
-    """
-
-    grid_resolution: int = 8
-    box_bound: float = 8.0
-    t_min: float = 3e-3
-    t_max: float = 0.3
-    n_t: int = 10
-    n_perturb: int = 16
-    divergence_threshold: float = 1e8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise InvalidRange("grid_resolution must be at least 8")
-        if not (np.isfinite(self.box_bound) and self.box_bound > 0):
-            raise InvalidRange("box_bound must be finite and positive")
-        if not (0 < self.t_min < self.t_max):
-            raise InvalidRange("need 0 < t_min < t_max")
-        if self.n_t < 3:
-            raise InvalidRange("n_t must be at least 3")
+# half-width of the box searched for unbounded coefficients
+_BOX_BOUND = 8.0
+# geometric grid of difference-quotient step sizes
+_T_MIN, _T_MAX, _N_T = 3e-3, 0.3, 10
+# random perturbation directions per step size
+_N_PERTURB = 16
+# quotients beyond this count as +inf
+_DIVERGENCE_THRESHOLD = 1e8
+_SEED = 0
+# fd_second_subderivative's arc grid has 2 * _ARC_RESOLUTION + 1 values
+# per support coordinate
+_ARC_RESOLUTION = 8
 
 
 def enumerate_vertices(P: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -144,13 +125,19 @@ def _simplex_grid(n_parts: int, resolution: int) -> np.ndarray:
     return np.array(out, dtype=float) / resolution
 
 
+def _check_resolution(resolution: int) -> None:
+    if resolution < 8:
+        raise InvalidRange("grid resolution must be at least 8")
+
+
 def grid_min_norm(S: GeneratorSet, shift, weights,
-                  cfg: OracleConfig = OracleConfig()) -> float:
+                  resolution: int = 8) -> float:
     """Grid search for min ||weights o (shift + z)|| over z in S.
 
-    Convex coefficients range over the simplex grid, ray coefficients
-    over [0, box_bound]; line coefficients are free so they are
-    eliminated exactly by least squares on each grid node.  The result
+    Convex coefficients range over the simplex grid with `resolution`
+    (>= 8) subdivisions, ray coefficients over [0, 8]; line coefficients
+    are free so they are eliminated exactly by least squares on each
+    grid node.  The result
     is an upper bound on the true minimum that refines monotonically as
     the resolution doubles (the grids are nested).
     Caps: at most 4 points, 3 rays, 2 lines.
@@ -159,9 +146,10 @@ def grid_min_norm(S: GeneratorSet, shift, weights,
         raise EmptySet("grid_min_norm needs a nonempty generator set")
     if S.n_points > 4 or S.n_rays > 3 or S.n_lines > 2:
         raise TooLarge("grid_min_norm caps at 4 points, 3 rays, 2 lines")
+    _check_resolution(resolution)
     shift = _as_vector(shift, S.n, "shift")
     weights = _as_vector(weights, S.n, "weights")
-    R = cfg.grid_resolution
+    R = resolution
 
     if S.n_lines:
         A = (S.lines * weights[None, :]).T          # n x n_lines
@@ -172,7 +160,7 @@ def grid_min_norm(S: GeneratorSet, shift, weights,
     lam_grid = _simplex_grid(S.n_points, R)
     lam_part = lam_grid @ (S.points * weights[None, :])
     if S.n_rays:
-        axis = np.linspace(0.0, cfg.box_bound, R + 1)
+        axis = np.linspace(0.0, _BOX_BOUND, R + 1)
         mu_grid = np.array(list(itertools.product(axis, repeat=S.n_rays)))
         mu_part = mu_grid @ (S.rays * weights[None, :])
     else:
@@ -184,14 +172,15 @@ def grid_min_norm(S: GeneratorSet, shift, weights,
 
 
 def grid_min_norm_gap_bound(S: GeneratorSet, weights,
-                            cfg: OracleConfig = OracleConfig()) -> float:
+                            resolution: int = 8) -> float:
     """Worst-case gap between grid_min_norm and the true minimum,
     assuming the optimal ray coefficients fit inside the box."""
+    _check_resolution(resolution)
     weights = _as_vector(weights, S.n, "weights")
     G = S.generator_matrix() * weights[:, None]
     col_norm = float(np.max(np.linalg.norm(G, axis=0), initial=0.0))
-    R = cfg.grid_resolution
-    radius = 2.0 * S.n_points / R + S.n_rays * cfg.box_bound / (2.0 * R)
+    R = resolution
+    radius = 2.0 * S.n_points / R + S.n_rays * _BOX_BOUND / (2.0 * R)
     return col_norm * radius
 
 
@@ -212,8 +201,7 @@ def _arc_directions(ybar: np.ndarray, support: np.ndarray, w: np.ndarray,
     return d
 
 
-def fd_second_subderivative(H_eval, ybar, lam, w,
-                            cfg: OracleConfig = OracleConfig()) -> float:
+def fd_second_subderivative(H_eval, ybar, lam, w) -> float:
     """Finite-difference estimate of the second subderivative of H at
     ybar for multiplier lam in direction w.
 
@@ -237,22 +225,21 @@ def fd_second_subderivative(H_eval, ybar, lam, w,
         raise OutOfDomain("H must be finite at the base point")
 
     support = np.nonzero(np.abs(ybar) > 1e-8)[0]
-    rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((cfg.n_perturb, n))
+    rng = np.random.default_rng(_SEED)
+    dirs = rng.standard_normal((_N_PERTURB, n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
 
     k = support.size
     if k == 0:
         u_list = [np.zeros(0)]
     elif k <= 2:
-        axis = np.linspace(-cfg.box_bound, cfg.box_bound,
-                           2 * cfg.grid_resolution + 1)
+        axis = np.linspace(-_BOX_BOUND, _BOX_BOUND, 2 * _ARC_RESOLUTION + 1)
         u_list = [np.array(u) for u in itertools.product(axis, repeat=k)]
     else:
-        u_list = list(rng.uniform(-cfg.box_bound, cfg.box_bound,
-                                  size=(4 * cfg.n_perturb, k)))
+        u_list = list(rng.uniform(-_BOX_BOUND, _BOX_BOUND,
+                                  size=(4 * _N_PERTURB, k)))
 
-    ts = np.geomspace(cfg.t_max, cfg.t_min, cfg.n_t)
+    ts = np.geomspace(_T_MAX, _T_MIN, _N_T)
     per_t = []
     for t in ts:
         cands = [w] + [w + 0.5 * t * d for d in dirs]
@@ -266,7 +253,7 @@ def fd_second_subderivative(H_eval, ybar, lam, w,
             if not np.isfinite(val):
                 continue
             quot = (val - base - t * float(lam @ d)) / (0.5 * t * t)
-            if abs(quot) >= cfg.divergence_threshold:
+            if abs(quot) >= _DIVERGENCE_THRESHOLD:
                 continue
             best = min(best, quot)
         per_t.append(best)
@@ -277,8 +264,7 @@ def fd_second_subderivative(H_eval, ybar, lam, w,
     return float(min(tail))
 
 
-def subgradient_inequality_check(g, x, v, cfg: OracleConfig = OracleConfig(),
-                                 tol: float = DEFAULT_TOL) -> bool:
+def subgradient_inequality_check(g, x, v, tol: float = DEFAULT_TOL) -> bool:
     """Check g(z) >= g(x) + <v, z - x> on sampled feasible z.
 
     Samples a coarse feasible grid around x plus random projected
@@ -290,14 +276,14 @@ def subgradient_inequality_check(g, x, v, cfg: OracleConfig = OracleConfig(),
     x = _as_vector(x, g.n, "x")
     v = _as_vector(v, g.n, "v")
     gx = g_eval(g, x)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_SEED)
     samples = []
     if g.n <= 3:
         axis = np.linspace(-2.0, 2.0, 5)
         for off in itertools.product(axis, repeat=g.n):
             samples.append(x + np.array(off))
     for scale in (0.3, 1.0, 3.0):
-        samples.extend(x + scale * rng.standard_normal((cfg.n_perturb, g.n)))
+        samples.extend(x + scale * rng.standard_normal((_N_PERTURB, g.n)))
     slack = tol * (1.0 + abs(gx) + float(np.linalg.norm(v)))
     for raw in samples:
         z = project_onto_polyhedron(g.domain, raw, start=x)
@@ -312,17 +298,17 @@ def subgradient_inequality_check(g, x, v, cfg: OracleConfig = OracleConfig(),
 # ---------------------------------------------------------------------------
 
 
-def random_orthant_instance(seed: int, n_max: int = 6):
+def random_orthant_instance(seed: int):
     """Seeded random smooth-plus-orthant problem and a test point.
 
-    f is an arbitrary symmetric quadratic, g the nonnegativity
+    n is 1 to 6, f an arbitrary symmetric quadratic, g the nonnegativity
     indicator.  The returned y carries a sprinkling of exact zeros so
     zero-weight coordinates get exercised.
     """
     from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
 
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 7))
     M = rng.standard_normal((n, n))
     f = SmoothQuadratic(0.5 * (M + M.T), rng.standard_normal(n),
                         float(rng.standard_normal()))
@@ -332,11 +318,10 @@ def random_orthant_instance(seed: int, n_max: int = 6):
     return CompositeProblem(f, g), y
 
 
-def random_nonsmooth_instance(seed: int, n_max: int = 4, max_pieces: int = 4,
-                              max_rows: int = 6):
+def random_nonsmooth_instance(seed: int):
     """Seeded random piecewise instance sized for the grid oracle.
 
-    g is a max of up to max_pieces affine pieces over up to max_rows
+    n is 1 to 4 and g a max of 1 to 4 affine pieces over up to 6
     extra inequality rows kept feasible around a positive anchor; the
     returned y squares to a feasible point.  Draws are retried until
     the active generator set at y*y fits the grid_min_norm caps.
@@ -346,12 +331,12 @@ def random_nonsmooth_instance(seed: int, n_max: int = 4, max_pieces: int = 4,
 
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(1, 5))
         M = rng.standard_normal((n, n))
         f = SmoothQuadratic(0.5 * (M + M.T), rng.standard_normal(n), 0.0)
-        k = int(rng.integers(1, max_pieces + 1))
+        k = int(rng.integers(1, 5))
         anchor = rng.uniform(0.2, 1.5, n)
-        m = int(rng.integers(0, max_rows + 1))
+        m = int(rng.integers(0, 7))
         A = rng.standard_normal((m, n))
         b = A @ anchor + rng.uniform(0.1, 1.0, m)
         g = PolyhedralFunction(n, rng.standard_normal((k, n)),
@@ -365,15 +350,16 @@ def random_nonsmooth_instance(seed: int, n_max: int = 4, max_pieces: int = 4,
     raise NumericalFailure("no grid-compatible draw in 200 attempts")
 
 
-def random_lp_instance(seed: int, n_max: int = 6, max_extra_rows: int = 4):
+def random_lp_instance(seed: int):
     """Seeded bounded feasible LP: (objective, polyhedron).
 
-    Box rows force boundedness, extra rows stay feasible at a known
-    interior point, and every third seed with n >= 2 adds one equality
-    row through that point.  Sized for enumerate_vertices.
+    n is 1 to 6.  Box rows force boundedness, up to 4 extra rows stay
+    feasible at a known interior point, and every third seed with
+    n >= 2 adds one equality row through that point.  Sized for
+    enumerate_vertices.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 7))
     lo = rng.uniform(-3.0, -1.0, n)
     hi = rng.uniform(1.0, 3.0, n)
     z0 = rng.uniform(-0.5, 0.5, n)
@@ -382,7 +368,7 @@ def random_lp_instance(seed: int, n_max: int = 6, max_extra_rows: int = 4):
     with_eq = n >= 2 and seed % 3 == 0
     # keep the total row count inside the vertex enumeration cap
     budget = 16 - 2 * n - (1 if with_eq else 0)
-    m = int(rng.integers(0, min(max_extra_rows, budget) + 1))
+    m = int(rng.integers(0, min(4, budget) + 1))
     if m:
         A = rng.standard_normal((m, n))
         rows.append(A)

@@ -5,22 +5,27 @@ import time
 import numpy as np
 
 import sqreparam as sq
+from sqreparam.checks import (
+    d2_designed,
+    grid_sandwich,
+    lp_vs_enumeration,
+    projection_idempotence,
+    ri_catalog,
+    smooth_identity,
+)
 from sqreparam.cli import main
 from sqreparam.oracles import (
-    OracleConfig,
-    enumerate_vertices,
-    fd_second_subderivative,
-    grid_min_norm,
-    grid_min_norm_gap_bound,
     make_stationary_orthant_instance,
     make_stationary_pieces_instance,
-    random_lp_instance,
     random_nonsmooth_instance,
     random_orthant_instance,
 )
 
 
-def _verdict(record, n, ok, detail):
+def _verdict(record, n, ok, detail, *checks):
+    """Record the verdict line; a failing line also names the first
+    failure of each battery that failed."""
+    detail += "".join(f"; {c.detail}" for c in checks if not c.ok)
     record(f"{'PASS' if ok else 'FAIL'} criterion {n}: {detail}")
     assert ok, f"criterion {n}: {detail}"
 
@@ -51,28 +56,14 @@ def _simplex_linear():
 
 def test_criterion_1_residual_identity(record):
     t0 = time.perf_counter()
-    worst = 0.0
-    for s in range(100):
-        p, y = random_orthant_instance(s)
-        analytic = np.linalg.norm(2.0 * y * p.f.grad(y * y))
-        worst = max(worst, abs(sq.lifted_residual(p, y) - analytic))
-    # nonsmooth: half the residual is the exact weighted distance; the grid
-    # value must sit above it and within the refinement gap bound of it
-    bad = 0
-    cfg = OracleConfig(grid_resolution=12)
-    for s in range(100):
-        p, y = random_nonsmooth_instance(s)
-        half = 0.5 * sq.lifted_residual(p, y)
-        S = sq.g_subdiff(p.g, y * y)
-        grid = grid_min_norm(S, p.f.grad(y * y), y, cfg)
-        bound = grid_min_norm_gap_bound(S, y, cfg)
-        if grid < half - 1e-7 * (1.0 + half) or grid - half > bound + 1e-9:
-            bad += 1
+    smooth = smooth_identity(0, 100)
+    grid = grid_sandwich(0, 100)
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-8 and bad == 0 and dt < 30.0
+    ok = smooth.ok and grid.ok and dt < 30.0
     _verdict(record, 1, ok,
-             f"residual identity; smooth worst diff {worst:.2e} (tol 1e-08), "
-             f"nonsmooth {bad}/100 outside grid sandwich, {dt:.1f}s (< 30s)")
+             f"residual identity; smooth worst diff {smooth.worst:.2e} (tol "
+             f"1e-08), nonsmooth {len(grid.failures)}/{grid.count} outside "
+             f"grid sandwich, {dt:.1f}s (< 30s)", smooth, grid)
 
 
 def test_criterion_2_correspondence(record):
@@ -126,44 +117,15 @@ def test_criterion_2_correspondence(record):
 
 def test_criterion_3_second_subderivative(record):
     t0 = time.perf_counter()
-    g_orth = sq.PolyhedralFunction.orthant_indicator(2)
-    g_simp = sq.PolyhedralFunction.simplex_indicator(2)
-    g_point = sq.PolyhedralFunction(
-        1, domain=sq.Polyhedron(1, A_eq=np.array([[1.0]]), b_eq=np.array([0.0])))
-    y10 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    v_orth = sq.d2_lifted_g(g_orth, y10, np.array([0.0, -3.0]), e2)
-    v_simp = sq.d2_lifted_g(g_simp, y10, np.array([1.0, 0.0]), e2)
-    v_point = sq.d2_lifted_g(g_point, np.zeros(1), np.zeros(1), np.ones(1))
-    designed_ok = (abs(v_orth) <= 1e-9 and abs(v_simp - 2.0) <= 1e-9
-                   and v_point == np.inf)
-
-    # finite cases against the sampling oracle, multiplier lam = 2 y o v
-    fd_ok = True
-    finite_cases = [
-        (g_orth, y10, np.array([0.0, -3.0]), e2, v_orth),
-        (g_simp, y10, np.array([1.0, 0.0]), e2, v_simp),
-        (g_simp, y10, np.array([1.0, 0.0]), 2.0 * e2,
-         sq.d2_lifted_g(g_simp, y10, np.array([1.0, 0.0]), 2.0 * e2)),
-    ]
-    for g, ybar, v, w, val in finite_cases:
-        H = lambda z, g=g: sq.g_eval(g, z * z)
-        fd = fd_second_subderivative(H, ybar, 2.0 * ybar * v, w)
-        if abs(fd - val) > 0.05 * (1.0 + abs(val)):
-            fd_ok = False
-
-    # witness independence: multipliers agreeing on the support
-    wit = abs(sq.d2_lifted_g(g_simp, y10, np.array([1.0, 0.0]), e2)
-              - sq.d2_lifted_g(g_simp, y10, np.array([1.0, 9.0]), e2))
-    wit = max(wit, abs(sq.d2_lifted_g(g_orth, y10, np.array([0.0, -3.0]), e2)
-                       - sq.d2_lifted_g(g_orth, y10, np.array([0.0, -7.0]), e2)))
+    d2 = d2_designed()
+    v_orth, v_simp, v_point = d2.values
     dt = time.perf_counter() - t0
-    ok = designed_ok and fd_ok and wit <= 1e-8 and dt < 10.0
+    ok = d2.ok and dt < 10.0
     _verdict(record, 3, ok,
              f"second subderivative; designed values ({v_orth:.1e}, "
              f"{v_simp:.3f}, {v_point}), sampling agreement "
-             f"{'ok' if fd_ok else 'bad'}, witness spread {wit:.1e} "
-             f"(tol 1e-08), {dt:.1f}s (< 10s)")
+             f"{'ok' if d2.ok else 'bad'}, witness spread {d2.worst:.1e} "
+             f"(tol 1e-08), {dt:.1f}s (< 10s)", d2)
 
 
 def test_criterion_4_kl_exponents(record):
@@ -211,47 +173,16 @@ def test_criterion_5_rate_dichotomy(record):
 
 def test_criterion_6_kernel_soundness(record):
     t0 = time.perf_counter()
-    lp_worst = 0.0
-    proj_worst = 0.0
-    rng = np.random.default_rng(77)
-    for s in range(500):
-        c, P = random_lp_instance(s)
-        out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq,
-                          A_eq=P.A_eq, b_eq=P.b_eq)
-        best = float(np.max(enumerate_vertices(P) @ c))
-        lp_worst = max(lp_worst, abs(out.value - best) / (1.0 + abs(best)))
-        if s % 5 == 0:
-            z = sq.project_onto_polyhedron(P, rng.standard_normal(P.n))
-            z2 = sq.project_onto_polyhedron(P, z)
-            proj_worst = max(proj_worst, float(np.linalg.norm(z2 - z)))
-
-    catalog = []
-    seg = sq.GeneratorSet(1, points=np.array([[0.0], [2.0]]))
-    catalog += [(seg, [1.0], True), (seg, [2.0], False), (seg, [0.0], False)]
-    half = sq.GeneratorSet(1, points=np.zeros((1, 1)), rays=np.array([[1.0]]))
-    catalog += [(half, [0.0], False), (half, [1.0], True)]
-    corner = sq.GeneratorSet(2, points=np.zeros((1, 2)),
-                             rays=np.array([[-1.0, 0.0], [0.0, -1.0]]))
-    catalog += [(corner, [-1.0, -1.0], True), (corner, [-1.0, 0.0], False),
-                (corner, [0.0, 0.0], False)]
-    strip = sq.GeneratorSet(2, points=np.array([[0.0, 1.0]]),
-                            rays=np.array([[0.0, -1.0]]))
-    catalog += [(strip, [0.0, 0.0], True), (strip, [0.0, 1.0], False),
-                (strip, [1.0, 0.0], False)]
-    line = sq.GeneratorSet(2, points=np.zeros((1, 2)),
-                           lines=np.array([[1.0, 0.0]]))
-    catalog += [(line, [3.0, 0.0], True), (line, [0.0, 0.1], False)]
-    pt = sq.GeneratorSet(2, points=np.array([[0.25, -1.5]]))
-    catalog += [(pt, [0.25, -1.5], True), (pt, [0.25, -1.4], False)]
-    ri_bad = sum(1 for S, z, want in catalog
-                 if sq.vrep_ri_membership(S, np.asarray(z)) is not want)
+    lp = lp_vs_enumeration(0, 500)
+    proj = projection_idempotence(0, 100)
+    ri = ri_catalog()
     dt = time.perf_counter() - t0
-    ok = (lp_worst <= 1e-9 and proj_worst <= 1e-9 and ri_bad == 0
-          and len(catalog) >= 10)
+    ok = lp.ok and proj.ok and ri.ok
     _verdict(record, 6, ok,
-             f"kernel soundness; 500 LPs worst rel gap {lp_worst:.2e} "
-             f"(tol 1e-09), projection drift {proj_worst:.2e} (tol 1e-09), "
-             f"ri catalog {len(catalog) - ri_bad}/{len(catalog)}, {dt:.1f}s")
+             f"kernel soundness; {lp.count} LPs worst rel gap {lp.worst:.2e} "
+             f"(tol 1e-09), projection drift {proj.worst:.2e} (tol 1e-09), "
+             f"ri catalog {ri.count - len(ri.failures)}/{ri.count}, {dt:.1f}s",
+             lp, proj, ri)
 
 
 def test_criterion_7_structural_invariants(record):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam import cli
+from sqreparam.checks import CheckResult
 from sqreparam.cli import (
     emit_csv,
     main,
@@ -19,6 +21,8 @@ from sqreparam.cli import (
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 FIXTURES = sorted(PROBLEMS.glob("*.json"))
+ORTHANT2 = str(PROBLEMS / "orthant2.json")
+QUARTIC1 = str(PROBLEMS / "quartic1.json")
 
 
 def test_fixture_corpus_present():
@@ -332,6 +336,51 @@ def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
     assert rc == code
     err = capsys.readouterr().err
     assert ("parse error" if code == 2 else "validation error") in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--seed", "-5"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--seed", "-1"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--dmax", "inf"],
+    ["certify", ORTHANT2, "--y", "1,0", "--tol", "-1"],
+    ["certify", ORTHANT2, "--y", "1,0", "--tol", "nan"],
+    ["certify", ORTHANT2, "--y", "1,0", "--tol-support", "inf"],
+    ["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1", "--tol", "nan"],
+])
+def test_invalid_seed_radius_or_tolerance_is_validation_error(capsys, argv):
+    # rejected before any report line, with no numpy warning on the way
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("validation error: ")
+
+
+def test_zero_tolerances_are_allowed(capsys):
+    rc = main(["certify", ORTHANT2, "--y", "1,0", "--tol", "0",
+               "--tol-support", "0"])
+    assert rc == 0
+    assert "in_domain = True" in capsys.readouterr().out
+
+
+def test_selftest_passes_at_another_seed(capsys):
+    assert main(["selftest", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 6
+    assert out.endswith("selftest: 6/6 groups passed\n")
+
+
+def test_selftest_reports_a_failing_battery(monkeypatch, capsys):
+    broken = CheckResult(1, ("instance 0: broken on purpose",), 0.0, "")
+    checks = list(cli.CHECKS)
+    name, _, count = checks[1]
+    checks[1] = (name, lambda seed, count: broken, count)
+    monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+    assert main(["selftest"]) == 5
+    out = capsys.readouterr().out
+    assert f"[FAIL] {name}: instance 0: broken on purpose\n" in out
+    assert out.count("[PASS]") == 5
+    assert out.endswith("selftest: 5/6 groups passed\n")
 
 
 def test_emit_csv_round_trip(tmp_path):

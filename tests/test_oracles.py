@@ -5,7 +5,6 @@ import pytest
 
 import sqreparam as sq
 from sqreparam.oracles import (
-    OracleConfig,
     enumerate_vertices,
     fd_second_subderivative,
     grid_min_norm,
@@ -38,16 +37,6 @@ def test_enumerate_vertices_size_cap():
         enumerate_vertices(sq.Polyhedron.box(np.zeros(9), np.ones(9)))
 
 
-def test_lp_agrees_with_vertex_enumeration_sample():
-    for s in range(40):
-        c, P = random_lp_instance(s)
-        out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq,
-                          A_eq=P.A_eq, b_eq=P.b_eq)
-        assert out.status == sq.LPStatus.OPTIMAL
-        best = float(np.max(enumerate_vertices(P) @ c))
-        assert abs(out.value - best) <= 1e-9 * (1.0 + abs(best))
-
-
 def test_fd_second_subderivative_smooth_quadratic():
     # H(y) = y1^2 + 2 y2^2 at the origin with zero multiplier: d2 = 2 w1^2 + 4 w2^2
     H = lambda y: float(y[0] ** 2 + 2.0 * y[1] ** 2)
@@ -68,11 +57,19 @@ def test_grid_min_norm_sandwich():
     w = np.array([0.9, 1.4, 0.2])
     exact = sq.min_norm_weighted(S, shift, w)[0]
     for res in (8, 16):
-        cfg = OracleConfig(grid_resolution=res)
-        grid = grid_min_norm(S, shift, w, cfg)
-        bound = grid_min_norm_gap_bound(S, w, cfg)
+        grid = grid_min_norm(S, shift, w, resolution=res)
+        bound = grid_min_norm_gap_bound(S, w, resolution=res)
         assert grid >= exact - 1e-9
         assert grid - exact <= bound + 1e-9
+
+
+def test_grid_resolution_below_eight_rejected():
+    S = sq.GeneratorSet(2, points=np.zeros((1, 2)))
+    w = np.ones(2)
+    with pytest.raises(sq.InvalidRange):
+        grid_min_norm(S, np.zeros(2), w, resolution=7)
+    with pytest.raises(sq.InvalidRange):
+        grid_min_norm_gap_bound(S, w, resolution=7)
 
 
 def test_grid_min_norm_singleton_exact():

@@ -63,13 +63,6 @@ def test_lift_eval_matches_composite_value():
                 assert lifted == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
 
 
-def test_lifted_residual_smooth_identity_sample():
-    for s in range(20):
-        p, y = random_orthant_instance(s)
-        analytic = np.linalg.norm(2.0 * y * p.f.grad(y * y))
-        assert sq.lifted_residual(p, y) == pytest.approx(analytic, abs=1e-8)
-
-
 def test_lifted_residual_sign_flip_invariance():
     rng = np.random.default_rng(3)
     for s in range(10):
