@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import (enumerate_vertices, fd_second_subderivative,
-                      grid_min_norm, grid_min_norm_gap_bound,
-                      random_lp_instance, random_nonsmooth_instance,
-                      random_orthant_instance)
+from .oracles import (check_seed, enumerate_vertices,
+                      fd_second_subderivative, grid_min_norm,
+                      grid_min_norm_gap_bound, random_lp_instance,
+                      random_nonsmooth_instance, random_orthant_instance)
 from .polyfunc import PolyhedralFunction, g_eval, g_subdiff
 from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, lp_solve,
                         project_onto_polyhedron, vrep_ri_membership)
@@ -51,9 +51,11 @@ class CheckResult:
         return self.failures[0] if self.failures else self.summary
 
 
-def _sweep(count: int, instance, summary: str) -> CheckResult:
+def _sweep(seed: int, count: int, instance, summary: str) -> CheckResult:
     """Run instance(s) for s < count, each returning (error, broken gates);
-    summary is formatted with the count and the worst error."""
+    summary is formatted with the count and the worst error.  A negative
+    seed raises InvalidRange."""
+    check_seed(seed)
     failures, worst = [], 0.0
     for s in range(count):
         error, broken = instance(s)
@@ -84,7 +86,7 @@ def lp_vs_enumeration(seed: int, count: int) -> CheckResult:
         if not abs(out.duality_gap) <= 1e-9 * (1.0 + abs(out.value)):
             broken.append(f"duality gap {out.duality_gap:.2e}")
         return gap, broken
-    return _sweep(count, instance,
+    return _sweep(seed, count, instance,
                   "{} instances, worst relative value gap {:.1e}")
 
 
@@ -95,7 +97,7 @@ def projection_idempotence(seed: int, count: int) -> CheckResult:
     seed + 77 onto random_lp_instance(seed + 5k); the projection must
     also be feasible to 1e-8.
     """
-    rng = np.random.default_rng(seed + 77)
+    rng = np.random.default_rng(check_seed(seed) + 77)
 
     def instance(k):
         _, P = random_lp_instance(seed + 5 * k)
@@ -105,7 +107,7 @@ def projection_idempotence(seed: int, count: int) -> CheckResult:
         if not P.max_violation(z) <= 1e-8:
             broken.append("infeasible projection")
         return drift, broken
-    return _sweep(count, instance, "{} instances, worst drift {:.1e}")
+    return _sweep(seed, count, instance, "{} instances, worst drift {:.1e}")
 
 
 def smooth_identity(seed: int, count: int) -> CheckResult:
@@ -116,7 +118,8 @@ def smooth_identity(seed: int, count: int) -> CheckResult:
         analytic = float(np.linalg.norm(2.0 * y * p.f.grad(y * y)))
         diff = abs(lifted_residual(p, y) - analytic)
         return diff, [] if diff <= 1e-8 else [f"residual off by {diff:.2e}"]
-    return _sweep(count, instance, "{} instances, worst absolute error {:.1e}")
+    return _sweep(seed, count, instance,
+                  "{} instances, worst absolute error {:.1e}")
 
 
 def grid_sandwich(seed: int, count: int) -> CheckResult:
@@ -138,7 +141,8 @@ def grid_sandwich(seed: int, count: int) -> CheckResult:
             return 0.0, [f"grid gap {grid - half:.3g} exceeds bound "
                          f"{bound:.3g}"]
         return 0.0, []
-    return _sweep(count, instance, "{} instances within grid tolerance")
+    return _sweep(seed, count, instance,
+                  "{} instances within grid tolerance")
 
 
 def ri_catalog() -> CheckResult:

@@ -68,7 +68,7 @@ from .polyfunc import (
     SmoothQuadratic,
     phi_value,
 )
-from .polyhedra import DEFAULT_TOL, Polyhedron
+from .polyhedra import DEFAULT_TOL, Polyhedron, check_tol
 from .reparam import DEFAULT_TOL_SUPPORT, classify_first_order, lift_point
 from .second_order import correspondence_check
 
@@ -319,12 +319,6 @@ def _parse_vector_arg(text: str, n: int, flag: str) -> np.ndarray:
     return np.array(values)
 
 
-def _check_tol(value: float, flag: str) -> None:
-    if not (np.isfinite(value) and value >= 0.0):
-        raise ValidationError(
-            f"{flag}: must be finite and nonnegative, got {value!r}")
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool) or value is None:
         return str(value)
@@ -350,8 +344,8 @@ def _cmd_certify(args) -> int:
     pf = parse_problem_file(args.file)
     p = pf.problem
     y = _parse_vector_arg(args.y, p.n, "--y")
-    _check_tol(args.tol, "--tol")
-    _check_tol(args.tol_support, "--tol-support")
+    check_tol(args.tol, "--tol")
+    check_tol(args.tol_support, "--tol-support")
     _kv("command", "certify")
     _kv("problem", args.file)
     _kv("n", p.n)
@@ -383,7 +377,7 @@ def _cmd_strict_comp(args) -> int:
     pf = parse_problem_file(args.file)
     p = pf.problem
     x = _parse_vector_arg(args.x, p.n, "--x")
-    _check_tol(args.tol, "--tol")
+    check_tol(args.tol, "--tol")
     _kv("command", "strict-comp")
     _kv("problem", args.file)
     _kv("x", x)

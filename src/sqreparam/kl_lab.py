@@ -415,7 +415,7 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
         def retract(v):
             return v
     elif p.g.kind == "simplex":
-        radius = math.sqrt(float(p.g.domain.b_eq[0] / p.g.domain.A_eq[0, 0]))
+        radius = math.sqrt(p.g.domain.shape.total)
 
         def retract(v):
             norm = float(np.linalg.norm(v))

@@ -298,6 +298,14 @@ def subgradient_inequality_check(g, x, v, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_seed(seed: int) -> int:
+    """Return seed; raise InvalidRange unless it is a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise InvalidRange(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def random_orthant_instance(seed: int):
     """Seeded random smooth-plus-orthant problem and a test point.
 
@@ -307,7 +315,7 @@ def random_orthant_instance(seed: int):
     """
     from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(1, 7))
     M = rng.standard_normal((n, n))
     f = SmoothQuadratic(0.5 * (M + M.T), rng.standard_normal(n),
@@ -329,7 +337,7 @@ def random_nonsmooth_instance(seed: int):
     from .polyfunc import (CompositeProblem, PolyhedralFunction,
                            SmoothQuadratic, g_subdiff)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     for _ in range(200):
         n = int(rng.integers(1, 5))
         M = rng.standard_normal((n, n))
@@ -358,7 +366,7 @@ def random_lp_instance(seed: int):
     n >= 2 adds one equality row through that point.  Sized for
     enumerate_vertices.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(1, 7))
     lo = rng.uniform(-3.0, -1.0, n)
     hi = rng.uniform(1.0, 3.0, n)
@@ -394,7 +402,7 @@ def make_stationary_orthant_instance(seed: int, spurious: bool = False):
     """
     from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(2, 7))
     support = rng.random(n) < 0.5
     if spurious and support.all():
@@ -422,7 +430,7 @@ def make_stationary_pieces_instance(seed: int):
     """
     from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(1, 5))
     xbar = rng.uniform(0.3, 1.5, n)
     A = rng.standard_normal((2, n))

@@ -10,7 +10,7 @@ methods works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +20,7 @@ from .polyhedra import (
     DEFAULT_TOL,
     GeneratorSet,
     Polyhedron,
+    check_tol,
     feasible_point,
     min_norm_weighted,
     _as_matrix,
@@ -87,18 +88,16 @@ class PolyhedralFunction:
     domain).  The stored domain is the user polyhedron intersected with
     the nonnegative orthant; construction fails on an empty domain.
 
-    kind is decided once, at construction: "orthant" for the plain
-    indicator of the nonnegative orthant, "simplex" for the indicator of
-    {x >= 0, sum x = c} with c > 0, and "general" otherwise.  The test is
-    syntactic: every inequality row must be a positive multiple of some
-    -e_i with zero right-hand side (duplicates allowed).
+    kind reads the shape of the stored domain (Polyhedron.shape):
+    "orthant" for the plain indicator of the nonnegative orthant,
+    "simplex" for the indicator of {x >= 0, sum x = c} with c > 0, and
+    "general" otherwise.
     """
 
     n: int
     pieces_A: np.ndarray = None
     pieces_b: np.ndarray = None
     domain: Polyhedron = None
-    kind: str = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -120,26 +119,27 @@ class PolyhedralFunction:
                              b_ineq=np.concatenate([dom.b_ineq,
                                                     np.zeros(missing.size)]),
                              A_eq=dom.A_eq, b_eq=dom.b_eq)
-        kind = "general"
-        if A.shape[0] == 0 and orthant.all():
-            if dom.m_eq == 0:
-                kind = "orthant"
-            elif dom.m_eq == 1:
-                row, rhs = dom.A_eq[0], dom.b_eq[0]
-                if row[0] != 0.0 and np.allclose(row, row[0]) \
-                        and rhs / row[0] > 0.0:
-                    kind = "simplex"
         feasible_point(dom)          # raises InfeasiblePolyhedron when empty
         object.__setattr__(self, "pieces_A", A)
         object.__setattr__(self, "pieces_b", b)
         object.__setattr__(self, "domain", dom)
-        object.__setattr__(self, "kind", kind)
         A.setflags(write=False)
         b.setflags(write=False)
 
     @property
     def n_pieces(self) -> int:
         return self.pieces_A.shape[0]
+
+    @property
+    def kind(self) -> str:
+        if self.n_pieces == 0:
+            shape = self.domain.shape
+            if shape.kind == "simplex":
+                return "simplex"
+            if shape.kind == "box" and np.all(shape.lower == 0.0) \
+                    and np.all(shape.upper == _INF):
+                return "orthant"
+        return "general"
 
     @staticmethod
     def indicator(domain: Polyhedron) -> "PolyhedralFunction":
@@ -162,8 +162,10 @@ class PolyhedralFunction:
 
 
 def g_eval(g: PolyhedralFunction, x, tol: float = DEFAULT_TOL) -> float:
-    """Extended-real value of g at x (+inf outside the domain)."""
+    """Extended-real value of g at x (+inf outside the domain); tol must
+    be finite and nonnegative (InvalidRange otherwise)."""
     x = _as_vector(x, g.n, "x")
+    check_tol(tol)
     if not g.domain.contains(x, tol):
         return _INF
     if g.n_pieces == 0:
@@ -221,7 +223,9 @@ class LocalModel:
         self._build(g, f, _as_vector(x, g.n, "x"), tol)
 
     def _build(self, g, f, x, tol):
-        """Set up from a validated x (LiftedPoint passes y*y unchecked)."""
+        """Set up from a validated x (LiftedPoint passes y*y unchecked);
+        tol must be finite and nonnegative (InvalidRange otherwise)."""
+        check_tol(tol)
         self.g, self.f, self.tol, self.x = g, f, tol, x
         self.in_domain = g.domain.contains(x, tol)
 

@@ -15,8 +15,10 @@ reproducibility over speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     InfeasiblePolyhedron,
+    InvalidRange,
     NumericalFailure,
 )
 
@@ -62,14 +65,41 @@ def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
     return a
 
 
+def check_tol(value, name: str = "tol") -> None:
+    """Raise InvalidRange unless value is a finite, nonnegative tolerance."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidRange(
+            f"{name}: must be finite and nonnegative, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Half-space representation
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
+class Shape:
+    """The closed-form shape of a polyhedron, read off its rows.
+
+    kind "box": {lower <= z <= upper}, entries possibly infinite (the
+    orthant is lower = 0, upper = +inf); lower > upper somewhere means
+    the box is empty.  kind "simplex": {z >= 0, sum z = total} with
+    total > 0.  kind "general": any other polyhedron.
+    """
+
+    kind: str
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    total: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """Half-space form {z : A_ineq z <= b_ineq, A_eq z = b_eq}."""
+    """Half-space form {z : A_ineq z <= b_ineq, A_eq z = b_eq}.
+
+    shape, decided on first use, is what project_onto_polyhedron
+    dispatches on.
+    """
 
     n: int
     A_ineq: np.ndarray = None
@@ -109,6 +139,39 @@ class Polyhedron:
 
     def contains(self, z, tol: float = DEFAULT_TOL) -> bool:
         return self.max_violation(z) <= tol
+
+    @cached_property
+    def shape(self) -> Shape:
+        """Box when there are no equality rows and every inequality row
+        has exactly one nonzero (bounds are the tightest of the rows, so
+        duplicated and scaled rows are fine); simplex when every
+        inequality row is -c e_i <= 0 with c > 0, every coordinate has
+        one, and the one equality row has equal nonzero entries a and
+        b_eq / a > 0; general otherwise."""
+        A, b = self.A_ineq, self.b_ineq
+        if not np.all(np.count_nonzero(A, axis=1) == 1):
+            return Shape("general")
+        col = np.argmax(A != 0.0, axis=1)
+        coef = A[np.arange(self.m_ineq), col]
+        if self.m_eq == 0:
+            bound = b / coef
+            lower = np.full(self.n, -_INF)
+            upper = np.full(self.n, _INF)
+            np.maximum.at(lower, col[coef < 0.0], bound[coef < 0.0])
+            np.minimum.at(upper, col[coef > 0.0], bound[coef > 0.0])
+            # + 0.0 turns the -0.0 of 0 / -c into 0.0
+            lower, upper = lower + 0.0, upper + 0.0
+            lower.setflags(write=False)
+            upper.setflags(write=False)
+            return Shape("box", lower=lower, upper=upper)
+        row = self.A_eq[0]
+        if self.m_eq == 1 and np.all(coef < 0.0) and np.all(b == 0.0) \
+                and np.bincount(col, minlength=self.n).all() \
+                and row[0] != 0.0 and np.all(row == row[0]):
+            total = float(self.b_eq[0] / row[0])
+            if total > 0.0:
+                return Shape("simplex", total=total)
+        return Shape("general")
 
     @staticmethod
     def nonneg_orthant(n: int) -> "Polyhedron":
@@ -635,18 +698,41 @@ def feasible_point(P: Polyhedron) -> np.ndarray:
     return out.witness
 
 
+def _project_simplex(x: np.ndarray, total: float) -> np.ndarray:
+    """Projection onto {z >= 0, sum z = total} by the sort/threshold rule
+    (Duchi et al. 2008; Condat 2016): z = max(x - theta, 0), where theta
+    comes from the largest k whose k-th largest entry u_k still exceeds
+    (u_1 + ... + u_k - total) / k."""
+    u = np.sort(x)[::-1]
+    excess = np.cumsum(u) - total
+    k = np.arange(1, x.size + 1)
+    rho = int(np.nonzero(u > excess / k)[0][-1])
+    return np.maximum(x - excess[rho] / (rho + 1), 0.0)
+
+
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     """Euclidean projection of x onto P.
 
-    ``start`` may supply a known feasible point to skip the feasibility
-    LP (useful when projecting many perturbations of one point).
+    Boxes (the orthant included) and simplices, as P.shape reads them
+    off the rows, are projected in closed form: clipping, and the
+    sort/threshold rule.  Any other polyhedron goes through the
+    active-set QP, started at ``start`` when that is feasible, which
+    skips the feasibility LP (useful when projecting many perturbations
+    of one point).
     """
     x = _as_vector(x, P.n, "x")
-    if start is None:
+    if start is not None:
+        start = _as_vector(start, P.n, "start")
+    shape = P.shape
+    if shape.kind == "box":
+        if np.any(shape.lower > shape.upper):
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+        return np.minimum(np.maximum(x, shape.lower), shape.upper)
+    if shape.kind == "simplex":
+        return _project_simplex(x, shape.total)
+    if start is None or P.max_violation(start) > 1e-9:
         z0 = feasible_point(P)
     else:
-        z0 = _as_vector(start, P.n, "start")
-        if P.max_violation(z0) > 1e-9:
-            z0 = feasible_point(P)
+        z0 = start
     z = _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq, z0)
     return z

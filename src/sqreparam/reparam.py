@@ -30,7 +30,7 @@ from .polyfunc import (
     PolyhedralFunction,
     phi_value,
 )
-from .polyhedra import DEFAULT_TOL, min_norm_weighted, _as_vector
+from .polyhedra import DEFAULT_TOL, check_tol, min_norm_weighted, _as_vector
 
 DEFAULT_TOL_SUPPORT = 1e-8
 
@@ -58,12 +58,14 @@ class LiftedPoint(LocalModel):
     Built on first use, once each: the support sup (tuple: support) and
     its complement comp, which the lifted residual alone does not need;
     the lifted residual; and everything LocalModel builds, with S raising
-    OutOfLiftedDomain outside the domain.
+    OutOfLiftedDomain outside the domain.  tol and tol_support must be
+    finite and nonnegative (InvalidRange otherwise).
     """
 
     def __init__(self, g: PolyhedralFunction, f, y,
                  tol_support: float = DEFAULT_TOL_SUPPORT,
                  tol: float = DEFAULT_TOL):
+        check_tol(tol_support, "tol_support")
         self.tol_support = tol_support
         self.y = _as_vector(y, g.n, "y")
         self._build(g, f, self.y * self.y, tol)

@@ -220,6 +220,16 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     assert (len(grads), len(lps)) == (1, 11)
 
 
+def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,
+                                                         capsys):
+    # the 2,048 perturbed points are projected by max(x, 0), not by the
+    # active-set QP
+    qps = _count_calls(monkeypatch, sq.polyhedra._qp_active_set)
+    assert main(["kl-fit", QUARTIC1, "--y", "0"]) == 0
+    assert "alpha_hat = 0.75" in capsys.readouterr().out
+    assert len(qps) == 0
+
+
 def test_strict_comp_builds_one_local_model(monkeypatch, capsys):
     # the stationarity test and the relative-interior test read one model
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
@@ -320,6 +330,18 @@ def test_solve_original_variant(capsys):
     out = capsys.readouterr().out
     assert "variant = original" in out
     assert "final_gap" in out
+
+
+def test_solve_original_stops_on_the_simplex_vertex(capsys):
+    # the exact simplex projection reaches the vertex e1 and then maps it
+    # to itself, so the run stops there instead of spending every step
+    rc = main(["solve", str(PROBLEMS / "simplex2.json"), "--variant",
+               "original", "--x0", "0.2,0.8"])
+    assert rc == 0
+    lines = dict(line.split(" = ", 1)
+                 for line in capsys.readouterr().out.splitlines())
+    assert (lines["iterates"], lines["final_gap"],
+            lines["final_residual"]) == ("3", "0", "0")
 
 
 @pytest.mark.parametrize("value, code", [

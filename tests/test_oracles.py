@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam import checks
 from sqreparam.oracles import (
     enumerate_vertices,
     fd_second_subderivative,
@@ -146,3 +147,21 @@ def test_make_stationary_pieces_instance():
         rep = sq.classify_first_order(p, y)
         assert rep.stationary_for_Phi
         assert rep.stationary_for_phi
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_lp_instance(-3),
+    lambda: random_orthant_instance(-1),
+    lambda: random_nonsmooth_instance(-1),
+    lambda: make_stationary_orthant_instance(-2),
+    lambda: make_stationary_pieces_instance(-2),
+    lambda: checks.lp_vs_enumeration(-1, 2),
+    # seed + 77 would be a valid numpy seed; the battery's seed is not
+    lambda: checks.projection_idempotence(-1, 2),
+    lambda: checks.projection_idempotence(-100, 2),
+    lambda: checks.smooth_identity(-1, 0),
+    lambda: checks.grid_sandwich(-5, 1),
+])
+def test_negative_seeds_raise_invalid_range(call):
+    with pytest.raises(sq.InvalidRange):
+        call()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam import polyhedra
+from sqreparam.polyhedra import _qp_active_set
 
 
 def test_box_constructor_rows():
@@ -177,3 +179,125 @@ def test_min_norm_weighted_hand_cases():
     val, z = sq.min_norm_weighted(S, np.array([-0.4]), np.array([2.0]))
     assert val == pytest.approx(0.8, abs=1e-9)
     assert abs(z[0]) <= 1e-9
+
+
+# Closed-form projections: boxes (the orthant included) and simplices are
+# read off the rows and projected without the active-set QP, which stays
+# the reference here, started cold from feasible_point.
+
+def _box_rows(rng, n):
+    """A box with negative bounds and, where a bound row is left out
+    (probability 0.3), infinite ones.  Every bound row is scaled; one in
+    five is written twice, and one coordinate in five gets an extra,
+    looser upper row."""
+    lo = rng.uniform(-3.0, 1.0, n)
+    hi = lo + rng.uniform(0.5, 2.0, n)
+    rows, rhs = [], []
+
+    def add(i, coef, bound):
+        row = np.zeros(n)
+        row[i] = coef
+        rows.append(row)
+        rhs.append(coef * bound)
+
+    for i in range(n):
+        for bound, sign in ((lo[i], -1.0), (hi[i], 1.0)):
+            if rng.random() < 0.3:
+                continue
+            for _ in range(1 + int(rng.random() < 0.2)):
+                add(i, sign * rng.uniform(0.5, 4.0), bound)
+        if rng.random() < 0.2:
+            add(i, rng.uniform(0.5, 4.0), hi[i] + 1.0)
+    return sq.Polyhedron(n, A_ineq=np.array(rows), b_ineq=np.array(rhs))
+
+
+def _orthant(rng, n):
+    return sq.Polyhedron.nonneg_orthant(n)
+
+
+def _scaled_simplex(rng, n):
+    """c 1'x = t with every -e_i row scaled and some duplicated."""
+    c = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+    t = c * float(rng.uniform(0.2, 5.0))
+    idx = np.concatenate([np.arange(n), rng.integers(0, n, n // 2 + 1)])
+    A = np.zeros((idx.size, n))
+    A[np.arange(idx.size), idx] = -rng.uniform(0.5, 3.0, idx.size)
+    return sq.Polyhedron(n, A_ineq=A, b_ineq=np.zeros(idx.size),
+                         A_eq=np.full((1, n), c), b_eq=[t])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 80])
+@pytest.mark.parametrize("make, kind", [(_orthant, "box"), (_box_rows, "box"),
+                                        (_scaled_simplex, "simplex")])
+def test_closed_form_projection_matches_qp(make, kind, n):
+    rng = np.random.default_rng(1000 + n)
+    # the cold QP reference takes seconds at n = 80
+    for _ in range(3 if n < 80 else 1):
+        P = make(rng, n)
+        assert P.shape.kind == kind
+        x = 3.0 * rng.standard_normal(n)
+        z = sq.project_onto_polyhedron(P, x)
+        ref = _qp_active_set(np.eye(n), -x, P.A_eq, P.b_eq, P.A_ineq,
+                             P.b_ineq, sq.feasible_point(P))
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.max(np.abs(z - ref)) <= 1e-9 * scale
+        assert P.max_violation(z) <= 1e-12 * scale
+        assert np.max(np.abs(sq.project_onto_polyhedron(P, z) - z)) \
+            <= 1e-12 * scale
+
+
+def test_box_shape_reads_the_tightest_rows():
+    P = sq.Polyhedron(2, A_ineq=[[-2.0, 0.0], [-1.0, 0.0], [0.0, 3.0],
+                                 [0.0, 1.0]], b_ineq=[2.0, -0.5, 3.0, 4.0])
+    assert P.shape.kind == "box"
+    assert np.array_equal(P.shape.lower, [0.5, -np.inf])
+    assert np.array_equal(P.shape.upper, [np.inf, 1.0])
+    assert np.array_equal(sq.project_onto_polyhedron(P, [-7.0, 9.0]),
+                          [0.5, 1.0])
+    empty = sq.Polyhedron(1, A_ineq=[[1.0], [-1.0]], b_ineq=[0.0, -1.0])
+    assert empty.shape.kind == "box"
+    with pytest.raises(sq.InfeasiblePolyhedron):
+        sq.project_onto_polyhedron(empty, np.zeros(1))
+
+
+def _h_polyhedron(rng, n):
+    """Box rows plus n random rows, feasible at an interior point."""
+    lo, hi = rng.uniform(-3.0, -1.0, n), rng.uniform(1.0, 3.0, n)
+    z0 = rng.uniform(-0.5, 0.5, n)
+    A = rng.standard_normal((n, n))
+    eye = np.eye(n)
+    return sq.Polyhedron(n, np.vstack([eye, -eye, A]),
+                         np.concatenate([hi, -lo, A @ z0
+                                         + rng.uniform(0.05, 1.0, n)]))
+
+
+def _simplex_missing_a_row(rng, n):
+    P = sq.Polyhedron.standard_simplex(n)
+    return sq.Polyhedron(n, P.A_ineq[1:], P.b_ineq[1:], P.A_eq, P.b_eq)
+
+
+@pytest.mark.parametrize("make", [_h_polyhedron, _simplex_missing_a_row])
+def test_general_polyhedra_use_the_qp(monkeypatch, make):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _qp_active_set(*args)
+
+    monkeypatch.setattr(polyhedra, "_qp_active_set", counted)
+    rng = np.random.default_rng(5)
+    P = make(rng, 10)
+    assert P.shape.kind == "general"
+    x = 4.0 * rng.standard_normal(10)
+    z = sq.project_onto_polyhedron(P, x)
+    assert len(calls) == 1
+    assert P.max_violation(z) <= 1e-9
+
+
+@pytest.mark.parametrize("P", [sq.Polyhedron.nonneg_orthant(3),
+                               sq.Polyhedron.standard_simplex(3),
+                               sq.Polyhedron(3, A_ineq=[[1.0, 1.0, 1.0]],
+                                             b_ineq=[1.0])])
+def test_projection_rejects_a_wrong_length_start(P):
+    with pytest.raises(sq.DimensionMismatch):
+        sq.project_onto_polyhedron(P, np.zeros(3), start=np.zeros(2))

@@ -114,3 +114,29 @@ def test_lift_eval_infinite_outside_lifted_domain():
         sq.PolyhedralFunction.simplex_indicator(1))
     assert sq.lift_eval(p, np.array([2.0])) == np.inf
     assert sq.lift_eval(p, np.array([1.0])) == 0.0
+
+
+ORTHANT2 = sq.CompositeProblem(
+    sq.SmoothQuadratic(np.eye(2), np.array([-1.0, 1.0]), 1.0),
+    sq.PolyhedralFunction.orthant_indicator(2))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol=t),
+    lambda t: sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol_support=t),
+    lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol=t),
+    lambda t: sq.lifted_residual(ORTHANT2, [1.0, 0.0], tol_support=t),
+    lambda t: sq.strict_complementarity(ORTHANT2, [1.0, 0.0], tol=t),
+    lambda t: sq.phi_residual(ORTHANT2, [1.0, 0.0], tol=t),
+    lambda t: sq.lift_eval(ORTHANT2, [1.0, 0.0], tol=t),
+])
+def test_tolerances_must_be_finite_and_nonnegative(call, bad):
+    with pytest.raises(sq.InvalidRange):
+        call(bad)
+
+
+def test_zero_tolerances_are_allowed():
+    report = sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol=0.0,
+                                     tol_support=0.0)
+    assert report.in_domain and report.stationary_for_phi
