@@ -332,8 +332,8 @@ class SolverTrace:
     """Iterate log of a first-order run.
 
     iterates holds (k, objective gap, stationarity residual, step) per
-    iteration; gaps are measured against f_star when supplied and
-    against the best visited value otherwise.
+    iteration; f_star is the value the gaps are measured against: the
+    f_star given to run_first_order, or else the best visited value.
     """
 
     variant: str
@@ -347,8 +347,9 @@ class SolverTrace:
 _ARMIJO_C1 = 0.1
 _ARMIJO_SHRINK = 0.8
 _ARMIJO_MAX_BACKTRACKS = 120
-# fewest positive-gap iterates fit_rate classifies
+# fewest iterates above the roundoff floor fit_rate classifies
 _MIN_RATE_POINTS = 20
+_ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
 
 
 def _power_iteration_bound(Q: np.ndarray) -> float:
@@ -458,7 +459,7 @@ def _finish_trace(variant: str, records, values, f_star) -> SolverTrace:
     best = f_star if f_star is not None else (min(values) if values else 0.0)
     iterates = [(k, max(val - best, 0.0), res, st)
                 for (k, val, res, st) in records]
-    return SolverTrace(variant, iterates, f_star)
+    return SolverTrace(variant, iterates, best)
 
 
 def run_first_order(p: CompositeProblem, variant: str, start,
@@ -485,17 +486,20 @@ def run_first_order(p: CompositeProblem, variant: str, start,
 def fit_rate(trace: SolverTrace) -> RateFit:
     """Classify the tail decay of a trace as linear or sublinear.
 
-    Uses the last half of the positive-gap iterates and compares the
-    log-linear fit (gap ~ rho^k) with the log-log fit (gap ~ k^-p) by
-    coefficient of determination.
+    Keeps the iterates before the gap first falls to the roundoff floor
+    64 eps (1 + |f_star|), f_star taken as 0 when the trace has none, so
+    a plateau of rounding is not fitted.  On the last half of them it
+    compares the log-linear fit (gap ~ rho^k) with the log-log fit
+    (gap ~ k^-p) by coefficient of determination.
     """
     ks = np.array([rec[0] for rec in trace.iterates], dtype=float)
     gaps = np.array([rec[1] for rec in trace.iterates], dtype=float)
-    pos = gaps > 0.0
-    ks, gaps = ks[pos], gaps[pos]
+    floor = _ROUNDOFF_FLOOR * (1.0 + abs(trace.f_star or 0.0))
+    keep = np.logical_and.accumulate(gaps > floor)
+    ks, gaps = ks[keep], gaps[keep]
     if ks.size < _MIN_RATE_POINTS:
-        raise InsufficientTrace(
-            f"only {ks.size} positive-gap iterates, need {_MIN_RATE_POINTS}")
+        raise InsufficientTrace(f"only {ks.size} iterates above the "
+                                f"roundoff floor, need {_MIN_RATE_POINTS}")
     tail = slice(ks.size // 2, None)
     ks, gaps = ks[tail], gaps[tail]
     if float(gaps.max()) <= float(gaps.min()):

@@ -8,9 +8,10 @@ Two representations are used throughout the package:
 Everything here is deterministic.  The LP solver is a dense two-phase
 simplex with Bland's smallest-index rule (identical input gives an
 identical optimal witness), and the QP solver is a primal active-set
-method with smallest-index tie breaking.  Problems are desk scale (tens
-of variables, tens of rows); the implementation favours exactness and
-reproducibility over speed.
+method with smallest-index tie breaking that solves each working-set KKT
+system by LU, and by least squares only when that system is singular.
+Problems are desk scale (tens of variables, tens of rows); the
+implementation favours exactness and reproducibility over speed.
 """
 
 from __future__ import annotations
@@ -498,65 +499,73 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 # ---------------------------------------------------------------------------
 
 
+def _kkt_solve(H, c, act, b_act) -> np.ndarray:
+    """Solve [[H, act'], [act, 0]] [x; eta] = [-c; b_act] for (x, eta).
+
+    By LU, and by least squares when LU raises or misses the right-hand
+    side by more than 1e-9 (1 + max|rhs|), as with dependent rows in act.
+    Every caller's system is consistent, so any solution that passes
+    serves, also for a Gram H singular on the null space of act.
+    """
+    n, k = c.size, act.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = act.T
+    kkt[n:, :n] = act
+    rhs = np.concatenate([-c, b_act])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        if np.max(np.abs(kkt @ sol - rhs)) \
+                <= 1e-9 * (1.0 + np.max(np.abs(rhs))):
+            return sol
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+
+
 def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
     """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
 
-    Equality rows stay in every working set; inequality rows enter and
-    leave it.  Subproblems are solved by least squares on the KKT
-    system, which is always consistent because the objective is bounded
-    below on every affine subset (H is a Gram-type matrix in all callers
-    or the identity).
+    Primal active-set method (Nocedal & Wright 2006, ch. 16); equality
+    rows stay in every working set.  Each iteration solves the working
+    set's KKT system, then drops the smallest-index row whose multiplier
+    is below -1e-9 (1 + max|c|), or steps toward the subproblem minimizer
+    until a row blocks, the smallest index among steps tied within 1e-13.
     """
     n = c.size
     x = np.asarray(x0, dtype=float).copy()
     m_eq = A_eq.shape[0]
-    m_in = A_ineq.shape[0]
-    slack0 = b_ineq - A_ineq @ x if m_in else np.zeros(0)
-    if (m_in and slack0.min() < -1e-7) or \
-       (m_eq and np.max(np.abs(A_eq @ x - b_eq)) > 1e-7):
+    slack0 = b_ineq - A_ineq @ x
+    if slack0.min(initial=0.0) < -1e-7 or \
+            np.max(np.abs(A_eq @ x - b_eq), initial=0.0) > 1e-7:
         raise NumericalFailure("active-set QP needs a feasible start")
-    working = sorted(np.nonzero(slack0 <= 1e-11)[0].tolist()) if m_in else []
-    scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-    budget = 100 + 20 * (n + m_in)
+    working = np.flatnonzero(slack0 <= 1e-11).tolist()
+    scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    row_floor = 1e-13 * (1.0 + np.max(np.abs(A_ineq), axis=1, initial=0.0))
 
-    for _ in range(budget):
-        act = np.vstack([A_eq, A_ineq[working]]) if (m_eq or working) \
-            else np.zeros((0, n))
-        b_act = np.concatenate([b_eq, b_ineq[working]]) if (m_eq or working) \
-            else np.zeros(0)
-        k = act.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = H
-        kkt[:n, n:] = act.T
-        kkt[n:, :n] = act
-        rhs = np.concatenate([-c, b_act])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    for _ in range(100 + 20 * (n + A_ineq.shape[0])):
+        sol = _kkt_solve(H, c, np.vstack([A_eq, A_ineq[working]]),
+                         np.concatenate([b_eq, b_ineq[working]]))
         target = sol[:n]
         direction = target - x
         if np.max(np.abs(direction), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
-            if not working:
+            violated = np.flatnonzero(sol[n + m_eq:] < -1e-9 * scale)
+            if not violated.size:
                 return target
-            eta = sol[n + m_eq:]
-            violated = [j for j, mult in enumerate(eta)
-                        if mult < -1e-9 * scale]
-            if not violated:
-                return target
-            working.pop(min(violated))
+            working.pop(int(violated[0]))
             continue
         # longest feasible step toward the subproblem solution
+        advance = A_ineq @ direction
+        room = np.maximum(b_ineq - A_ineq @ x, 0.0)
+        candidate = advance > row_floor
+        candidate[working] = False
         alpha = 1.0
         blocking = -1
-        for i in range(m_in):
-            if i in working:
-                continue
-            advance = float(A_ineq[i] @ direction)
-            if advance <= 1e-13 * (1.0 + np.max(np.abs(A_ineq[i]))):
-                continue
-            room = float(b_ineq[i] - A_ineq[i] @ x)
-            step = max(room, 0.0) / advance
+        for i in np.flatnonzero(candidate):
+            step = room[i] / advance[i]
             if step < alpha - 1e-13:
                 alpha = step
-                blocking = i
+                blocking = int(i)
         if blocking < 0:
             x = target
         else:
@@ -575,8 +584,8 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
     convex combination.
     """
     G = S.generator_matrix()
-    n_pts, n_rays, n_lin = S.n_points, S.n_rays, S.n_lines
-    K = n_pts + n_rays + n_lin
+    n_pts, n_signed = S.n_points, S.n_points + S.n_rays
+    K = G.shape[1]
     WG = G * weights[:, None]
     H = WG.T @ WG
     c = WG.T @ (weights * shift)
@@ -584,26 +593,12 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
     A_eq[0, :n_pts] = 1.0
     b_eq = np.ones(1)
 
-    kkt = np.zeros((K + 1, K + 1))
-    kkt[:K, :K] = H
-    kkt[:K, K:] = A_eq.T
-    kkt[K:, :K] = A_eq
-    rhs = np.concatenate([-c, b_eq])
-    analytic, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    theta = analytic[:K]
-    signed = theta[:n_pts + n_rays]
-    if signed.size == 0 or signed.min() >= -1e-12:
-        theta = theta.copy()
-        theta[:n_pts + n_rays] = np.maximum(theta[:n_pts + n_rays], 0.0)
-        return theta
-
-    n_signed = n_pts + n_rays
-    A_in = np.zeros((n_signed, K))
-    A_in[:, :n_signed] = -np.eye(n_signed)[:, :n_signed]
-    b_in = np.zeros(n_signed)
-    start = np.zeros(K)
-    start[:n_pts] = 1.0 / n_pts
-    theta = _qp_active_set(H, c, A_eq, b_eq, A_in, b_in, start)
+    theta = _kkt_solve(H, c, A_eq, b_eq)[:K]
+    if theta[:n_signed].min() < -1e-12:
+        start = np.zeros(K)
+        start[:n_pts] = 1.0 / n_pts
+        theta = _qp_active_set(H, c, A_eq, b_eq, -np.eye(n_signed, K),
+                               np.zeros(n_signed), start)
     theta[:n_signed] = np.maximum(theta[:n_signed], 0.0)
     return theta
 

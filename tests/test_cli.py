@@ -130,6 +130,28 @@ def test_certify_spurious_origin(capsys):
     assert "consistent = True" in out
 
 
+def test_certify_on_a_badly_scaled_instance(tmp_path, capsys):
+    # f + g of a random instance multiplied by 1e6.  At y the lifted
+    # residual is 0: a least-squares KKT solve whose default cutoff drops
+    # the small singular values put it at 4.011e+05 and exited 5 with
+    # "multiplier found but lifted residual is 4.011e+05".
+    problem = tmp_path / "scaled.json"
+    problem.write_text(json.dumps({
+        "n": 1, "f": {"Q": [[645357.8216034115]], "q": [47594.84136956377],
+                      "r": 0.0},
+        "g": {"pieces": [{"a": [-1060316.5361666358], "b": -282034.2076585272},
+                         {"a": [743304.3335042904], "b": 305673.76693952206},
+                         {"a": [1950466.4451499195], "b": -155740.8776548123},
+                         {"a": [1133550.9432008378], "b": -112468.0001938912}],
+              "domain": {"A_ineq": [[-0.9920123944695095]],
+                         "b_ineq": [-0.4077305302574764]}}}))
+    rc = main(["certify", str(problem), "--y=-0.64110338036635772"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "stationary_for_Phi = True" in out
+    assert "consistent = True" in out
+
+
 def test_certify_accepts_negative_vector_form(capsys):
     rc = main(["certify", str(PROBLEMS / "orthant2.json"), "--y=-1,0"])
     assert rc == 0

@@ -228,6 +228,18 @@ def test_lifted_descent_linear_on_simplex_sphere():
     assert fit.parameter < 0.75
 
 
+def test_fit_rate_stops_at_the_roundoff_floor():
+    # linear decay to 1e-16, then a rounding plateau at 4e-16: fit on the
+    # whole trace, the plateau reads as sublinear decay
+    gaps = [0.5 ** k for k in range(54)] + [4e-16] * 30
+    tr = sq.SolverTrace("original",
+                        [(k, gap, 0.0, 1.0) for k, gap in enumerate(gaps)],
+                        0.0)
+    fit = sq.fit_rate(tr)
+    assert fit.kind == "linear"
+    assert fit.parameter == pytest.approx(0.5)
+
+
 def test_fit_rate_insufficient_trace():
     tr = sq.run_first_order(quartic(), "lifted", np.array([0.5]), steps=5,
                             f_star=0.0)

@@ -5,6 +5,7 @@ import pytest
 
 import sqreparam as sq
 from sqreparam import polyhedra
+from sqreparam.oracles import grid_min_norm
 from sqreparam.polyhedra import _qp_active_set
 
 
@@ -181,6 +182,43 @@ def test_min_norm_weighted_hand_cases():
     assert abs(z[0]) <= 1e-9
 
 
+def test_min_norm_weighted_on_a_badly_scaled_half_line():
+    # S = (-inf, p] written as {p} + cone{r} with p ~ 2e6 and |r| ~ 1:
+    # -shift lies in S, so the minimum is 0.  A least-squares KKT solve
+    # whose default cutoff drops the small singular values returned
+    # 2.0057e5 here, the norm at a point outside S.
+    p, r = 1950466.44514992, -0.99201239
+    S = sq.GeneratorSet(1, points=[[p]], rays=[[r]])
+    shift, w = 312845.64697959, 0.64110338
+    val, z = sq.min_norm_weighted(S, [shift], [w])
+    assert val <= 1e-12 * w * shift
+    assert z[0] <= p
+    assert z[0] == pytest.approx(-shift, rel=1e-12)
+
+
+def test_min_norm_weighted_with_more_generators_than_coordinates():
+    # 4 points and 3 rays in the plane: the Gram matrix of the generators
+    # is singular.  z must lie in S (an LP finds its coefficients), no
+    # grid point may beat it, and g = w^2 (shift + z) must certify it as
+    # the minimizer: <g, z> = min over S of <g, s>.
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        S = sq.GeneratorSet(2, points=rng.standard_normal((4, 2)),
+                            rays=np.abs(rng.standard_normal((3, 2))))
+        shift = 3.0 * rng.standard_normal(2)
+        w = rng.uniform(0.5, 1.5, 2)
+        val, z = sq.min_norm_weighted(S, shift, w)
+        assert val == pytest.approx(np.linalg.norm(w * (shift + z)), abs=1e-12)
+        coeffs = sq.lp_solve(np.zeros(7), np.zeros(7), None,
+                             A_eq=np.vstack([S.generator_matrix(),
+                                             [1, 1, 1, 1, 0, 0, 0]]),
+                             b_eq=np.append(z, 1.0))
+        assert coeffs.status is sq.LPStatus.OPTIMAL
+        g = w * w * (shift + z)
+        assert sq.vrep_support(S, -g) <= float(-g @ z) + 1e-9
+        assert grid_min_norm(S, shift, w) >= val - 1e-9
+
+
 # Closed-form projections: boxes (the orthant included) and simplices are
 # read off the rows and projected without the active-set QP, which stays
 # the reference here, started cold from feasible_point.
@@ -231,8 +269,7 @@ def _scaled_simplex(rng, n):
                                         (_scaled_simplex, "simplex")])
 def test_closed_form_projection_matches_qp(make, kind, n):
     rng = np.random.default_rng(1000 + n)
-    # the cold QP reference takes seconds at n = 80
-    for _ in range(3 if n < 80 else 1):
+    for _ in range(3):
         P = make(rng, n)
         assert P.shape.kind == kind
         x = 3.0 * rng.standard_normal(n)
@@ -301,3 +338,77 @@ def test_general_polyhedra_use_the_qp(monkeypatch, make):
 def test_projection_rejects_a_wrong_length_start(P):
     with pytest.raises(sq.DimensionMismatch):
         sq.project_onto_polyhedron(P, np.zeros(3), start=np.zeros(2))
+
+
+# The active-set QP: one KKT solve per iteration, by LU unless the
+# working-set system is singular.
+
+def _counted_kkt_solves(monkeypatch):
+    calls = []
+
+    def counted(H, c, act, b_act):
+        calls.append(act.copy())
+        return kkt_solve(H, c, act, b_act)
+
+    kkt_solve = polyhedra._kkt_solve
+    monkeypatch.setattr(polyhedra, "_kkt_solve", counted)
+    return calls
+
+
+def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
+    # pinned to the counts of the least-squares solve the LU solve
+    # replaced: the method takes the same path, only each solve is cheaper
+    calls = _counted_kkt_solves(monkeypatch)
+    rng = np.random.default_rng(5)
+    P = _h_polyhedron(rng, 40)
+    x = 4.0 * rng.standard_normal(40)
+    z = sq.project_onto_polyhedron(P, x)
+    assert len(calls) == 228
+    del calls[:]
+    z_warm = sq.project_onto_polyhedron(
+        P, x + 0.1 * rng.standard_normal(40), start=z)
+    assert len(calls) == 2
+    assert P.max_violation(z) <= 1e-9 and P.max_violation(z_warm) <= 1e-9
+
+
+def test_qp_with_dependent_active_rows_matches_the_closed_form(monkeypatch):
+    # the rotated box Q [-1, 1]^3 with every upper row written twice (once
+    # scaled) and a redundant row; started at the corner Q (1, 1, 1), the
+    # first working set holds each pair of duplicates.  Its KKT matrix is
+    # singular: LU raises or returns a solution whose residual gives it
+    # away (without that check some of these draws exhaust the budget),
+    # and least squares takes over.
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        lstsq_calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        c = rng.uniform(0.5, 4.0)
+        P = sq.Polyhedron(3, np.vstack([Q.T, c * Q.T, -Q.T, np.ones((1, 3))]),
+                          np.concatenate([np.ones(3), np.full(3, c),
+                                          np.ones(3), [10.0]]))
+        assert P.shape.kind == "general"
+        x = 3.0 * rng.standard_normal(3)
+        z = sq.project_onto_polyhedron(P, x, start=Q @ np.ones(3))
+        assert np.max(np.abs(z - Q @ np.clip(Q.T @ x, -1.0, 1.0))) <= 1e-12
+    assert lstsq_calls
+
+
+def test_qp_ratio_test_blocks_at_the_smallest_tied_index(monkeypatch):
+    # from 0 toward (2, 2), rows 1, 2 and 3 block at steps within 1e-13
+    # of 0.5 (row 2's a little shorter); row 0 recedes.  The smallest
+    # tied index, row 1, enters the working set.
+    calls = _counted_kkt_solves(monkeypatch)
+    A = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, 1.0, 1.0 - 2e-14, 2.0])
+    z = _qp_active_set(np.eye(2), -np.array([2.0, 2.0]), np.zeros((0, 2)),
+                       np.zeros(0), A, b, np.zeros(2))
+    assert np.array_equal(calls[0], np.zeros((0, 2)))
+    assert np.array_equal(calls[1], A[[1]])
+    assert np.max(np.abs(z - [1.0, 1.0 - 2e-14])) <= 1e-15

@@ -1,0 +1,160 @@
+"""Record the command-line output of a source checkout, and diff two records.
+
+    python tools/cli_records.py record OUT.json [--repo DIR]
+    python tools/cli_records.py diff OLD.json NEW.json
+
+`record` imports `sqreparam` from DIR/src (default: the checkout that
+holds this file) and runs `sqreparam.cli.main` in one process on:
+
+* `certify FILE --y Y` for every record of `gen.certify_pool` at seeds
+  101-103 (shipped points included), and `strict-comp FILE --x Y*Y`
+  for each of them;
+* a fixed list of `kl-fit` and `solve` runs on `problems/`;
+* `selftest` at seeds 0 and 7.
+
+Each run's stdout, stderr and exit code go into OUT, keyed by its
+argument list.  The pool's temporary directory is written as `<pool>`
+and DIR as `<repo>`, so records of two checkouts compare line for line.
+`diff` prints every run whose output or exit code differs, and exits 1
+when any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import sys
+import tempfile
+
+POOL_SEEDS = (101, 102, 103)
+SELFTEST_SEEDS = (0, 7)
+
+KL_FIT = (
+    ("quartic1", "--y=0"),
+    ("quartic1", "--y=0", "--alpha", "0.5", "--gamma", "1", "--seed", "3"),
+    ("nnls1", "--y=1"),
+    ("nnls1", "--y=1", "--alpha", "0.5", "--strict"),
+    ("orthant2", "--y=0,0"),
+    ("orthant2", "--y=1,0"),
+    ("pieces2", "--y=0,0"),
+    ("pieces2", "--y=0.70710678118654757,0.70710678118654757"),
+    ("simplex2", "--y=1,0"),
+)
+
+SOLVE = (
+    ("nnls1", "original", "--x0=3"),
+    ("nnls1", "lifted", "--y0=2"),
+    ("quartic1", "original", "--x0=0.5"),
+    ("quartic1", "lifted", "--y0=0.5"),
+    ("orthant2", "original", "--x0=3,2"),
+    ("orthant2", "lifted", "--y0=1.5,0.7"),
+    ("simplex2", "original", "--x0=0.2,0.8"),
+    ("simplex2", "lifted", "--y0=0.6,0.8"),
+    ("pieces2", "original", "--x0=1,1"),
+)
+
+
+def _run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:          # argparse rejections
+            code = exc.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(),
+            "exit": code}
+
+
+def _runs(repo, pool_dir):
+    sys.path.insert(0, os.path.join(repo, "perfbench"))
+    import gen
+
+    problems = os.path.join(repo, "problems")
+    for seed in POOL_SEEDS:
+        workdir = os.path.join(pool_dir, f"seed{seed}")
+        for spec in gen.certify_pool(seed, workdir):
+            path = os.path.join(repo, spec["file"])
+            y = [float(v) for v in spec["y"].split(",")]
+            yield ["certify", path, "--y=" + spec["y"]]
+            yield ["strict-comp", path, "--x=" + gen._vec_arg(
+                [v * v for v in y])]
+    for name, *flags in KL_FIT:
+        yield ["kl-fit", os.path.join(problems, name + ".json"), *flags]
+    for name, variant, start in SOLVE:
+        yield ["solve", os.path.join(problems, name + ".json"),
+               "--variant", variant, start]
+    for seed in SELFTEST_SEEDS:
+        yield ["selftest", "--seed", str(seed)]
+
+
+def record(repo: str, out_path: str) -> int:
+    repo = os.path.abspath(repo)
+    sys.path.insert(0, os.path.join(repo, "src"))
+    from sqreparam.cli import main
+
+    records = {}
+    with tempfile.TemporaryDirectory() as pool_dir:
+        def norm(text):
+            return text.replace(pool_dir, "<pool>").replace(repo, "<repo>")
+
+        for argv in _runs(repo, pool_dir):
+            result = _run(main, argv)
+            key = norm(" ".join(argv))
+            records[key] = {k: norm(v) if isinstance(v, str) else v
+                            for k, v in result.items()}
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+    print(f"{len(records)} runs recorded in {out_path}")
+    return 0
+
+
+def diff(old_path: str, new_path: str) -> int:
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    changed = 0
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        changed += 1
+        print(f"### {key}")
+        if a is None or b is None:
+            print("only in " + (new_path if a is None else old_path))
+            continue
+        if a["exit"] != b["exit"]:
+            print(f"exit {a['exit']} -> {b['exit']}")
+        for stream in ("stdout", "stderr"):
+            lines = difflib.unified_diff(
+                a[stream].splitlines(), b[stream].splitlines(),
+                f"old {stream}", f"new {stream}", n=0, lineterm="")
+            for line in lines:
+                if not line.startswith("@@"):
+                    print(line)
+    print(f"{changed} of {len(set(old) | set(new))} runs differ")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    subs = parser.add_subparsers(dest="cmd", required=True)
+    rec = subs.add_parser("record", help="run the CLI and write its output")
+    rec.add_argument("out")
+    rec.add_argument("--repo", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    dif = subs.add_parser("diff", help="compare two record files")
+    dif.add_argument("old")
+    dif.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.cmd == "record":
+        return record(args.repo, args.out)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
