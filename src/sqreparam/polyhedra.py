@@ -6,8 +6,11 @@ Two representations are used throughout the package:
 * ``GeneratorSet``: generator form ``conv(points) + cone(rays) + span(lines)``.
 
 Everything here is deterministic.  The LP solver is a dense two-phase
-simplex with Bland's smallest-index rule (identical input gives an
-identical optimal witness), and the QP solver is a primal active-set
+bounded-variable simplex with Bland's smallest-index rule (identical
+input gives an identical optimal witness): inequality rows with one
+nonzero are read as bounds, and a variable with two finite bounds
+reaches its upper one by a bound flip, not through an extra row
+(Dantzig 1955; Bland 1977).  The QP solver is a primal active-set
 method with smallest-index tie breaking that solves each working-set KKT
 system by LU, and by least squares only when that system is singular.
 Problems are desk scale (tens of variables, tens of rows); the
@@ -71,6 +74,23 @@ def check_tol(value, name: str = "tol") -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise InvalidRange(
             f"{name}: must be finite and nonnegative, got {value!r}")
+
+
+def _tightest_bounds(A, b, lower, upper, tol: float = DEFAULT_TOL):
+    """lower <= z <= upper tightened by the rows of A z <= b, each with
+    one nonzero.  The tightest row wins, so duplicated and scaled rows
+    are fine.  Bounds crossed by at most tol (1 + |lower|) are a fixed
+    coordinate split by rounding and become upper = lower; a wider
+    crossing is left for the caller to read as an empty set."""
+    col = np.argmax(A != 0.0, axis=1)
+    coef = A[np.arange(A.shape[0]), col]
+    bound = b / coef + 0.0          # + 0.0 turns the -0.0 of 0 / -c into 0.0
+    lower, upper = lower + 0.0, upper + 0.0
+    np.maximum.at(lower, col[coef < 0.0], bound[coef < 0.0])
+    np.minimum.at(upper, col[coef > 0.0], bound[coef > 0.0])
+    fixed = (lower > upper) & (lower - upper <= tol * (1.0 + np.abs(lower)))
+    upper[fixed] = lower[fixed]
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +164,21 @@ class Polyhedron:
     @cached_property
     def shape(self) -> Shape:
         """Box when there are no equality rows and every inequality row
-        has exactly one nonzero (bounds are the tightest of the rows, so
-        duplicated and scaled rows are fine); simplex when every
-        inequality row is -c e_i <= 0 with c > 0, every coordinate has
-        one, and the one equality row has equal nonzero entries a and
-        b_eq / a > 0; general otherwise."""
+        has exactly one nonzero (bounds by _tightest_bounds); simplex
+        when every inequality row is -c e_i <= 0 with c > 0, every
+        coordinate has one, and the one equality row has equal nonzero
+        entries a and b_eq / a > 0; general otherwise."""
         A, b = self.A_ineq, self.b_ineq
         if not np.all(np.count_nonzero(A, axis=1) == 1):
             return Shape("general")
-        col = np.argmax(A != 0.0, axis=1)
-        coef = A[np.arange(self.m_ineq), col]
         if self.m_eq == 0:
-            bound = b / coef
-            lower = np.full(self.n, -_INF)
-            upper = np.full(self.n, _INF)
-            np.maximum.at(lower, col[coef < 0.0], bound[coef < 0.0])
-            np.minimum.at(upper, col[coef > 0.0], bound[coef > 0.0])
-            # + 0.0 turns the -0.0 of 0 / -c into 0.0
-            lower, upper = lower + 0.0, upper + 0.0
+            lower, upper = _tightest_bounds(A, b, np.full(self.n, -_INF),
+                                            np.full(self.n, _INF))
             lower.setflags(write=False)
             upper.setflags(write=False)
             return Shape("box", lower=lower, upper=upper)
+        col = np.argmax(A != 0.0, axis=1)
+        coef = A[np.arange(self.m_ineq), col]
         row = self.A_eq[0]
         if self.m_eq == 1 and np.all(coef < 0.0) and np.all(b == 0.0) \
                 and np.bincount(col, minlength=self.n).all() \
@@ -258,7 +272,7 @@ class GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# Linear programming: dense two-phase simplex, Bland's rule
+# Linear programming: dense two-phase bounded-variable simplex, Bland's rule
 # ---------------------------------------------------------------------------
 
 
@@ -274,14 +288,15 @@ class LPOutcome:
 
     value is the extended-real optimum: -inf when infeasible, +inf when
     unbounded.  witness is an optimal point (present iff OPTIMAL).
-    dual_value is reconstructed from the final basis so callers can
-    check the duality gap.
+    dual_value is read from the final basis so callers can check the
+    duality gap.  pivots counts the basis changes of both phases.
     """
 
     status: LPStatus
     value: float
     witness: np.ndarray | None = None
     dual_value: float | None = None
+    pivots: int = 0
 
     @property
     def duality_gap(self) -> float | None:
@@ -304,35 +319,60 @@ def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
 
 
 def _run_simplex(T: np.ndarray, basis: list, cost: np.ndarray,
-                 tol: float, max_iter: int) -> str:
-    """Minimize cost @ x on the canonical tableau in place.
+                 cap: np.ndarray, flipped: np.ndarray,
+                 tol: float, max_iter: int) -> tuple[str, int]:
+    """Minimize cost @ x over 0 <= x <= cap on the canonical tableau in
+    place; returns the status and the number of pivots.
 
-    Bland's rule both for entering (smallest index with negative reduced
-    cost) and leaving (smallest basic variable index among ratio ties),
-    which rules out cycling.
+    flipped[j] marks x_j replaced by cap[j] - x_j (column and reduced
+    cost negated), so every nonbasic variable sits at 0, a flipped one
+    at its upper bound.  Bland's rule both for entering (smallest index
+    with negative reduced cost) and leaving (smallest variable index
+    among ratio ties, the entering variable's own bound flip, made
+    without a pivot, included), which rules out cycling.
     """
     m, width = T.shape
     ncols = width - 1
-    reduced = cost.astype(float).copy()
+    reduced = np.where(flipped, -cost, cost)
     for p in range(m):
         j = basis[p]
         if reduced[j] != 0.0:
             reduced -= reduced[j] * T[p, :ncols]
+    pivots = 0
     for _ in range(max_iter):
-        negative = np.nonzero(reduced < -tol)[0]
+        negative = (reduced < -tol).nonzero()[0]
         if negative.size == 0:
-            return "optimal"
+            return "optimal", pivots
         enter = int(negative[0])
-        col = T[:, enter]
-        positive = col > tol
-        if not positive.any():
-            return "unbounded"
+        col, rhs = T[:, enter], T[:, -1]
         ratios = np.full(m, _INF)
-        ratios[positive] = T[positive, -1] / col[positive]
-        best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
-        leave = int(min(ties, key=lambda p: basis[p]))
+        down, up = col > tol, col < -tol
+        ratios[down] = rhs[down] / col[down]
+        # a basic variable that grows stops at its own upper bound
+        ratios[up] = np.maximum(cap[basis][up] - rhs[up], 0.0) / -col[up]
+        best = min(ratios.min(initial=_INF), cap[enter])
+        if best == _INF:
+            return "unbounded", pivots
+        band = best + 1e-9 * (1.0 + abs(best))
+        ties = (ratios <= band).nonzero()[0]
+        leave = int(min(ties, key=lambda p: basis[p], default=-1))
+        if cap[enter] <= band and (leave < 0 or enter < basis[leave]):
+            # the entering variable reaches its other bound first
+            rhs -= cap[enter] * col
+            rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+            col *= -1.0
+            reduced[enter] *= -1.0
+            flipped[enter] = not flipped[enter]
+            continue
+        if col[leave] < 0.0:
+            # it leaves at its upper bound: complement it while basic
+            j = basis[leave]
+            T[leave] *= -1.0
+            T[leave, j] = 1.0
+            T[leave, -1] += cap[j]
+            flipped[j] = not flipped[j]
         _pivot(T, basis, leave, enter)
+        pivots += 1
         ent = reduced[enter]
         if ent != 0.0:
             reduced -= ent * T[leave, :ncols]
@@ -346,7 +386,11 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     """Maximize <c, z> over bounds and linear rows.
 
     lower/upper are per-variable bounds and may contain -inf/+inf (the
-    default is fully free).  Returns an LPOutcome; the witness is the
+    default is fully free).  Rows with one nonzero become bounds by
+    _tightest_bounds (the rule of Polyhedron.shape, at tol); bounds
+    crossed beyond it, or a zero row with b < 0, are infeasible.  The
+    simplex keeps x = z - lower in [0, upper - lower] by bound flips,
+    not by rows.  Returns an LPOutcome; the witness is the
     deterministic optimal vertex selected by Bland's rule.
     """
     c = np.asarray(c, dtype=float).ravel()
@@ -361,137 +405,121 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     b_eq = _as_vector(b_eq, A_eq.shape[0], "b_eq")
     A_ineq = _as_matrix(A_ineq, n, "A_ineq")
     b_ineq = _as_vector(b_ineq, A_ineq.shape[0], "b_ineq")
-    if np.any(lower > upper):
-        return LPOutcome(LPStatus.INFEASIBLE, -_INF)
+    A_in, b_in = A_ineq, b_ineq
+    nnz = np.count_nonzero(A_ineq, axis=1)
+    if (nnz <= 1).any() or (lower > upper).any():
+        lower, upper = _tightest_bounds(A_ineq[nnz == 1], b_ineq[nnz == 1],
+                                        lower, upper, tol)
+        if np.any(lower > upper) or np.any(b_ineq[nnz == 0] < 0.0):
+            return LPOutcome(LPStatus.INFEASIBLE, -_INF)
+        A_in, b_in = A_ineq[nnz > 1], b_ineq[nnz > 1]
 
     # Substitute every variable by a nonnegative one:
-    #   finite lower  -> z = l + x
+    #   finite lower  -> z = l + x, 0 <= x <= u - l
     #   upper only    -> z = u - x
     #   free          -> z = x_plus - x_minus
-    # A finite upper bound on a lower-bounded variable becomes an extra
-    # inequality row in the original coordinates.
-    cols = []          # (original index, sign) per standard-form column
+    cols = []          # (original index, sign, upper bound) per column
     z0 = np.zeros(n)
-    extra_rows = []
-    extra_b = []
-    for i in range(n):
-        lo, hi = lower[i], upper[i]
-        if np.isfinite(lo):
+    for i, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+        if math.isfinite(lo):
             z0[i] = lo
-            cols.append((i, 1.0))
-            if np.isfinite(hi):
-                row = np.zeros(n)
-                row[i] = 1.0
-                extra_rows.append(row)
-                extra_b.append(hi)
-        elif np.isfinite(hi):
+            cols.append((i, 1.0, hi - lo))
+        elif math.isfinite(hi):
             z0[i] = hi
-            cols.append((i, -1.0))
+            cols.append((i, -1.0, _INF))
         else:
-            cols.append((i, 1.0))
-            cols.append((i, -1.0))
+            cols += [(i, 1.0, _INF), (i, -1.0, _INF)]
     K = len(cols)
     M = np.zeros((n, K))
-    for j, (i, sign) in enumerate(cols):
+    for j, (i, sign, _) in enumerate(cols):
         M[i, j] = sign
 
-    A_in_all = np.vstack([A_ineq] + [r.reshape(1, -1) for r in extra_rows]) \
-        if extra_rows else A_ineq
-    b_in_all = np.concatenate([b_ineq, np.asarray(extra_b, float)]) \
-        if extra_b else b_ineq
-
-    m_eq, m_in = A_eq.shape[0], A_in_all.shape[0]
-    n_slack = m_in
+    m_eq, n_slack = A_eq.shape[0], A_in.shape[0]
     N = K + n_slack
-    A_std = np.zeros((m_eq + m_in, N))
+    A_std = np.zeros((m_eq + n_slack, N))
     A_std[:m_eq, :K] = A_eq @ M
-    A_std[m_eq:, :K] = A_in_all @ M
-    if n_slack:
-        A_std[m_eq:, K:] = np.eye(n_slack)
-    b_std = np.concatenate([b_eq - A_eq @ z0, b_in_all - A_in_all @ z0])
+    A_std[m_eq:, :K] = A_in @ M
+    A_std[m_eq:, K:] = np.eye(n_slack)
+    b_std = np.concatenate([b_eq - A_eq @ z0, b_in - A_in @ z0])
 
     flip = b_std < 0.0
     A_std[flip] *= -1.0
     b_std[flip] *= -1.0
     m = A_std.shape[0]
+    cap = np.concatenate([[u for *_, u in cols], np.full(n_slack + m, _INF)])
+    flipped = np.zeros(N + m, dtype=bool)
 
-    scale = 1.0 + (float(np.max(np.abs(b_std))) if m else 0.0)
+    scale = 1.0 + float(np.abs(b_std).max(initial=0.0))
     pivot_tol = 1e-10
     budget = 2000 + 50 * (m + N)
 
     # Phase 1: artificial variables on every row.
-    if m:
-        T = np.zeros((m, N + m + 1))
-        T[:, :N] = A_std
-        T[:, N:N + m] = np.eye(m)
-        T[:, -1] = b_std
-        basis = list(range(N, N + m))
-        cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-        status = _run_simplex(T, basis, cost1, pivot_tol, budget)
-        if status != "optimal":
-            raise NumericalFailure("phase-1 simplex reported unbounded")
-        infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
-        if infeas > tol * scale:
-            return LPOutcome(LPStatus.INFEASIBLE, -_INF)
-        # Drive artificials out of the basis; rows that resist are redundant.
-        keep = np.ones(m, dtype=bool)
-        for p in range(m):
-            if basis[p] < N:
-                continue
-            pivots = np.nonzero(np.abs(T[p, :N]) > 1e-9)[0]
-            if pivots.size:
-                _pivot(T, basis, p, int(pivots[0]))
-            else:
-                keep[p] = False
-        if not keep.all():
-            T = T[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
-            A_std = A_std[keep]
-            b_std = b_std[keep]
-            m = A_std.shape[0]
-        T = np.hstack([T[:, :N], T[:, -1:]])
-    else:
-        T = np.zeros((0, N + 1))
-        basis = []
+    T = np.zeros((m, N + m + 1))
+    T[:, :N] = A_std
+    T[:, N:N + m] = np.eye(m)
+    T[:, -1] = b_std
+    basis = list(range(N, N + m))
+    cost1 = np.concatenate([np.zeros(N), np.ones(m)])
+    status, pivots = _run_simplex(T, basis, cost1, cap, flipped, pivot_tol,
+                                  budget)
+    if status != "optimal":
+        raise NumericalFailure("phase-1 simplex reported unbounded")
+    infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
+    if infeas > tol * scale:
+        return LPOutcome(LPStatus.INFEASIBLE, -_INF, pivots=pivots)
+    # Drive artificials out of the basis; rows that resist are redundant.
+    keep = np.ones(m, dtype=bool)
+    for p in range(m):
+        if basis[p] < N:
+            continue
+        entering = np.nonzero(np.abs(T[p, :N]) > 1e-9)[0]
+        if entering.size:
+            _pivot(T, basis, p, int(entering[0]))
+            pivots += 1
+        else:
+            keep[p] = False
+    if not keep.all():
+        T = T[keep]
+        basis = [b for b, k in zip(basis, keep) if k]
+        A_std = A_std[keep]
+        b_std = b_std[keep]
+    T = np.hstack([T[:, :N], T[:, -1:]])
+    cap, flipped = cap[:N], flipped[:N]
 
     cost2 = np.concatenate([-(M.T @ c), np.zeros(n_slack)])
-    status = _run_simplex(T, basis, cost2, pivot_tol, budget)
+    status, more = _run_simplex(T, basis, cost2, cap, flipped, pivot_tol,
+                                budget)
+    pivots += more
     if status == "unbounded":
-        return LPOutcome(LPStatus.UNBOUNDED, _INF)
+        return LPOutcome(LPStatus.UNBOUNDED, _INF, pivots=pivots)
 
     x_std = np.zeros(N)
-    for p in range(m):
-        x_std[basis[p]] = T[p, -1]
+    x_std[basis] = T[:, -1]
+    x_std = np.where(flipped, cap - x_std, x_std)
     z = M @ x_std[:K] + z0
     value = float(c @ z)
 
-    # Dual reconstruction from the final basis certifies the optimum.
-    if m:
-        B = A_std[:, basis]
-        y, *_ = np.linalg.lstsq(B.T, cost2[np.asarray(basis, int)], rcond=None)
-        dual_std = float(b_std @ y)
-    else:
-        dual_std = 0.0
+    # The dual read from the final basis certifies the optimum; a
+    # variable at its upper bound adds cap times its reduced cost.
+    B_T, c_B = A_std[:, basis].T, cost2[basis]
+    try:
+        y = np.linalg.solve(B_T, c_B)
+    except np.linalg.LinAlgError:
+        y = np.linalg.lstsq(B_T, c_B, rcond=None)[0]
+    dual_std = float(b_std @ y
+                     + cap[flipped] @ (cost2 - A_std.T @ y)[flipped])
     dual_value = float(c @ z0) - dual_std
     if abs(value - dual_value) > 1e-6 * (1.0 + abs(value)):
         raise NumericalFailure(
             f"duality gap {abs(value - dual_value):.3e} out of tolerance")
 
-    worst = 0.0
-    if A_ineq.shape[0]:
-        worst = max(worst, float(np.max(A_ineq @ z - b_ineq)))
-    if A_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(A_eq @ z - b_eq))))
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
-    if finite_lo.any():
-        worst = max(worst, float(np.max(lower[finite_lo] - z[finite_lo])))
-    if finite_hi.any():
-        worst = max(worst, float(np.max(z[finite_hi] - upper[finite_hi])))
+    worst = max((A_ineq @ z - b_ineq).max(initial=0.0),
+                np.abs(A_eq @ z - b_eq).max(initial=0.0),
+                (lower - z).max(), (z - upper).max())
     if worst > 1e-7 * scale:
         raise NumericalFailure(f"optimal witness infeasible by {worst:.3e}")
 
-    return LPOutcome(LPStatus.OPTIMAL, value, z, dual_value)
+    return LPOutcome(LPStatus.OPTIMAL, value, z, dual_value, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +606,9 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
                            weights: np.ndarray) -> np.ndarray:
     """Coefficients (lam, mu, nu) minimizing ||weights*(shift + combo)||.
 
+    Rays and lines that the weights map to zero move nothing, but their
+    zero columns would make every KKT system singular; a unit diagonal
+    entry of H pins each such coefficient to 0, decoupled from the rest.
     Warm start: the equality-constrained least-squares minimizer is
     accepted outright whenever it already satisfies the sign
     constraints; otherwise the active-set method runs from the uniform
@@ -588,6 +619,11 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
     K = G.shape[1]
     WG = G * weights[:, None]
     H = WG.T @ WG
+    # rays and lines are nonzero, so only a zero weight zeroes a column
+    if not weights.all():
+        dead = ~WG.any(axis=0)
+        dead[:n_pts] = False
+        H[dead, dead] = 1.0
     c = WG.T @ (weights * shift)
     A_eq = np.zeros((1, K))
     A_eq[0, :n_pts] = 1.0

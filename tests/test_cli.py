@@ -152,6 +152,81 @@ def test_certify_on_a_badly_scaled_instance(tmp_path, capsys):
     assert "consistent = True" in out
 
 
+def test_certify_with_a_zero_weight_on_a_ray(tmp_path, capsys):
+    # f + g of a random instance multiplied by 1e6.  y_3 = 0 gives the
+    # ray -e_3 of the subdifferential a zero weight, so its column of the
+    # weighted min-norm QP is zero and every KKT system with it singular;
+    # least squares then returned a point outside the subdifferential,
+    # lifted_residual 0.000632528947356, and certify exited 5 with "no
+    # multiplier".  A 50-digit face enumeration gives 1.18e6.
+    problem = tmp_path / "scaled.json"
+    problem.write_text(json.dumps({
+        "n": 3,
+        "f": {"Q": [[1250630.1844132424, -1035310.4332857998,
+                     -286707.22436148295],
+                    [-1035310.4332857998, -1413951.4483976471,
+                     -133375.96390757457],
+                    [-286707.22436148295, -133375.96390757457,
+                     1053863.628318462]],
+              "q": [1055646.568071877, -1768354.201796976,
+                    1010663.2829383393], "r": 0.0},
+        "g": {"pieces": [{"a": [-2161674.671816112, -827634.6780704152,
+                                -106100.1386374273],
+                          "b": -776247.877952414},
+                         {"a": [-137893.5299102923, -2532739.78391953,
+                                1530551.4106148167],
+                          "b": 247368.22978240895}],
+              "domain": {"A_ineq": [[-0.21647807616112907, 3.321649136882631,
+                                     -0.557556176768568],
+                                    [-0.48568377799524337, 0.4109045677345317,
+                                     0.3471875494331304],
+                                    [1.6091507472853268, 0.0344401037030533,
+                                     -0.6260187678219568],
+                                    [0.5111842857507563, -0.9098593144380083,
+                                     2.3591877917380746],
+                                    [-1.9622212247511122, 0.4640611464777574,
+                                     -1.0909318362958633]],
+                         "b_ineq": [1.639585691006171, 0.5976628001558348,
+                                    1.5863471510971374, 0.6955726464682311,
+                                    -0.6869983126730663]}}}))
+    rc = main(["certify", str(problem),
+               "--y=-0.781951414055575,-0.73038012883101577,0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "lifted_residual = 1184797.77838" in out
+    assert "stationary_for_Phi = False" in out
+    assert "consistent = True" in out
+
+
+def test_certify_on_a_domain_pinned_by_rounded_rows(tmp_path, capsys):
+    # Three domain rows pin x to one value; the lower bound they give
+    # exceeds the upper one by 1.1e-16.  That is a fixed coordinate, not
+    # an empty domain.
+    problem = tmp_path / "pinned.json"
+    problem.write_text(json.dumps({
+        "n": 1, "f": {"Q": [[0.6702559541510538]], "q": [-0.21800953048856495],
+                      "r": 0.0},
+        "g": {"pieces": [{"a": [1.0148596830304395], "b": 0.3349530539498767},
+                         {"a": [1.1644583318624149], "b": -0.2981933136433235},
+                         {"a": [-1.6763719100883776],
+                          "b": -0.19149572866010955}],
+              "domain": {"A_ineq": [[1.486135670502081], [0.5988863835971743],
+                                    [-0.1938330739189284],
+                                    [-0.8982845452172993],
+                                    [0.5646955578162424]],
+                         "b_ineq": [1.722718195668962, 0.5873581841565544,
+                                    -0.19010190487664003, -0.8809931128599776,
+                                    1.2579322303553755]}}}))
+    parsed = parse_problem_file(problem)
+    shape = parsed.problem.g.domain.shape
+    assert shape.kind == "box" and shape.lower[0] == shape.upper[0]
+    rc = main(["certify", str(problem), "--y=0.99032853481344041"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "stationary_for_phi = True" in out
+    assert "consistent = True" in out
+
+
 def test_certify_accepts_negative_vector_form(capsys):
     rc = main(["certify", str(PROBLEMS / "orthant2.json"), "--y=-1,0"])
     assert rc == 0

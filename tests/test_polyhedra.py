@@ -5,7 +5,7 @@ import pytest
 
 import sqreparam as sq
 from sqreparam import polyhedra
-from sqreparam.oracles import grid_min_norm
+from sqreparam.oracles import enumerate_vertices, grid_min_norm
 from sqreparam.polyhedra import _qp_active_set
 
 
@@ -412,3 +412,170 @@ def test_qp_ratio_test_blocks_at_the_smallest_tied_index(monkeypatch):
     assert np.array_equal(calls[0], np.zeros((0, 2)))
     assert np.array_equal(calls[1], A[[1]])
     assert np.max(np.abs(z - [1.0, 1.0 - 2e-14])) <= 1e-15
+
+
+# The bounded-variable simplex: rows with one nonzero become bounds, and
+# a variable with two finite bounds reaches the upper one by a bound flip.
+
+def _bounds_lp(rng, n):
+    """An LP at a feasible point z0 whose variables are bounded in every
+    way: two-sided (by lower/upper, or by singleton rows, one of them
+    written twice and scaled), fixed by two scaled rows, and upper-only;
+    two random rows and -1'z <= -1'z0 + 1 keep it bounded.  Returns c,
+    the lp_solve arguments and the Polyhedron of all its constraints."""
+    z0 = rng.uniform(-1.0, 1.0, n)
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    rows, rhs = [], []
+
+    def add(i, coef, bound):
+        rows.append(np.eye(n)[i] * coef)
+        rhs.append(coef * bound)
+
+    for i, kind in enumerate(rng.permutation(4)[:n]):
+        lo = z0[i] - rng.uniform(0.1, 2.0)
+        hi = z0[i] + rng.uniform(0.1, 2.0)
+        if kind == 0:
+            lower[i], upper[i] = lo, hi
+        elif kind == 1:
+            add(i, -rng.uniform(0.5, 4.0), lo)
+            add(i, rng.uniform(0.5, 4.0), hi)
+            add(i, rng.uniform(0.5, 4.0), hi)
+        elif kind == 2:
+            add(i, -rng.uniform(0.5, 4.0), z0[i])
+            add(i, rng.uniform(0.5, 4.0), z0[i])
+        else:
+            upper[i] = hi
+    for a in (rng.standard_normal((2, n)), -np.ones((1, n))):
+        for row in a:
+            rows.append(row)
+            rhs.append(row @ z0 + rng.uniform(0.1, 1.0))
+    A, b = np.array(rows), np.array(rhs)
+    bound_rows = [(np.eye(n)[i], upper[i]) for i in range(n)
+                  if np.isfinite(upper[i])]
+    bound_rows += [(-np.eye(n)[i], -lower[i]) for i in range(n)
+                   if np.isfinite(lower[i])]
+    P = sq.Polyhedron(n, np.vstack([A] + [r for r, _ in bound_rows]),
+                      np.concatenate([b, [v for _, v in bound_rows]]))
+    args = dict(lower=lower, upper=upper, A_ineq=A, b_ineq=b)
+    return rng.standard_normal(n), args, P
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lp_with_bounds_matches_vertex_enumeration(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(40):
+        c, args, P = _bounds_lp(rng, n)
+        out = sq.lp_solve(c, **args)
+        assert out.status is sq.LPStatus.OPTIMAL
+        best = float(np.max(enumerate_vertices(P) @ c))
+        assert abs(out.value - best) <= 1e-9 * (1.0 + abs(best))
+        assert out.duality_gap <= 1e-9 * (1.0 + abs(out.value))
+        assert P.max_violation(out.witness) <= 1e-9
+
+
+def test_bounds_crossed_by_rounding_fix_the_variable():
+    # the domain of a certify pool record: three rows pin x to one value,
+    # and the lower bound they give exceeds the upper one by 1.1e-16
+    A = np.array([[1.486135670502081], [0.5988863835971743],
+                  [-0.1938330739189284], [-0.8982845452172993],
+                  [0.5646955578162424], [-1.0]])
+    b = np.array([1.722718195668962, 0.5873581841565544,
+                  -0.19010190487664003, -0.8809931128599776,
+                  1.2579322303553755, 0.0])
+    assert np.max(b[2:4] / A[2:4, 0]) > b[1] / A[1, 0]
+    P = sq.Polyhedron(1, A, b)
+    assert P.shape.kind == "box"
+    assert P.shape.lower[0] == P.shape.upper[0]
+    point = P.shape.lower
+    assert np.array_equal(sq.project_onto_polyhedron(P, [5.0]), point)
+    for c in ([1.0], [-1.0], [0.0]):
+        out = sq.lp_solve(c, A_ineq=A, b_ineq=b)
+        assert out.status is sq.LPStatus.OPTIMAL
+        assert np.array_equal(out.witness, point)
+    assert np.array_equal(sq.feasible_point(P), point)
+    fixed = sq.lp_solve([1.0], lower=[1.0], upper=[1.0 - 1e-16])
+    assert fixed.status is sq.LPStatus.OPTIMAL and fixed.witness[0] == 1.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(A_ineq=[[0.0, 0.0]], b_ineq=[-1.0]),
+    dict(A_ineq=[[0.0, 0.0], [1.0, 1.0]], b_ineq=[-1.0, 1.0]),
+    dict(lower=[0.0, 1.0], upper=[1.0, 1.0 - 1e-6]),
+    dict(A_ineq=[[2.0, 0.0], [-3.0, 0.0]], b_ineq=[2.0, -3.0 - 3e-6]),
+    dict(lower=[0.0, 0.0], A_ineq=[[0.0, 1.0]], b_ineq=[-1e-6]),
+])
+def test_lp_infeasible_rows_and_bounds(kwargs):
+    out = sq.lp_solve(np.ones(2), **kwargs)
+    assert out.status is sq.LPStatus.INFEASIBLE
+    assert out.value == -np.inf
+
+
+def test_lp_bound_flip_wins_a_ratio_tie_by_its_index():
+    # Phase 1 enters x0, which the row stops at 2, as does its own upper
+    # bound.  Among the tied variables Bland's rule takes the smallest
+    # index, x0 itself (the artificial is x4), so x0 flips to its bound
+    # without a pivot; the slack then replaces the artificial, and phase
+    # 2 flips x1 and x2 to their bounds: one pivot in all.  Leaving the
+    # tie to the artificial costs three.
+    out = sq.lp_solve([0.0, 2.0, 1.0], lower=np.zeros(3),
+                      upper=[2.0, 1.0, 2.0], A_ineq=[[1.0, -2.0, -1.0]],
+                      b_ineq=[2.0])
+    assert out.status is sq.LPStatus.OPTIMAL
+    assert np.array_equal(out.witness, [2.0, 1.0, 2.0])
+    assert out.pivots == 1
+
+
+def test_lp_terminates_on_beales_cycling_example():
+    # Beale (1955): with the largest-coefficient rule the simplex cycles
+    # at the degenerate start.  Written with explicit slacks (equality
+    # rows, no bound to read) and with x6 <= 1 as a singleton row (a
+    # bound); either way Bland's rule reaches the optimum -5/4 at
+    # x4 = x6 = 1.
+    cost = np.array([-0.75, 20.0, -0.5, 6.0])
+    rows = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+    rhs = np.array([0.0, 0.0, 1.0])
+    slack = sq.lp_solve(np.concatenate([np.zeros(3), -cost]),
+                        lower=np.zeros(7), A_eq=np.hstack([np.eye(3), rows]),
+                        b_eq=rhs)
+    bound = sq.lp_solve(-cost, lower=np.zeros(4), A_ineq=rows, b_ineq=rhs)
+    for out, x in ((slack, slack.witness[3:]), (bound, bound.witness)):
+        assert out.status is sq.LPStatus.OPTIMAL
+        assert out.value == pytest.approx(1.25, abs=1e-12)
+        assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
+    # The relative-interior LP has no singleton row and no two-sided
+    # bound, so it pivots as the plain two-phase simplex did: the witness
+    # is pinned from that solver, bit for bit, and so is its 10 pivots.
+    outcomes = []
+    lp_solve = polyhedra.lp_solve
+
+    def recorded(*args, **kwargs):
+        outcomes.append(lp_solve(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(polyhedra, "lp_solve", recorded)
+    rng = np.random.default_rng(11)
+    points, rays = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    z = np.full(3, 1.0 / 3.0) @ points + np.full(2, 0.5) @ rays
+    assert sq.vrep_ri_membership(sq.GeneratorSet(4, points, rays), z)
+    (out,) = outcomes
+    pinned = ["0x1.5555555555555p-2", "0x1.5555555555558p-2",
+              "0x1.5555555555554p-2", "0x1.0000000000003p-1",
+              "0x1.ffffffffffffep-2", "0x1.5555555555555p-2"]
+    assert [float(v).hex() for v in out.witness] == pinned
+    assert out.pivots == 10
+
+
+def test_lp_pivot_count_on_a_general_polyhedron():
+    # 3,010 pivots when the box rows were tableau rows
+    rng = np.random.default_rng(5)
+    P = _h_polyhedron(rng, 80)
+    c = rng.standard_normal(80)
+    out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq)
+    assert out.status is sq.LPStatus.OPTIMAL
+    assert out.pivots == 1479
+    assert P.max_violation(out.witness) <= 1e-9
+    assert out.duality_gap <= 1e-9 * (1.0 + abs(out.value))

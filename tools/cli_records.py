@@ -15,8 +15,10 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
 Each run's stdout, stderr and exit code go into OUT, keyed by its
 argument list.  The pool's temporary directory is written as `<pool>`
 and DIR as `<repo>`, so records of two checkouts compare line for line.
-`diff` prints every run whose output or exit code differs, and exits 1
-when any does.
+`diff` prints every run whose output or exit code differs, then a tally
+of the changed runs by key (the text before ` = ` or `: ` of each
+changed line, `exit` for an exit code), and exits 1 when any run
+differs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 POOL_SEEDS = (101, 102, 103)
 SELFTEST_SEEDS = (0, 7)
@@ -118,6 +121,7 @@ def diff(old_path: str, new_path: str) -> int:
     with open(new_path, encoding="utf-8") as fh:
         new = json.load(fh)
     changed = 0
+    tally = Counter()
     for key in sorted(set(old) | set(new)):
         a, b = old.get(key), new.get(key)
         if a == b:
@@ -127,17 +131,34 @@ def diff(old_path: str, new_path: str) -> int:
         if a is None or b is None:
             print("only in " + (new_path if a is None else old_path))
             continue
+        keys = set()
         if a["exit"] != b["exit"]:
             print(f"exit {a['exit']} -> {b['exit']}")
+            keys.add("exit")
         for stream in ("stdout", "stderr"):
             lines = difflib.unified_diff(
                 a[stream].splitlines(), b[stream].splitlines(),
                 f"old {stream}", f"new {stream}", n=0, lineterm="")
             for line in lines:
-                if not line.startswith("@@"):
-                    print(line)
+                if line.startswith("@@"):
+                    continue
+                print(line)
+                if not line.startswith(("---", "+++")):
+                    keys.add(_line_key(line[1:]))
+        tally.update(keys)
     print(f"{changed} of {len(set(old) | set(new))} runs differ")
+    for key, count in sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"{key}: {count}")
     return 1 if changed else 0
+
+
+def _line_key(line: str) -> str:
+    """The key of an output line: the text before ` = ` (a report line)
+    or `: ` (a message), else the whole line."""
+    for sep in (" = ", ": "):
+        if sep in line:
+            return line.split(sep, 1)[0].strip()
+    return line.strip()
 
 
 def main(argv=None) -> int:
