@@ -25,6 +25,7 @@ from .polyhedra import (
     min_norm_weighted,
     _as_matrix,
     _as_vector,
+    _min_norm_normal_cone,
 )
 
 DEFAULT_TOL_ACTIVE = 1e-8
@@ -196,12 +197,12 @@ def activity_pattern(g: PolyhedralFunction, x) -> ActivityPattern:
         vals = g.pieces_A @ x + g.pieces_b
         gaps = float(np.max(vals)) - vals
         active_pieces = np.nonzero(gaps <= DEFAULT_TOL_ACTIVE)[0].tolist()
-        degenerate |= bool(np.any((gaps > DEFAULT_TOL_ACTIVE)
-                                  & (gaps <= 10.0 * DEFAULT_TOL_ACTIVE)))
+        degenerate |= bool(((gaps > DEFAULT_TOL_ACTIVE)
+                            & (gaps <= 10.0 * DEFAULT_TOL_ACTIVE)).any())
     slacks = g.domain.b_ineq - g.domain.A_ineq @ x
     active_rows = np.nonzero(slacks <= DEFAULT_TOL_ACTIVE)[0].tolist()
-    degenerate |= bool(np.any((slacks > DEFAULT_TOL_ACTIVE)
-                              & (slacks <= 10.0 * DEFAULT_TOL_ACTIVE)))
+    degenerate |= bool(((slacks > DEFAULT_TOL_ACTIVE)
+                        & (slacks <= 10.0 * DEFAULT_TOL_ACTIVE)).any())
     return ActivityPattern(tuple(active_pieces), tuple(active_rows),
                            degenerate)
 
@@ -217,6 +218,9 @@ class LocalModel:
     domain; its generator matrix G; grad f(x) (f is None when only g is
     modelled); and the phi min-norm pair (dist(0, subdiff phi(x)), argmin
     z in S of ||grad + z||), read by phi_residual and phi_stationary.
+    When g is the indicator of a box or simplex, the min-norm pairs (this
+    one and the lifted one) are closed forms read off the active rows, so
+    S and G are built only for the LPs and membership checks that use them.
     """
 
     def __init__(self, g: PolyhedralFunction, f, x, tol: float = DEFAULT_TOL):
@@ -254,9 +258,21 @@ class LocalModel:
     def grad(self) -> np.ndarray:
         return self.f.grad(self.x)
 
+    def _min_norm(self, weights) -> tuple[float, np.ndarray]:
+        """min ||weights o (grad + z)|| over z in S, and its minimizer:
+        in closed form from the active rows when g is the indicator of a
+        box or simplex, with neither S nor G built; by the QP otherwise."""
+        g = self.g
+        if g.n_pieces == 0 and g.domain.shape.kind != "general":
+            if not self.in_domain:
+                raise self._outside()
+            return _min_norm_normal_cone(g.domain, self.pattern.active_rows,
+                                        self.grad, weights)
+        return min_norm_weighted(self.S, self.grad, weights)
+
     @cached_property
     def phi_min_norm(self) -> tuple[float, np.ndarray]:
-        return min_norm_weighted(self.S, self.grad, np.ones(self.g.n))
+        return self._min_norm(np.ones(self.g.n))
 
     @property
     def phi_residual(self) -> float:

@@ -13,6 +13,8 @@ reaches its upper one by a bound flip, not through an extra row
 (Dantzig 1955; Bland 1977).  The QP solver is a primal active-set
 method with smallest-index tie breaking that solves each working-set KKT
 system by LU, and by least squares only when that system is singular.
+On a box or simplex, projection and the weighted min-norm over a normal
+cone are closed forms instead (clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
 implementation favours exactness and reproducibility over speed.
 """
@@ -51,7 +53,7 @@ def _as_matrix(rows, n: int, name: str) -> np.ndarray:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != n:
         raise DimensionMismatch(f"{name}: expected shape (*, {n}), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionMismatch(f"{name}: entries must be finite")
     return a
 
@@ -62,9 +64,9 @@ def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
     a = np.asarray(v, dtype=float).ravel()
     if a.size != m:
         raise DimensionMismatch(f"{name}: expected length {m}, got {a.size}")
-    if not allow_inf and not np.all(np.isfinite(a)):
+    if not allow_inf and not np.isfinite(a).all():
         raise DimensionMismatch(f"{name}: entries must be finite")
-    if allow_inf and np.any(np.isnan(a)):
+    if allow_inf and np.isnan(a).any():
         raise DimensionMismatch(f"{name}: NaN entries are not allowed")
     return a
 
@@ -386,7 +388,8 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     """Maximize <c, z> over bounds and linear rows.
 
     lower/upper are per-variable bounds and may contain -inf/+inf (the
-    default is fully free).  Rows with one nonzero become bounds by
+    default is fully free); a lower bound of +inf or an upper bound of
+    -inf is an empty set.  Rows with one nonzero become bounds by
     _tightest_bounds (the rule of Polyhedron.shape, at tol); bounds
     crossed beyond it, or a zero row with b < 0, are infeasible.  The
     simplex keeps x = z - lower in [0, upper - lower] by bound flips,
@@ -395,7 +398,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
-    if n == 0 or not np.all(np.isfinite(c)):
+    if n == 0 or not np.isfinite(c).all():
         raise DimensionMismatch("objective must be a nonempty finite vector")
     lower = (np.full(n, -_INF) if lower is None
              else _as_vector(lower, n, "lower", allow_inf=True))
@@ -405,6 +408,8 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     b_eq = _as_vector(b_eq, A_eq.shape[0], "b_eq")
     A_ineq = _as_matrix(A_ineq, n, "A_ineq")
     b_ineq = _as_vector(b_ineq, A_ineq.shape[0], "b_ineq")
+    if (lower == _INF).any() or (upper == -_INF).any():
+        return LPOutcome(LPStatus.INFEASIBLE, -_INF)
     A_in, b_in = A_ineq, b_ineq
     nnz = np.count_nonzero(A_ineq, axis=1)
     if (nnz <= 1).any() or (lower > upper).any():
@@ -741,6 +746,52 @@ def _project_simplex(x: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(x - excess[rho] / (rho + 1), 0.0)
 
 
+def _min_norm_normal_cone(P: Polyhedron, rows, shift,
+                         weights) -> tuple[float, np.ndarray]:
+    """min_norm_weighted over z in cone(rows of P.A_ineq) + span(P.A_eq),
+    the normal cone of a box or simplex P at a point whose active rows
+    are rows, in closed form.
+
+    Box: an active row c e_i allows z_i >= 0 if c > 0 and z_i <= 0 if
+    c < 0 (both: a fixed coordinate), so z_i clips -shift_i into that
+    range, or is 0 at weight zero.  Simplex: z = t 1 - mu with mu_i =
+    max(shift_i + t, 0) on the coordinates of active rows, 0 elsewhere;
+    t minimizes a convex piecewise quadratic whose breakpoints -shift_i
+    are scanned in sorted order, as in _project_simplex (t = 0 when
+    every weight is 0).  The value is unique, and z too when every
+    weight is positive.
+    """
+    shift = _as_vector(shift, P.n, "shift")
+    weights = _as_vector(weights, P.n, "weights")
+    A = P.A_ineq[list(rows)]
+    col = np.argmax(A != 0.0, axis=1)
+    if P.shape.kind == "box":
+        coef = A[np.arange(col.size), col]
+        lo, hi = np.zeros(P.n), np.zeros(P.n)
+        lo[col[coef < 0.0]] = -_INF
+        hi[col[coef > 0.0]] = _INF
+        z = np.where(weights != 0.0, np.clip(-shift, lo, hi), 0.0)
+    else:
+        active = np.zeros(P.n, dtype=bool)
+        active[col] = True
+        w2, free = weights * weights, ~active
+        order = np.argsort(shift[active], kind="stable")
+        s, w2a = shift[active][order], w2[active][order]
+        # half the slope in t is slope[k] t + offset[k] between the k-th
+        # and (k+1)-th largest breakpoints, where only the free
+        # coordinates and the k smallest active shifts leave a residual
+        slope = w2[free].sum() + np.concatenate([[0.0], np.cumsum(w2a)])
+        offset = w2[free] @ shift[free] \
+            + np.concatenate([[0.0], np.cumsum(w2a * s)])
+        k = np.count_nonzero(offset[1:] - slope[1:] * s > 0.0)
+        if slope[k] > 0.0:
+            t = -offset[k] / slope[k]
+        else:                  # flat from the largest breakpoint on
+            t = -s[0] if w2.any() else 0.0
+        z = t - np.where(active, np.maximum(shift + t, 0.0), 0.0)
+    return float(np.linalg.norm(weights * (shift + z))), z
+
+
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     """Euclidean projection of x onto P.
 
@@ -756,7 +807,7 @@ def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
         start = _as_vector(start, P.n, "start")
     shape = P.shape
     if shape.kind == "box":
-        if np.any(shape.lower > shape.upper):
+        if (shape.lower > shape.upper).any():
             raise InfeasiblePolyhedron("polyhedron has no feasible point")
         return np.minimum(np.maximum(x, shape.lower), shape.upper)
     if shape.kind == "simplex":

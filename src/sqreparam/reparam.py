@@ -30,7 +30,7 @@ from .polyfunc import (
     PolyhedralFunction,
     phi_value,
 )
-from .polyhedra import DEFAULT_TOL, check_tol, min_norm_weighted, _as_vector
+from .polyhedra import DEFAULT_TOL, check_tol, _as_vector
 
 DEFAULT_TOL_SUPPORT = 1e-8
 
@@ -92,8 +92,7 @@ class LiftedPoint(LocalModel):
     @cached_property
     def lifted_residual(self) -> float:
         """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
-        value, _ = min_norm_weighted(self.S, self.grad, np.abs(self.y))
-        return 2.0 * value
+        return 2.0 * self._min_norm(np.abs(self.y))[0]
 
 
 def _lift(g: PolyhedralFunction, f, y, tol_support: float,

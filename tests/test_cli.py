@@ -303,9 +303,10 @@ def _count_grads(monkeypatch):
 
 def test_certify_builds_one_local_model(monkeypatch, capsys):
     # one point, one model: one activity pass builds subdiff g(y*y) inside
-    # the model (not through the g_subdiff wrapper), grad f is evaluated
-    # once, and the weighted min-norm QP runs for the lifted residual, the
-    # phi residual and the membership check of the multiplier, once each
+    # the model (not through the g_subdiff wrapper) and grad f is evaluated
+    # once; on the orthant the lifted and the phi residual are closed
+    # forms, so the weighted min-norm QP runs only for the membership
+    # check of the multiplier
     subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
@@ -313,7 +314,7 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     grads = _count_grads(monkeypatch)
     assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
     assert "consistent = True" in capsys.readouterr().out
-    assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 3)
+    assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 1)
     assert (len(grads), len(lps)) == (1, 11)
 
 
@@ -327,14 +328,30 @@ def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,
     assert len(qps) == 0
 
 
+def test_kl_fit_on_box_and_simplex_runs_no_min_norm_qp(monkeypatch, capsys,
+                                                       tmp_path):
+    # every residual of the scatter is a closed form on these domains
+    box = tmp_path / "box2.json"
+    box.write_text(json.dumps({
+        "n": 2, "f": {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [-2.0, -0.5]},
+        "g": {"domain": {"A_ineq": [[1.0, 0.0], [0.0, 1.0]],
+                         "b_ineq": [1.0, 1.0]}}}))
+    qps = _count_calls(monkeypatch, sq.min_norm_weighted)
+    assert main(["kl-fit", str(box), "--y=1,0.70710678118654757"]) == 0
+    assert main(["kl-fit", str(PROBLEMS / "simplex2.json"), "--y=1,0"]) == 0
+    assert capsys.readouterr().out.count("alpha_hat = ") == 2
+    assert len(qps) == 0
+
+
 def test_strict_comp_builds_one_local_model(monkeypatch, capsys):
-    # the stationarity test and the relative-interior test read one model
+    # the stationarity test and the relative-interior test read one model;
+    # the phi residual on the half-line is a closed form, not a QP
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
     grads = _count_grads(monkeypatch)
     assert main(["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1"]) == 0
     assert "strict_complementarity = True" in capsys.readouterr().out
-    assert (len(patterns), len(grads), len(qps)) == (1, 1, 1)
+    assert (len(patterns), len(grads), len(qps)) == (1, 1, 0)
 
 
 def test_strict_comp_subcommand(capsys):

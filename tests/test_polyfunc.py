@@ -158,3 +158,75 @@ def test_composite_problem_dimension_guard():
     g = sq.PolyhedralFunction.orthant_indicator(3)
     with pytest.raises(sq.DimensionMismatch):
         sq.CompositeProblem(f, g)
+
+
+def _shaped_problem(kind):
+    """A quadratic on an orthant, a box or a scaled simplex, and a lifted
+    point with coordinates at zero, inside and (box) at upper bounds."""
+    rng = np.random.default_rng(len(kind))
+    n = 4
+    M = rng.standard_normal((n, n))
+    f = sq.SmoothQuadratic(M @ M.T, rng.standard_normal(n))
+    if kind == "orthant":
+        g = sq.PolyhedralFunction.orthant_indicator(n)
+        x = np.array([0.0, 1.2, 0.0, 0.7])
+    elif kind == "box":
+        upper = np.array([1.0, 2.0, 1.5, 3.0])
+        g = sq.PolyhedralFunction.indicator(sq.Polyhedron.box(np.zeros(n),
+                                                              upper))
+        x = np.array([0.0, 2.0, 0.5, 3.0])
+    else:
+        g = sq.PolyhedralFunction.indicator(sq.Polyhedron(
+            n, A_ineq=-2.0 * np.eye(n), b_ineq=np.zeros(n),
+            A_eq=3.0 * np.ones((1, n)), b_eq=[4.5]))
+        x = np.array([0.0, 0.5, 1.0, 0.0])
+    return sq.CompositeProblem(f, g), np.sqrt(x) * [1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("kind", ["orthant", "box", "simplex"])
+def test_local_model_min_norm_is_closed_form_on_box_and_simplex(
+        monkeypatch, kind):
+    # the lifted and the phi residual are read off the active rows: no
+    # QP runs and S is never built; both agree with the QP on S
+    p, y = _shaped_problem(kind)
+    assert p.g.domain.shape.kind == ("simplex" if kind == "simplex" else "box")
+    qps = []
+    monkeypatch.setattr(sq.polyfunc, "min_norm_weighted",
+                        lambda *args: qps.append(args))
+    pt = sq.lift_point(p, y)
+    lifted, phi, z = pt.lifted_residual, pt.phi_residual, pt.phi_min_norm[1]
+    assert qps == [] and "S" not in vars(pt) and "G" not in vars(pt)
+    for weights, value in ((np.abs(y), 0.5 * lifted), (np.ones(p.n), phi)):
+        qp_value, qp_z = sq.min_norm_weighted(pt.S, pt.grad, weights)
+        scale = 1.0 + np.linalg.norm(weights * pt.grad)
+        assert abs(value - qp_value) <= 1e-14 * scale
+    assert np.abs(z - qp_z).max() <= 1e-12 * (1.0 + np.abs(pt.grad).max())
+
+
+def test_local_model_min_norm_keeps_the_qp_for_pieces(monkeypatch):
+    calls = []
+    qp = sq.polyfunc.min_norm_weighted
+
+    def counted(*args):
+        calls.append(args)
+        return qp(*args)
+
+    monkeypatch.setattr(sq.polyfunc, "min_norm_weighted", counted)
+    g = sq.PolyhedralFunction.max_of_pieces(
+        [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)],
+        sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0]))
+    p = sq.CompositeProblem(sq.SmoothQuadratic(np.eye(2), -np.ones(2)), g)
+    pt = sq.lift_point(p, [0.5, 0.5])
+    pt.lifted_residual, pt.phi_residual
+    assert len(calls) == 2
+
+
+def test_local_model_min_norm_outside_the_domain_raises():
+    p, _ = _shaped_problem("box")
+    with pytest.raises(sq.OutOfLiftedDomain):
+        sq.lift_point(p, [0.0, 0.0, 0.0, 2.0]).lifted_residual
+    with pytest.raises(sq.OutOfDomain):
+        sq.LocalModel(p.g, p.f, [0.0, 0.0, 0.0, 4.0]).phi_residual
+    p, _ = _shaped_problem("simplex")
+    with pytest.raises(sq.OutOfDomain):
+        sq.LocalModel(p.g, p.f, [0.0, 0.0, 0.0, 1.0]).phi_residual

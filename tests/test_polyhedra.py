@@ -1,5 +1,8 @@
 """Unit tests for the polyhedral kernels: LP, projection, generator sets."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -217,6 +220,156 @@ def test_min_norm_weighted_with_more_generators_than_coordinates():
         g = w * w * (shift + z)
         assert sq.vrep_support(S, -g) <= float(-g @ z) + 1e-9
         assert grid_min_norm(S, shift, w) >= val - 1e-9
+
+
+# Closed-form min-norm over the normal cone of a box or simplex, checked
+# against an exact rational reference and against the QP on the
+# generator set of the same rows.
+
+
+def _exact_normal_cone_min_norm(P, rows, shift, weights):
+    """min ||weights o (shift + z)|| over z in cone(rows) + span(A_eq),
+    computed in rationals from the float inputs and rounded once."""
+    n = P.n
+    s = [Fraction(v) for v in shift]
+    w2 = [Fraction(v) ** 2 for v in weights]
+    col = [int(np.flatnonzero(P.A_ineq[r])[0]) for r in rows]
+    if P.shape.kind == "box":
+        up = {i for r, i in zip(rows, col) if P.A_ineq[r, i] > 0.0}
+        down = {i for r, i in zip(rows, col) if P.A_ineq[r, i] < 0.0}
+        # z_i clips -s_i into the allowed half-lines; the residual is
+        # zero when -s_i lies in one of them, s_i otherwise
+        return math.sqrt(sum(
+            w2[i] * s[i] ** 2 for i in range(n)
+            if not ((s[i] <= 0 and i in up) or (s[i] >= 0 and i in down))))
+    # simplex: z = t 1 - mu with mu >= 0 on the active coordinates; on
+    # each interval between breakpoints -s_i the objective in t is one
+    # quadratic, minimized over the closed interval
+    active = set(col)
+    edges = [None] + sorted({-s[i] for i in active}) + [None]
+    best = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        keep = [i for i in range(n)
+                if i not in active or (hi is not None and -s[i] >= hi)]
+        a = sum(w2[i] for i in keep)
+        t = -sum(w2[i] * s[i] for i in keep) / a if a else Fraction(0)
+        t = t if lo is None else max(t, lo)
+        t = t if hi is None else min(t, hi)
+        value = sum(w2[i] * (s[i] + t) ** 2 for i in keep)
+        best = value if best is None else min(best, value)
+    return math.sqrt(best)
+
+
+def _shaped_domain(kind, n, rng):
+    """A box or simplex domain written with scaled and duplicated rows,
+    and a point of it with the designed activity."""
+    if kind == "orthant":
+        x = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.5, 2.0, n))
+        return sq.Polyhedron.nonneg_orthant(n), x
+    if kind == "box":
+        # rows c_i x_i <= c_i u_i and -d_i x_i <= 0, the first half of
+        # them written twice at another scale, and x_0 fixed at u_0 by a
+        # row -x_0 <= -u_0; x at 0, inside or at u per coordinate
+        u = rng.uniform(1.0, 2.0, n)
+        c, d = rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n)
+        A = np.vstack([np.diag(c), -np.diag(d)])
+        b = np.concatenate([c * u, np.zeros(n)])
+        half = np.arange(0, 2 * n, 2)
+        fixed = np.zeros(n)
+        fixed[0] = -1.0
+        A = np.vstack([A, 3.0 * A[half], fixed])
+        b = np.concatenate([b, 3.0 * b[half], [-u[0]]])
+        state = rng.integers(0, 3, n)
+        state[0] = 2
+        x = np.where(state == 0, 0.0,
+                     np.where(state == 1, rng.uniform(0.2, 0.8, n) * u, u))
+        return sq.Polyhedron(n, A_ineq=A, b_ineq=b), x
+    # simplex {x >= 0, sum x = total}: rows -c_i x_i <= 0, the one of x_0
+    # written twice, and the equality row scaled by -2.5
+    total = rng.uniform(0.5, 2.0)
+    A = np.vstack([-np.diag(rng.uniform(0.1, 10.0, n)), -4.0 * np.eye(1, n)])
+    support = rng.random(n) < 0.5
+    support[rng.integers(0, n)] = True
+    x = np.where(support, rng.uniform(0.3, 1.0, n), 0.0)
+    x *= total / x.sum()
+    P = sq.Polyhedron(n, A_ineq=A, b_ineq=np.zeros(n + 1),
+                      A_eq=-2.5 * np.ones((1, n)), b_eq=[-2.5 * total])
+    return P, x
+
+
+@pytest.mark.parametrize("kind", ["orthant", "box", "simplex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 80])
+@pytest.mark.parametrize("weighting", ["ones", "random", "zeros"])
+def test_normal_cone_min_norm_matches_exact_and_qp(kind, n, weighting):
+    rng = np.random.default_rng([n, len(kind), len(weighting)])
+    for _ in range(3):
+        P, x = _shaped_domain(kind, n, rng)
+        assert P.shape.kind == ("simplex" if kind == "simplex" else "box")
+        rows = np.flatnonzero(P.b_ineq - P.A_ineq @ x <= 1e-8).tolist()
+        shift = rng.standard_normal(n)
+        w = {"ones": np.ones(n), "random": rng.uniform(0.0, 2.0, n),
+             "zeros": np.where(rng.random(n) < 0.3, 0.0,
+                               rng.uniform(0.0, 2.0, n))}[weighting]
+        value, z = polyhedra._min_norm_normal_cone(P, rows, shift, w)
+        scale = 1.0 + np.linalg.norm(w * shift)
+        exact = _exact_normal_cone_min_norm(P, rows, shift, w)
+        assert abs(value - exact) <= 1e-14 * scale
+        S = sq.GeneratorSet(n, np.zeros((1, n)), P.A_ineq[rows], P.A_eq)
+        qp_value, qp_z = sq.min_norm_weighted(S, shift, w)
+        assert abs(value - qp_value) <= 1e-14 * scale
+        assert value == np.linalg.norm(w * (shift + z))
+        assert sq.vrep_membership(S, z, 1e-12 * (1.0 + np.abs(z).max()))
+        if w.all():                      # then the minimizer is unique
+            assert np.abs(z - qp_z).max() <= 1e-12 * (1.0 + np.abs(shift).max())
+
+
+def test_normal_cone_min_norm_where_the_qp_multiplier_band_stops_early():
+    # every orthant row active: z = -(mu_0, mu_1, mu_2) with mu >= 0, so
+    # the minimum is |shift_2| = 2e-6.  The QP keeps mu_1 = 0 because
+    # its multiplier, -9e-7, lies inside the band 1e-9 (1 + max|c|) =
+    # 1e-6, and returns a value 1.9e-10 (1 + ||w o shift||) too large
+    P = sq.Polyhedron.nonneg_orthant(3)
+    shift, w = np.array([1e3, 9e-7, -2e-6]), np.ones(3)
+    value, z = polyhedra._min_norm_normal_cone(P, [0, 1, 2], shift, w)
+    assert value == _exact_normal_cone_min_norm(P, [0, 1, 2], shift, w)
+    assert value == 2e-6
+    assert np.array_equal(z, [-1e3, -9e-7, 0.0])
+    scale = 1.0 + np.linalg.norm(shift)
+    qp_value, _ = sq.min_norm_weighted(
+        sq.GeneratorSet(3, np.zeros((1, 3)), P.A_ineq), shift, w)
+    assert qp_value - value > 1e-10 * scale
+
+
+def test_normal_cone_min_norm_simplex_hand_cases():
+    P = sq.Polyhedron.standard_simplex(3)
+    # x = (1, 0, 0): z = t 1 - mu on coordinates 1, 2 absorbs any shift
+    # with shift_0 <= shift_1, shift_2
+    value, z = polyhedra._min_norm_normal_cone(P, [1, 2], [1.0, 3.0, 2.0],
+                                               np.ones(3))
+    assert value == 0.0 and np.array_equal(z, [-1.0, -3.0, -2.0])
+    # nothing active: z = t 1 with t = -mean(shift)
+    value, z = polyhedra._min_norm_normal_cone(P, [], [1.0, 2.0, 6.0],
+                                               np.ones(3))
+    assert np.array_equal(z, [-3.0, -3.0, -3.0])
+    assert value == pytest.approx(np.sqrt(4.0 + 1.0 + 9.0), rel=1e-15)
+    # every weight zero: t = 0, value 0
+    value, z = polyhedra._min_norm_normal_cone(P, [1], [1.0, 2.0, 6.0],
+                                               np.zeros(3))
+    assert value == 0.0 and np.array_equal(z, [0.0, -2.0, 0.0])
+    # the free coordinate weighs nothing: the objective is flat from the
+    # largest breakpoint, 2, on, and t = 2 zeroes both active residuals
+    value, z = polyhedra._min_norm_normal_cone(P, [1, 2], [5.0, -1.0, -2.0],
+                                               [0.0, 1.0, 1.0])
+    assert value == 0.0 and np.array_equal(z, [2.0, 1.0, 2.0])
+
+
+def test_normal_cone_min_norm_box_zero_weight_gets_zero():
+    # x = (1, 0) on [0, 1]^2: z_0 >= 0 and z_1 <= 0; weight 0 on
+    # coordinate 0 leaves z_0 = 0 (the QP pins that ray to 0 too)
+    P = sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+    value, z = polyhedra._min_norm_normal_cone(P, [0, 3], [-1.0, 2.0],
+                                               [0.0, 1.0])
+    assert value == 0.0 and np.array_equal(z, [0.0, -2.0])
 
 
 # Closed-form projections: boxes (the orthant included) and simplices are
@@ -506,6 +659,19 @@ def test_bounds_crossed_by_rounding_fix_the_variable():
 ])
 def test_lp_infeasible_rows_and_bounds(kwargs):
     out = sq.lp_solve(np.ones(2), **kwargs)
+    assert out.status is sq.LPStatus.INFEASIBLE
+    assert out.value == -np.inf
+
+
+@pytest.mark.parametrize("c, kwargs", [
+    ([1.0], dict(lower=[np.inf], upper=[np.inf])),
+    ([-1.0], dict(lower=[np.inf])),
+    ([1.0], dict(upper=[-np.inf])),
+])
+def test_lp_infinite_bounds_on_the_wrong_side_are_empty(c, kwargs):
+    # z >= +inf and z <= -inf admit no real z; read as "no bound" they
+    # gave UNBOUNDED
+    out = sq.lp_solve(c, **kwargs)
     assert out.status is sq.LPStatus.INFEASIBLE
     assert out.value == -np.inf
 

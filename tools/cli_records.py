@@ -9,6 +9,10 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
 * `certify FILE --y Y` for every record of `gen.certify_pool` at seeds
   101-103 (shipped points included), and `strict-comp FILE --x Y*Y`
   for each of them;
+* `kl-fit FILE --y Y` and `certify FILE --y Y` at Y = sqrt(xbar) on
+  the box and simplex problems of `gen.kl_plan(101)` cycle 0, written
+  to the pool's directory: their stationary points put coordinates at
+  upper bounds and on simplex faces, which no shipped problem does;
 * a fixed list of `kl-fit` and `solve` runs on `problems/`;
 * `selftest` at seeds 0 and 7.
 
@@ -35,6 +39,7 @@ from collections import Counter
 
 POOL_SEEDS = (101, 102, 103)
 SELFTEST_SEEDS = (0, 7)
+KL_PLAN_SEED = 101
 
 KL_FIT = (
     ("quartic1", "--y=0"),
@@ -76,6 +81,14 @@ def _runs(repo, pool_dir):
     sys.path.insert(0, os.path.join(repo, "perfbench"))
     import gen
 
+    for name, d, xbar in _kl_plan_problems(gen):
+        path = os.path.join(pool_dir, "kl", name + ".json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        y = "--y=" + gen._vec_arg(xbar ** 0.5)
+        yield ["kl-fit", path, y]
+        yield ["certify", path, y]
     problems = os.path.join(repo, "problems")
     for seed in POOL_SEEDS:
         workdir = os.path.join(pool_dir, f"seed{seed}")
@@ -92,6 +105,21 @@ def _runs(repo, pool_dir):
                "--variant", variant, start]
     for seed in SELFTEST_SEEDS:
         yield ["selftest", "--seed", str(seed)]
+
+
+def _kl_plan_problems(gen):
+    """(name, problem dict, xbar) for each distinct box and simplex
+    problem of `gen.kl_plan(KL_PLAN_SEED)` cycle 0, in name order."""
+    found = {}
+    for spec in gen.kl_plan(KL_PLAN_SEED)[0]:
+        name = spec["problem"]
+        if name.startswith(("box", "simplex")) and "-" not in name:
+            domain = {k: v.tolist() for k, v in spec["dom"].items()}
+            d = {"n": len(spec["q"]),
+                 "f": {"Q": spec["Q"].tolist(), "q": spec["q"].tolist()},
+                 "g": {"domain": domain}}
+            found[name] = (name, d, spec["xbar"])
+    return [found[name] for name in sorted(found)]
 
 
 def record(repo: str, out_path: str) -> int:
