@@ -101,6 +101,10 @@ def strict_complementarity(p: CompositeProblem, xbar,
 # Scatter sampling and exponent estimation
 # ---------------------------------------------------------------------------
 
+_N_BINS = 12          # log-spaced gap bins of the envelope fit
+_MIN_BINS = 8         # nonempty bins (and samples) a fit needs at least
+_VERDICT_TOL = 0.05   # largest |alpha_hat - predicted| a verdict accepts
+
 
 @dataclass(frozen=True)
 class ScatterConfig:
@@ -116,10 +120,7 @@ class ScatterConfig:
     delta_max: float = 1e-2
     n_radii: int = 64
     n_dirs: int = 32
-    n_bins: int = 12
-    min_bins: int = 8
     seed: int = 0
-    verdict_tol: float = 0.05
 
     def __post_init__(self):
         if not (0.0 < self.delta_min < self.delta_max):
@@ -128,8 +129,6 @@ class ScatterConfig:
             raise InvalidRange("delta_max must be finite")
         if self.n_radii < 2 or self.n_dirs < 1:
             raise InvalidRange("need at least 2 radii and 1 direction")
-        if self.n_bins < self.min_bins or self.min_bins < 2:
-            raise InvalidRange("need n_bins >= min_bins >= 2")
         if self.seed < 0:
             raise InvalidRange(f"seed must be nonnegative, got {self.seed}")
 
@@ -203,8 +202,8 @@ class KLFitReport:
 
     alpha_hat is the fitted slope of log residual against log gap over
     the per-bin minima.  predicted/verdict are filled when transfer
-    inputs were supplied; the verdict tolerance comes from the sampling
-    config.
+    inputs were supplied; the verdict holds when |alpha_hat - predicted|
+    is at most 0.05.
     """
 
     alpha_hat: float
@@ -237,29 +236,29 @@ def estimate_exponent(p: CompositeProblem, ybar,
     residuals = samples[:, 1]
     keep = residuals > 0.0
     gaps, residuals = gaps[keep], residuals[keep]
-    if gaps.size < config.min_bins:
+    if gaps.size < _MIN_BINS:
         raise InsufficientSamples("too few positive-residual samples")
 
     log_g = np.log10(gaps)
     log_r = np.log10(residuals)
-    edges = np.linspace(log_g.min(), log_g.max(), config.n_bins + 1)
+    edges = np.linspace(log_g.min(), log_g.max(), _N_BINS + 1)
     edges[-1] += 1e-12
     minima = []
-    for b in range(config.n_bins):
+    for b in range(_N_BINS):
         mask = (log_g >= edges[b]) & (log_g < edges[b + 1])
         if not mask.any():
             continue
         i = np.nonzero(mask)[0][np.argmin(log_r[mask])]
         minima.append((float(log_g[i]), float(log_r[i])))
-    if len(minima) < config.min_bins:
+    if len(minima) < _MIN_BINS:
         raise InsufficientSamples(
-            f"only {len(minima)} nonempty bins, need {config.min_bins}")
+            f"only {len(minima)} nonempty bins, need {_MIN_BINS}")
 
     slope, r_squared = _line_fit(np.array([m[0] for m in minima]),
                                  np.array([m[1] for m in minima]))
 
     predicted = predict_exponent(inputs) if inputs is not None else None
-    verdict = (bool(abs(slope - predicted) <= config.verdict_tol)
+    verdict = (bool(abs(slope - predicted) <= _VERDICT_TOL)
                if predicted is not None else None)
     return KLFitReport(float(slope), r_squared, int(samples.shape[0]),
                        len(minima), (float(gaps.min()), float(gaps.max())),

@@ -383,14 +383,13 @@ def _run_simplex(T: np.ndarray, basis: list, cost: np.ndarray,
 
 
 def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
-             A_ineq=None, b_ineq=None, *,
-             tol: float = DEFAULT_TOL) -> LPOutcome:
+             A_ineq=None, b_ineq=None) -> LPOutcome:
     """Maximize <c, z> over bounds and linear rows.
 
     lower/upper are per-variable bounds and may contain -inf/+inf (the
     default is fully free); a lower bound of +inf or an upper bound of
     -inf is an empty set.  Rows with one nonzero become bounds by
-    _tightest_bounds (the rule of Polyhedron.shape, at tol); bounds
+    _tightest_bounds (the rule of Polyhedron.shape, at DEFAULT_TOL); bounds
     crossed beyond it, or a zero row with b < 0, are infeasible.  The
     simplex keeps x = z - lower in [0, upper - lower] by bound flips,
     not by rows.  Returns an LPOutcome; the witness is the
@@ -414,7 +413,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     nnz = np.count_nonzero(A_ineq, axis=1)
     if (nnz <= 1).any() or (lower > upper).any():
         lower, upper = _tightest_bounds(A_ineq[nnz == 1], b_ineq[nnz == 1],
-                                        lower, upper, tol)
+                                        lower, upper)
         if np.any(lower > upper) or np.any(b_ineq[nnz == 0] < 0.0):
             return LPOutcome(LPStatus.INFEASIBLE, -_INF)
         A_in, b_in = A_ineq[nnz > 1], b_ineq[nnz > 1]
@@ -470,7 +469,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     if status != "optimal":
         raise NumericalFailure("phase-1 simplex reported unbounded")
     infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
-    if infeas > tol * scale:
+    if infeas > DEFAULT_TOL * scale:
         return LPOutcome(LPStatus.INFEASIBLE, -_INF, pivots=pivots)
     # Drive artificials out of the basis; rows that resist are redundant.
     keep = np.ones(m, dtype=bool)
@@ -670,7 +669,7 @@ def vrep_membership(S: GeneratorSet, z, tol: float = DEFAULT_TOL) -> bool:
     return value <= tol
 
 
-def vrep_ri_membership(S: GeneratorSet, z, *, tol: float = DEFAULT_TOL) -> bool:
+def vrep_ri_membership(S: GeneratorSet, z) -> bool:
     """True iff z lies in the relative interior of S.
 
     Decided by the LP  max t  s.t.  z is a generator combination whose
@@ -678,7 +677,7 @@ def vrep_ri_membership(S: GeneratorSet, z, *, tol: float = DEFAULT_TOL) -> bool:
     list (redundant generators included) the relative interior is
     exactly the set of combinations with strictly positive coefficients
     on every listed point and ray, so ri membership is optimal t > 0;
-    the threshold used is ``tol``.
+    the threshold used is DEFAULT_TOL.
     """
     if S.is_empty:
         raise EmptySet("relative-interior query on an empty generator set")
@@ -707,7 +706,7 @@ def vrep_ri_membership(S: GeneratorSet, z, *, tol: float = DEFAULT_TOL) -> bool:
         return False
     if out.status is LPStatus.UNBOUNDED:
         raise NumericalFailure("relative-interior LP cannot be unbounded")
-    return out.value > tol
+    return out.value > DEFAULT_TOL
 
 
 def vrep_support(S: GeneratorSet, w) -> float:

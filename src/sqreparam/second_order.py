@@ -17,8 +17,9 @@ turn equivalent to feasibility of
                                         lambda >= 0 off the support,
 
 another LP.  correspondence_check runs both routes plus the original
-first-order test and fails loudly when the advertised equivalence does
-not hold numerically.
+first-order test, fails loudly when the advertised equivalence does not
+hold numerically, and reports as negative_direction the unit
+off-support direction of least quotient, found by one more LP.
 
 Every LP reads the local model at y (reparam.LiftedPoint), so the
 subdifferential and gradient are built once per point, however many
@@ -49,10 +50,6 @@ from .reparam import DEFAULT_TOL_SUPPORT, LiftedPoint, _lift, lift_point
 
 _INF = float("inf")
 
-# sampled directions that cross-check the second-order LP verdict
-_N_DIRS = 8
-_DIRECTION_SEED = 0
-
 
 @dataclass(frozen=True, eq=False)
 class Multiplier:
@@ -67,32 +64,28 @@ class Multiplier:
     lam: np.ndarray
 
 
+def _slice_rows(pt: LiftedPoint, anchor):
+    """Rows E theta = e of the slice of subdiff g(y*y): the simplex row
+    on the convex block of theta, then G theta = anchor on the support."""
+    E = np.vstack([np.zeros(pt.G.shape[1]), pt.G[pt.sup]])
+    E[0, :pt.S.n_points] = 1.0
+    return E, np.concatenate([np.ones(1), anchor])
+
+
 def _slice_lp(pt: LiftedPoint, anchor, objective=None, A_ineq=None,
               b_ineq=None):
-    """LP over the generator coefficients theta = (lam, mu, nu) of
-    S = subdiff g(y*y), on the slice where G theta equals anchor on the
-    support of y.
-
-    Always includes the simplex row on the convex block and sign
-    constraints on the convex and conic blocks.  A_ineq rows act on
-    theta.  Maximizes objective @ theta (zero objective by default).
-    Returns the LPOutcome.
-    """
-    S, G = pt.S, pt.G
-    K = G.shape[1]
-    simplex_row = np.zeros((1, K))
-    simplex_row[0, :S.n_points] = 1.0
+    """LP over theta on _slice_rows, with theta >= 0 on the convex and
+    conic blocks; A_ineq rows act on theta.  Maximizes objective @ theta
+    (zero by default) and returns the LPOutcome."""
+    S = pt.S
+    E, e = _slice_rows(pt, anchor)
     lower = np.concatenate([np.zeros(S.n_points + S.n_rays),
                             np.full(S.n_lines, -_INF)])
-    c = objective if objective is not None else np.zeros(K)
-    return lp_solve(c, lower, None, np.vstack([simplex_row, G[pt.sup]]),
-                    np.concatenate([np.ones(1), anchor]), A_ineq, b_ineq)
+    c = objective if objective is not None else np.zeros(E.shape[1])
+    return lp_solve(c, lower, None, E, e, A_ineq, b_ineq)
 
 
-def stationarity_multiplier(p: CompositeProblem, y,
-                            tol: float = DEFAULT_TOL,
-                            tol_support: float = DEFAULT_TOL_SUPPORT
-                            ) -> Multiplier | None:
+def stationarity_multiplier(p: CompositeProblem, y) -> Multiplier | None:
     """Multiplier certifying lifted stationarity of y, or None.
 
     Feasibility LP over the generator coefficients of subdiff g(y*y)
@@ -100,7 +93,7 @@ def stationarity_multiplier(p: CompositeProblem, y,
     cross-checked against the lifted residual; disagreement beyond the
     tolerance band raises InconsistencyDetected.
     """
-    pt = lift_point(p, y, tol_support, tol)
+    pt = lift_point(p, y)
     sup, grad = pt.sup, pt.grad
     out = _slice_lp(pt, -grad[sup])
 
@@ -124,9 +117,7 @@ def stationarity_multiplier(p: CompositeProblem, y,
     return None
 
 
-def d2_lifted_g(g: PolyhedralFunction, ybar, v, w,
-                tol: float = DEFAULT_TOL,
-                tol_support: float = DEFAULT_TOL_SUPPORT) -> float:
+def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     """Second subderivative of the lifted polyhedral term.
 
     Evaluated at ybar with multiplier 2 ybar o v, in a direction w that
@@ -136,7 +127,7 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w,
     means +inf, an infeasible one means the supplied v is not a valid
     slice anchor (InfeasibleMultiplier).
     """
-    pt = _lift(g, None, ybar, tol_support, tol)
+    pt = _lift(g, None, ybar, DEFAULT_TOL_SUPPORT, DEFAULT_TOL)
     v = _as_vector(v, g.n, "v")
     w = _as_vector(w, g.n, "w")
     weights = np.zeros(g.n)
@@ -161,10 +152,7 @@ def _d2_objective(p: CompositeProblem, pt: LiftedPoint, v, w) -> float:
     return quad + 2.0 * float(pt.grad @ (w_si * w_si))
 
 
-def d2_lifted_objective_on_SI(p: CompositeProblem, y, w,
-                              tol: float = DEFAULT_TOL,
-                              tol_support: float = DEFAULT_TOL_SUPPORT
-                              ) -> float:
+def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     """Second-order quotient of the full lifted objective on the
     off-support subspace.
 
@@ -173,7 +161,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w,
     subdifferential slice; when a second witness exists the computation
     is repeated and compared.
     """
-    pt = lift_point(p, y, tol_support, tol)
+    pt = lift_point(p, y)
     w = _as_vector(w, p.n, "w")
     mult = stationarity_multiplier(p, pt)
     if mult is None:
@@ -214,6 +202,35 @@ def d2_smooth_orthant_lift(p: CompositeProblem, y, w) -> float:
     return float(2.0 * p.f.grad(x) @ (w * w) + 4.0 * yw @ (p.f.hess(x) @ yw))
 
 
+def _steepest_direction(pt: LiftedPoint, v):
+    """(w, quotient) for the unit off-support w of least second-order
+    quotient at the multiplier v, (None, inf) when all give +inf.  With
+    h(u) = sup over the slice (E, e) at v of <u, (G theta + grad f) on
+    comp> dualized in pi, min h over sum(u) = 1, u >= 0 is the LP
+    min e @ pi + grad_comp @ u  s.t.  G_comp[:, j] @ u <= E[:, j] @ pi
+    (= on lines); w = sqrt(u) and the quotient is 2 min h.  Anchored at
+    -grad f, a rounding residue off the range of G on the support would
+    make the LP unbounded; v = G theta lies in that range."""
+    S, comp, k = pt.S, pt.comp, pt.comp.size
+    E, e = _slice_rows(pt, v[pt.sup])
+    # rows are homogeneous: unit peaks keep the set and keep phase 1 sound
+    rows = np.hstack([pt.G[comp].T, -E.T])
+    rows /= np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
+    signed = S.n_points + S.n_rays
+    A_eq = np.vstack([np.repeat([1.0, 0.0], [k, e.size]), rows[signed:]])
+    out = lp_solve(-np.concatenate([pt.grad[comp], e]),
+                   np.repeat([0.0, -_INF], [k, e.size]), None,
+                   A_eq, np.repeat([1.0, 0.0], [1, S.n_lines]),
+                   rows[:signed], np.zeros(signed))
+    if out.status is LPStatus.INFEASIBLE:
+        return None, _INF
+    if out.status is LPStatus.UNBOUNDED:
+        raise InconsistencyDetected("subdifferential slice at v is empty")
+    w = np.zeros(pt.y.size)
+    w[comp] = np.sqrt(np.maximum(out.witness[:k], 0.0))
+    return w, -2.0 * out.value
+
+
 @dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
     """Joint first/second-order verdict for a lifted candidate.
@@ -222,8 +239,8 @@ class CorrespondenceReport:
     second_order_nonneg_on_SI) == stationary_for_phi; a report with a
     false flag is never returned, the check raises instead.
     witness_lambda is the feasible original-problem multiplier when the
-    second-order LP is feasible; negative_direction is a sampled
-    direction with a negative second-order value when one was found.
+    second-order LP is feasible; otherwise negative_direction is the unit
+    off-support direction of least quotient, found by one LP, if below -tol.
     """
 
     stationary_for_Phi: bool
@@ -234,19 +251,17 @@ class CorrespondenceReport:
     negative_direction: np.ndarray | None = None
 
 
-def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
-                         tol_support: float = DEFAULT_TOL_SUPPORT
-                         ) -> CorrespondenceReport:
+def correspondence_check(p: CompositeProblem, y) -> CorrespondenceReport:
     """Check the lifted/original stationarity correspondence at y.
 
     Route one: lifted first-order multiplier plus second-order
     nonnegativity on the off-support subspace, the latter decided by the
     feasibility LP for a sign-constrained original multiplier.  Route
     two: first-order stationarity of y*y for the original problem.  The
-    two must agree; the second-order LP verdict is additionally
-    cross-validated against sampled directional second-order values.
+    two must agree; the least quotient over unit off-support directions
+    gives the negative direction or cross-checks the second-order LP.
     """
-    pt = lift_point(p, y, tol_support, tol)
+    pt = lift_point(p, y)
     mult = stationarity_multiplier(p, pt)
     lifted_stationary = mult is not None
 
@@ -256,27 +271,13 @@ def correspondence_check(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
     witness_lambda = (grad + pt.S.combine(out.witness)) if second_order else None
 
     negative_direction = None
-    if lifted_stationary:
-        rng = np.random.default_rng(_DIRECTION_SEED)
-        directions = []
-        for i in comp[:_N_DIRS]:
-            e = np.zeros(p.n)
-            e[i] = 1.0
-            directions.append(e)
-        while len(directions) < _N_DIRS and comp.size:
-            d = np.zeros(p.n)
-            d[comp] = rng.standard_normal(comp.size)
-            norm = float(np.linalg.norm(d))
-            if norm > 1e-12:
-                directions.append(d / norm)
-        for w in directions:
-            val = _d2_objective(p, pt, mult.v, w)
-            if second_order and np.isfinite(val) and val < -1e-7 * (1.0 + abs(val)):
-                raise InconsistencyDetected(
-                    f"second-order LP feasible but direction {w} gives "
-                    f"{val:.3e}")
-            if not second_order and np.isfinite(val) and val < -pt.tol:
-                negative_direction = w
+    if lifted_stationary and comp.size:
+        w, val = _steepest_direction(pt, mult.v)
+        if second_order and val < -1e-7 * (1.0 + abs(val)):
+            raise InconsistencyDetected(
+                f"second-order LP feasible but {w} gives {val:.3e}")
+        if not second_order and val < -pt.tol:
+            negative_direction = w
 
     if not lifted_stationary and second_order:
         raise InconsistencyDetected(

@@ -152,6 +152,75 @@ def test_certify_on_a_badly_scaled_instance(tmp_path, capsys):
     assert "consistent = True" in out
 
 
+RESCALED_SPURIOUS = [
+    # record certify-042 of perfbench's gen.certify_pool(101), an
+    # orthant instance with f multiplied by 1e6: -grad f on the support
+    # carries 2e-10 of rounding off the range of the support rows, so a
+    # steepest-direction LP anchored there instead of at the multiplier
+    # is unbounded
+    ({"n": 5,
+      "f": {"Q": [[791166.1243654465, -147945.59781780146,
+                   -165024.60244186645, 422970.8172243735,
+                   -125214.74701030871],
+                  [-147945.59781780146, 840241.5095897557, 250378.18326380622,
+                   -604786.5248945191, -312381.5802507603],
+                  [-165024.60244186645, 250378.18326380622, 597646.4363560993,
+                   -91453.9844575454, 17757.9361612653],
+                  [422970.8172243735, -604786.5248945191, -91453.9844575454,
+                   1922588.1513742486, 455812.47902587516],
+                  [-125214.74701030871, -312381.5802507603, 17757.9361612653,
+                   455812.47902587516, 669902.3276320444]],
+            "q": [648758.442915092, -1151973.1153756715, -1066379.0074395363,
+                  79991.22494086386, -465333.475140831],
+            "r": 0.0},
+      "g": {}},
+     "--y=0,0,-1.3285511218757518,-0,0.80488540026962385"),
+    # record certify-113 of gen.certify_pool(104), a pieces instance
+    # with f + g multiplied by 1e6: point generators of 1e6
+    # beside unit rays; without its rows scaled to unit peak the
+    # steepest-direction LP stops with "phase-1 simplex reported
+    # unbounded"
+    ({"n": 3,
+      "f": {"Q": [[-21060.72067100325, 524428.114363788, -333717.18929408025],
+                  [524428.114363788, 196851.57906520294, -723075.8091212191],
+                  [-333717.18929408025, -723075.8091212191,
+                   -400654.6209837285]],
+            "q": [124949.53501555715, -920684.0593653731, 1005641.9092041897],
+            "r": 0.0},
+      "g": {"pieces": [{"a": [781689.8386953939, 653149.8230414611,
+                              -448348.85260052106],
+                        "b": -1217466.1695646022},
+                       {"a": [-1837477.2127948562, -86609.22214427203,
+                              389239.4529004511],
+                        "b": -61214.42594073324}],
+            "domain": {"A_ineq": [[-0.7670392647443158, 0.699868347212923,
+                                   0.8460251619250608],
+                                  [1.334345421018729, -0.42603640280881855,
+                                   -1.2836935552485402],
+                                  [-2.1224404347408483, 0.1745228717182827,
+                                   -0.31574670190166143],
+                                  [-1.378694078403554, -0.20309189838712266,
+                                   -1.2770489110236456],
+                                  [-1.0637413706620054, 0.09698536807044396,
+                                   -1.3325808579902994]],
+                       "b_ineq": [0.5782977467456666, 1.1558805375235899,
+                                  -0.8053254098326743, -0.8541112084658491,
+                                  -0.3936657463797069]}}},
+     "--y=-0.6822290846535134,1.0226992952136984,0"),
+]
+
+
+@pytest.mark.parametrize("problem, y", RESCALED_SPURIOUS,
+                         ids=["orthant-1e6", "pieces-1e6"])
+def test_certify_rescaled_spurious_points(tmp_path, capsys, problem, y):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(problem))
+    assert main(["certify", str(path), y]) == 0
+    out = capsys.readouterr().out
+    assert "negative_direction = " in out
+    assert "consistent = True" in out
+
+
 def test_certify_with_a_zero_weight_on_a_ray(tmp_path, capsys):
     # f + g of a random instance multiplied by 1e6.  y_3 = 0 gives the
     # ray -e_3 of the subdifferential a zero weight, so its column of the
@@ -250,6 +319,8 @@ SHIPPED_CERTIFICATES = [
      "True", False),
     ("pieces2.json", "0.7071067811865476,0.7071067811865476", "True",
      "[0, 1]", "True", "True", "False", "True", "True", False),
+    ("cone2.json", "0,0", "True", "[]", "True", "False", "False", "False",
+     "True", True),
 ]
 
 
@@ -306,7 +377,8 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     # the model (not through the g_subdiff wrapper) and grad f is evaluated
     # once; on the orthant the lifted and the phi residual are closed
     # forms, so the weighted min-norm QP runs only for the membership
-    # check of the multiplier
+    # check of the multiplier; the LPs are the domain check of parsing,
+    # the multiplier, the second-order LP and the steepest direction
     subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
@@ -315,7 +387,7 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
     assert "consistent = True" in capsys.readouterr().out
     assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 1)
-    assert (len(grads), len(lps)) == (1, 11)
+    assert (len(grads), len(lps)) == (1, 4)
 
 
 def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,

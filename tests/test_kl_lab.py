@@ -65,8 +65,6 @@ def test_scatter_config_validation():
     with pytest.raises(sq.InvalidRange):
         sq.ScatterConfig(delta_min=1e-2, delta_max=1e-6)
     with pytest.raises(sq.InvalidRange):
-        sq.ScatterConfig(n_bins=4, min_bins=8)
-    with pytest.raises(sq.InvalidRange):
         sq.ScatterConfig(n_radii=0)
 
 

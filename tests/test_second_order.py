@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam import second_order
 from sqreparam.oracles import (
     make_stationary_orthant_instance,
     make_stationary_pieces_instance,
@@ -151,3 +152,58 @@ def test_correspondence_spurious_engineered():
     assert rep.consistent
     assert rep.stationary_for_Phi
     assert not rep.stationary_for_phi
+
+
+def test_correspondence_direction_is_the_steepest_off_the_support():
+    # on the orthant the quotient of a unit w off the support is
+    # 2 <grad f, w*w>, least at the coordinate of the smallest gradient
+    p, y, xbar = make_stationary_orthant_instance(5, spurious=True)
+    rep = sq.correspondence_check(p, y)
+    support, comp = sq.support_set(y)
+    w = np.asarray(rep.negative_direction)
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(w[support] == 0.0)
+    least = 2.0 * np.min(p.f.grad(xbar)[comp])
+    assert sq.d2_lifted_objective_on_SI(p, y, w) == \
+        pytest.approx(least, abs=1e-9 * (1.0 + abs(least)))
+
+
+def cone(eps):
+    # ||x||^2 / 2 + max(x1 - (1 + eps) x2, x2 - (1 + eps) x1) on the
+    # orthant.  At y = 0 each unit vector has quotient 2; only mixtures
+    # of both coordinates are negative, least -eps at (1, 1) / sqrt(2).
+    f = sq.SmoothQuadratic(np.eye(2), np.zeros(2), 0.0)
+    g = sq.PolyhedralFunction(2, pieces_A=np.array([[1.0, -1.0 - eps],
+                                                    [-1.0 - eps, 1.0]]),
+                              pieces_b=np.zeros(2))
+    return sq.CompositeProblem(f, g)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+def test_correspondence_finds_the_steepest_direction(eps):
+    p, y = cone(eps), np.zeros(2)
+    rep = sq.correspondence_check(p, y)
+    assert rep.stationary_for_Phi and not rep.stationary_for_phi
+    w = np.asarray(rep.negative_direction)
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    assert sq.d2_lifted_objective_on_SI(p, y, w) == \
+        pytest.approx(-eps, abs=1e-9)
+
+
+def test_correspondence_gate_catches_a_feasible_second_order_lp(
+        monkeypatch):
+    # loosen the rows of the second-order LP so that it reports feasible
+    # at the spurious origin of orthant2, where the direction e_1 has
+    # quotient -2: the exact minimum must contradict it
+    slice_lp = second_order._slice_lp
+
+    def loosened(pt, anchor, objective=None, A_ineq=None, b_ineq=None):
+        if b_ineq is not None:
+            b_ineq = b_ineq + 2.0
+        return slice_lp(pt, anchor, objective, A_ineq, b_ineq)
+
+    monkeypatch.setattr(second_order, "_slice_lp", loosened)
+    f = sq.SmoothQuadratic(np.eye(2), np.array([-1.0, 1.0]), 1.0)
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
+    with pytest.raises(sq.InconsistencyDetected, match="LP feasible"):
+        sq.correspondence_check(p, np.zeros(2))

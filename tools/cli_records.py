@@ -13,7 +13,9 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   the box and simplex problems of `gen.kl_plan(101)` cycle 0, written
   to the pool's directory: their stationary points put coordinates at
   upper bounds and on simplex faces, which no shipped problem does;
-* a fixed list of `kl-fit` and `solve` runs on `problems/`;
+* a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
+  (the shipped points of the pool are perfbench's explicit list, which
+  leaves out cone2);
 * `selftest` at seeds 0 and 7.
 
 Each run's stdout, stderr and exit code go into OUT, keyed by its
@@ -40,6 +42,10 @@ from collections import Counter
 POOL_SEEDS = (101, 102, 103)
 SELFTEST_SEEDS = (0, 7)
 KL_PLAN_SEED = 101
+
+CERTIFY = (
+    ("cone2", "--y=0,0"),
+)
 
 KL_FIT = (
     ("quartic1", "--y=0"),
@@ -98,6 +104,8 @@ def _runs(repo, pool_dir):
             yield ["certify", path, "--y=" + spec["y"]]
             yield ["strict-comp", path, "--x=" + gen._vec_arg(
                 [v * v for v in y])]
+    for name, *flags in CERTIFY:
+        yield ["certify", os.path.join(problems, name + ".json"), *flags]
     for name, *flags in KL_FIT:
         yield ["kl-fit", os.path.join(problems, name + ".json"), *flags]
     for name, variant, start in SOLVE:
