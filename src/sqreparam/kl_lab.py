@@ -35,14 +35,17 @@ from .errors import (
     NotConvex,
     NumericalFailure,
     OutOfDomain,
+    OutOfLiftedDomain,
     UnsupportedProblemClass,
 )
-from .polyfunc import CompositeProblem, LocalModel, phi_value
+from .polyfunc import (CompositeProblem, LocalModel, phi_value, _closed_form,
+                       _g_rows, _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
     project_onto_polyhedron,
     vrep_ri_membership,
     _as_vector,
+    _project_rows,
 )
 from .reparam import DEFAULT_TOL_SUPPORT, lift_eval, lifted_residual
 
@@ -137,30 +140,27 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
                    config: ScatterConfig, tol: float):
     """Feasible points near xbar whose gap phi(x) - base clears the floor.
 
-    Yields (x, gap, signs) in the sampling plan's order: every radius
-    with every seeded unit direction, the perturbed point projected back
-    onto the domain of g.  signs is a random sign vector, drawn for each
-    candidate before the gap-floor test, from the same generator as the
-    directions.  Raises InsufficientSamples when no candidate clears
-    the floor.
+    Returns (x, gap, signs), one row per kept sample, in the sampling
+    plan's order: every radius with every seeded unit direction, radius
+    by radius, the perturbed point projected back onto the domain of g.
+    signs holds random sign vectors, one per candidate, drawn in one call
+    after the directions from the same generator.  Raises
+    InsufficientSamples when no candidate clears the floor.
     """
     rng = np.random.default_rng(config.seed)
     dirs = rng.standard_normal((config.n_dirs, p.n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
-    floor = 10.0 * np.finfo(float).eps * (1.0 + abs(base))
-    kept = 0
-    for delta in deltas:
-        for u in dirs:
-            x = project_onto_polyhedron(p.g.domain, xbar + delta * u,
-                                        start=xbar)
-            signs = rng.integers(0, 2, size=p.n) * 2.0 - 1.0
-            gap = phi_value(p, x, tol) - base
-            if gap > floor:
-                kept += 1
-                yield x, gap, signs
-    if not kept:
+    X = _project_rows(p.g.domain,
+                      (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n),
+                      start=xbar)
+    signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
+    gap = np.array([float(p.f.value(x)) + gx if gx < _INF else _INF
+                    for x, gx in zip(X, _g_rows(p.g, X, tol))]) - base
+    keep = gap > 10.0 * np.finfo(float).eps * (1.0 + abs(base))
+    if not keep.any():
         raise InsufficientSamples("no sample cleared the gap floor")
+    return X[keep], gap[keep], signs[keep]
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -189,11 +189,18 @@ def sample_scatter(p: CompositeProblem, ybar,
     if lifted_residual(p, ybar, tol_support, tol) > tol:
         raise NotAStationaryPoint("ybar is not lifted stationary")
 
-    rows = [(gap, lifted_residual(p, signs * np.sqrt(np.maximum(x, 0.0)),
-                                  tol_support, tol))
-            for x, gap, signs in _perturbations(p, ybar * ybar, base,
-                                                config, tol)]
-    return np.array(sorted(rows))
+    X, gaps, signs = _perturbations(p, ybar * ybar, base, config, tol)
+    Y = signs * np.sqrt(np.maximum(X, 0.0))
+    if _closed_form(p.g):
+        X = Y * Y
+        if not (_g_rows(p.g, X, tol) < _INF).all():
+            raise OutOfLiftedDomain("y*y is outside the domain of g")
+        residuals = 2.0 * _min_norm_rows(p, X, np.abs(Y))[1]
+    else:
+        residuals = np.array([lifted_residual(p, y, tol_support, tol)
+                              for y in Y])
+    order = np.lexsort((residuals, gaps))
+    return np.column_stack([gaps[order], residuals[order]])
 
 
 @dataclass(frozen=True)
@@ -297,15 +304,22 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
         raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
 
     support = np.abs(xbar) > tol_support
-    best = _INF
-    for x, gap, _ in _perturbations(p, xbar, base, config, tol):
-        pt = LocalModel(p.g, p.f, x, tol)
-        v = pt.grad + pt.phi_min_norm[1]
-        lhs = float(np.sum(v[support] ** 2)
-                    + np.abs(x[~support] - xbar[~support])
-                    @ (v[~support] ** 2))
-        best = min(best, lhs / gap ** (1.0 + beta))
-    return best
+    X, gaps, _ = _perturbations(p, xbar, base, config, tol)
+    if _closed_form(p.g):
+        if not (_g_rows(p.g, X, tol) < _INF).all():
+            raise OutOfDomain("g_subdiff: point outside the domain")
+        grads, _, Z = _min_norm_rows(p, X, np.ones(X.shape))
+        V = grads + Z
+    else:
+        V = np.array([pt.grad + pt.phi_min_norm[1] for pt in
+                      (LocalModel(p.g, p.f, x, tol) for x in X)])
+    # compress, not a mask, keeps rows contiguous: a product of strided
+    # rows rounds differently
+    on, off = (np.compress(m, V, axis=1) ** 2 for m in (support, ~support))
+    dist = np.abs(np.compress(~support, X - xbar, axis=1))
+    lhs = np.sum(on, axis=1) + (dist[:, None, :] @ off[:, :, None])[:, 0, 0]
+    # math.pow row by row: numpy's power differs from it in the last bit
+    return float(np.min(lhs / [math.pow(gap, 1.0 + beta) for gap in gaps]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +403,17 @@ def _run_projected_gradient(p: CompositeProblem, start, steps: int,
     return _finish_trace("original", records, values, f_star)
 
 
-def _armijo_step(h, y, grad, descent_sq, retract):
-    """Backtracking step along -grad with a retraction map."""
-    base = h(y)
+def _armijo_step(h, y, base, grad, descent_sq, retract):
+    """Backtracking step along -grad with a retraction map, from y with
+    h(y) = base: (t, accepted point, its h), or (0, y, base)."""
     t = 1.0
     for _ in range(_ARMIJO_MAX_BACKTRACKS):
         cand = retract(y - t * grad)
-        if h(cand) <= base - _ARMIJO_C1 * t * descent_sq:
-            return t, cand
+        value = h(cand)
+        if value <= base - _ARMIJO_C1 * t * descent_sq:
+            return t, cand, value
         t *= _ARMIJO_SHRINK
-    return 0.0, y
+    return 0.0, y, base
 
 
 def _run_lifted_descent(p: CompositeProblem, start, steps: int,
@@ -442,9 +457,9 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
         if residual == 0.0:
             records.append([k, prev, residual, 0.0])
             break
-        t, y_next = _armijo_step(h, y, grad, residual * residual, retract)
+        t, y_next, nxt = _armijo_step(h, y, prev, grad, residual * residual,
+                                      retract)
         records.append([k, prev, residual, t])
-        nxt = h(y_next)
         if nxt > prev + 1e-10 * (1.0 + abs(prev)):
             raise DivergenceDetected(
                 f"objective rose from {prev!r} to {nxt!r} at step {k}")

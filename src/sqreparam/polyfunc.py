@@ -167,11 +167,14 @@ def g_eval(g: PolyhedralFunction, x, tol: float = DEFAULT_TOL) -> float:
     be finite and nonnegative (InvalidRange otherwise)."""
     x = _as_vector(x, g.n, "x")
     check_tol(tol)
-    if not g.domain.contains(x, tol):
-        return _INF
-    if g.n_pieces == 0:
-        return 0.0
-    return float(np.max(g.pieces_A @ x + g.pieces_b))
+    return float(_g_rows(g, x[None], tol)[0])
+
+
+def _g_rows(g: PolyhedralFunction, X: np.ndarray, tol: float) -> np.ndarray:
+    """g_eval at each row of the unvalidated (N, n) array X."""
+    values = np.zeros(X.shape[0]) if g.n_pieces == 0 else np.max(
+        (g.pieces_A @ X[:, :, None])[:, :, 0] + g.pieces_b, axis=1)
+    return np.where(g.domain._violations(X) <= tol, values, _INF)
 
 
 @dataclass(frozen=True)
@@ -263,11 +266,15 @@ class LocalModel:
         in closed form from the active rows when g is the indicator of a
         box or simplex, with neither S nor G built; by the QP otherwise."""
         g = self.g
-        if g.n_pieces == 0 and g.domain.shape.kind != "general":
+        if _closed_form(g):
             if not self.in_domain:
                 raise self._outside()
-            return _min_norm_normal_cone(g.domain, self.pattern.active_rows,
-                                        self.grad, weights)
+            active = np.zeros((1, g.domain.m_ineq), dtype=bool)
+            active[0, list(self.pattern.active_rows)] = True
+            values, z = _min_norm_normal_cone(
+                g.domain, active, _as_vector(self.grad, g.n, "shift")[None],
+                weights[None])
+            return float(values[0]), z[0]
         return min_norm_weighted(self.S, self.grad, weights)
 
     @cached_property
@@ -283,6 +290,24 @@ class LocalModel:
         """phi_residual <= tol * (1 + ||grad f(x)||)."""
         return self.phi_residual <= \
             self.tol * (1.0 + float(np.linalg.norm(self.grad)))
+
+
+def _closed_form(g: PolyhedralFunction) -> bool:
+    """Whether g is the indicator of a box or simplex, whose min-norm
+    subgradients _min_norm_normal_cone computes in closed form."""
+    return g.n_pieces == 0 and g.domain.shape.kind != "general"
+
+
+def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
+    """grad f and LocalModel._min_norm at each row of the unvalidated
+    (N, n) array X, in the domain of g when _closed_form(g): the activity
+    test of activity_pattern over the stack, grad f row by row, and the
+    closed form over the stack.  Returns (grads, values, minimizers)."""
+    dom = p.g.domain
+    active = dom.b_ineq - (dom.A_ineq @ X[:, :, None])[:, :, 0] \
+        <= DEFAULT_TOL_ACTIVE
+    grads = _as_matrix([p.f.grad(x) for x in X], p.n, "shift")
+    return (grads,) + _min_norm_normal_cone(dom, active, grads, weights)
 
 
 def g_subdiff(g: PolyhedralFunction, x,

@@ -152,12 +152,17 @@ class Polyhedron:
 
     def max_violation(self, z) -> float:
         """Largest constraint violation at z (0 when strictly inside)."""
-        z = _as_vector(z, self.n, "z")
-        worst = 0.0
+        return float(self._violations(_as_vector(z, self.n, "z")[None])[0])
+
+    def _violations(self, Z: np.ndarray) -> np.ndarray:
+        """max_violation at each row of the unvalidated (N, n) array Z."""
+        worst = np.zeros(Z.shape[0])
         if self.m_ineq:
-            worst = max(worst, float(np.max(self.A_ineq @ z - self.b_ineq)))
+            worst = np.fmax(worst, np.max(
+                (self.A_ineq @ Z[:, :, None])[:, :, 0] - self.b_ineq, axis=1))
         if self.m_eq:
-            worst = max(worst, float(np.max(np.abs(self.A_eq @ z - self.b_eq))))
+            worst = np.fmax(worst, np.max(np.abs(
+                (self.A_eq @ Z[:, :, None])[:, :, 0] - self.b_eq), axis=1))
         return worst
 
     def contains(self, z, tol: float = DEFAULT_TOL) -> bool:
@@ -733,23 +738,26 @@ def feasible_point(P: Polyhedron) -> np.ndarray:
     return out.witness
 
 
-def _project_simplex(x: np.ndarray, total: float) -> np.ndarray:
-    """Projection onto {z >= 0, sum z = total} by the sort/threshold rule
-    (Duchi et al. 2008; Condat 2016): z = max(x - theta, 0), where theta
-    comes from the largest k whose k-th largest entry u_k still exceeds
-    (u_1 + ... + u_k - total) / k."""
-    u = np.sort(x)[::-1]
-    excess = np.cumsum(u) - total
-    k = np.arange(1, x.size + 1)
-    rho = int(np.nonzero(u > excess / k)[0][-1])
-    return np.maximum(x - excess[rho] / (rho + 1), 0.0)
+def _project_simplex(X: np.ndarray, total: float) -> np.ndarray:
+    """Projection of each row of the (N, n) array X onto {z >= 0, sum z =
+    total} by the sort/threshold rule (Duchi et al. 2008; Condat 2016):
+    z = max(x - theta, 0), where theta comes from the largest k whose
+    k-th largest entry u_k still exceeds (u_1 + ... + u_k - total) / k."""
+    U = np.sort(X, axis=1)[:, ::-1]
+    excess = np.cumsum(U, axis=1) - total
+    above = U > excess / np.arange(1, X.shape[1] + 1)
+    rho = X.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+    theta = excess[np.arange(X.shape[0]), rho] / (rho + 1)
+    return np.maximum(X - theta[:, None], 0.0)
 
 
-def _min_norm_normal_cone(P: Polyhedron, rows, shift,
-                         weights) -> tuple[float, np.ndarray]:
-    """min_norm_weighted over z in cone(rows of P.A_ineq) + span(P.A_eq),
-    the normal cone of a box or simplex P at a point whose active rows
-    are rows, in closed form.
+def _min_norm_normal_cone(P: Polyhedron, active, shift,
+                         weights) -> tuple[np.ndarray, np.ndarray]:
+    """min_norm_weighted over z in cone(active rows of P.A_ineq) +
+    span(P.A_eq), the normal cone of a box or simplex P, in closed form,
+    at each row of a stack: active is an (N, m_ineq) mask of the rows
+    active at a point, shift and weights are (N, n) arrays, all
+    unvalidated.  Returns the (N,) values and the (N, n) minimizers.
 
     Box: an active row c e_i allows z_i >= 0 if c > 0 and z_i <= 0 if
     c < 0 (both: a fixed coordinate), so z_i clips -shift_i into that
@@ -760,35 +768,55 @@ def _min_norm_normal_cone(P: Polyhedron, rows, shift,
     every weight is 0).  The value is unique, and z too when every
     weight is positive.
     """
-    shift = _as_vector(shift, P.n, "shift")
-    weights = _as_vector(weights, P.n, "weights")
-    A = P.A_ineq[list(rows)]
-    col = np.argmax(A != 0.0, axis=1)
     if P.shape.kind == "box":
-        coef = A[np.arange(col.size), col]
-        lo, hi = np.zeros(P.n), np.zeros(P.n)
-        lo[col[coef < 0.0]] = -_INF
-        hi[col[coef > 0.0]] = _INF
-        z = np.where(weights != 0.0, np.clip(-shift, lo, hi), 0.0)
+        lo = np.where(active @ (P.A_ineq < 0.0), -_INF, 0.0)
+        hi = np.where(active @ (P.A_ineq > 0.0), _INF, 0.0)
+        Z = np.where(weights != 0.0,
+                     np.minimum(np.maximum(-shift, lo), hi), 0.0)
     else:
-        active = np.zeros(P.n, dtype=bool)
-        active[col] = True
-        w2, free = weights * weights, ~active
-        order = np.argsort(shift[active], kind="stable")
-        s, w2a = shift[active][order], w2[active][order]
-        # half the slope in t is slope[k] t + offset[k] between the k-th
-        # and (k+1)-th largest breakpoints, where only the free
-        # coordinates and the k smallest active shifts leave a residual
-        slope = w2[free].sum() + np.concatenate([[0.0], np.cumsum(w2a)])
-        offset = w2[free] @ shift[free] \
-            + np.concatenate([[0.0], np.cumsum(w2a * s)])
-        k = np.count_nonzero(offset[1:] - slope[1:] * s > 0.0)
-        if slope[k] > 0.0:
-            t = -offset[k] / slope[k]
-        else:                  # flat from the largest breakpoint on
-            t = -s[0] if w2.any() else 0.0
-        z = t - np.where(active, np.maximum(shift + t, 0.0), 0.0)
-    return float(np.linalg.norm(weights * (shift + z))), z
+        bound = active @ (P.A_ineq != 0.0)
+        w2 = weights * weights
+        w2f = np.where(bound, 0.0, w2)
+        # the active coordinates first, by increasing shift
+        order = np.argsort(np.where(bound, shift, _INF), axis=1, kind="stable")
+        rows = np.arange(shift.shape[0])
+        s, on = shift[rows[:, None], order], bound[rows[:, None], order]
+        w2a = np.where(on, w2[rows[:, None], order], 0.0)
+        # half the slope in t is slope t + offset between the k-th and
+        # (k+1)-th largest breakpoints, where only the free coordinates
+        # (slope_free, offset_free) and the k smallest active shifts (the
+        # running sums slopes, offsets) leave a residual
+        slope_free = w2f.sum(axis=1)
+        offset_free = (w2f[:, None, :] @ shift[:, :, None])[:, 0, 0]
+        slopes = np.cumsum(w2a, axis=1)
+        offsets = np.cumsum(w2a * s, axis=1)
+        k = np.count_nonzero(on & (offset_free[:, None] + offsets - (
+            slope_free[:, None] + slopes) * s > 0.0), axis=1)
+        last = np.maximum(k - 1, 0)
+        slope = slope_free + np.where(k > 0, slopes[rows, last], 0.0)
+        offset = offset_free + np.where(k > 0, offsets[rows, last], 0.0)
+        # where the slope is 0, flat from the largest breakpoint on
+        t = np.where(slope > 0.0, -offset / np.where(slope > 0.0, slope, 1.0),
+                     np.where(w2.any(axis=1), -s[:, 0], 0.0))[:, None]
+        Z = t - np.where(bound, np.maximum(shift + t, 0.0), 0.0)
+    V = weights * (shift + Z)
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]), Z
+
+
+def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
+    """project_onto_polyhedron at each row of the unvalidated (N, n) array
+    X: a closed form over the whole stack, or the QP row by row."""
+    shape = P.shape
+    if shape.kind == "box":
+        if (shape.lower > shape.upper).any():
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+        return np.minimum(np.maximum(X, shape.lower), shape.upper)
+    if shape.kind == "simplex":
+        return _project_simplex(X, shape.total)
+    z0 = start if start is not None and P.max_violation(start) <= 1e-9 \
+        else feasible_point(P)
+    return np.array([_qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq,
+                                    P.A_ineq, P.b_ineq, z0) for x in X])
 
 
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
@@ -804,16 +832,4 @@ def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     x = _as_vector(x, P.n, "x")
     if start is not None:
         start = _as_vector(start, P.n, "start")
-    shape = P.shape
-    if shape.kind == "box":
-        if (shape.lower > shape.upper).any():
-            raise InfeasiblePolyhedron("polyhedron has no feasible point")
-        return np.minimum(np.maximum(x, shape.lower), shape.upper)
-    if shape.kind == "simplex":
-        return _project_simplex(x, shape.total)
-    if start is None or P.max_violation(start) > 1e-9:
-        z0 = feasible_point(P)
-    else:
-        z0 = start
-    z = _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq, z0)
-    return z
+    return _project_rows(P, x[None], start)[0]

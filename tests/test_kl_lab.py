@@ -1,9 +1,14 @@
 """Unit tests for exponent prediction, scatter estimation, and solver rates."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import sqreparam as sq
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def quartic():
@@ -127,9 +132,10 @@ def test_lemma61_probe_orders():
 
 
 def test_lemma61_probe_one_gradient_per_model(monkeypatch):
-    # one model at the centre and one per kept sample, each evaluating
-    # grad f once: 1 + 32 * 4 on the strict instance, where every sample
-    # clears the gap floor
+    # one model, at the centre, and one grad f evaluation there and per
+    # kept sample: 1 + 32 * 4 on the strict instance, where every sample
+    # clears the gap floor; on the orthant the samples are scored as one
+    # stack, with no model each
     builds, grads = [], []
     init, grad = sq.LocalModel.__init__, sq.SmoothQuadratic.grad
 
@@ -145,7 +151,124 @@ def test_lemma61_probe_one_gradient_per_model(monkeypatch):
     monkeypatch.setattr(sq.SmoothQuadratic, "grad", counted_grad)
     config = sq.ScatterConfig(n_radii=32, n_dirs=4)
     sq.lemma61_probe(strict1(), np.array([1.0]), 0.0, config)
-    assert len(grads) == len(builds) == 129
+    assert len(builds) == 1 and len(grads) == 129
+
+
+# sample_scatter and lemma61_probe score every sample of a stack at once
+# (the closed form on a box or simplex indicator, one local model per row
+# otherwise); the reference scores them one at a time through the public
+# functions, in the sampling plan's order
+
+
+def _reference_samples(p, xbar, base, config):
+    rng = np.random.default_rng(config.seed)
+    dirs = rng.standard_normal((config.n_dirs, p.n))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    floor = 10.0 * np.finfo(float).eps * (1.0 + abs(base))
+    for delta in np.geomspace(config.delta_min, config.delta_max,
+                              config.n_radii):
+        for u in dirs:
+            x = sq.project_onto_polyhedron(p.g.domain, xbar + delta * u,
+                                           start=xbar)
+            gap = sq.phi_value(p, x) - base
+            if gap > floor:
+                yield x, gap
+
+
+def _reference_scatter(p, ybar, config):
+    base = sq.lift_eval(p, ybar)
+    return np.array(sorted(
+        (gap, sq.lifted_residual(p, np.sqrt(np.maximum(x, 0.0))))
+        for x, gap in _reference_samples(p, ybar * ybar, base, config)))
+
+
+def _reference_probe(p, xbar, beta, config):
+    support = np.abs(xbar) > 1e-8
+    best = math.inf
+    for x, gap in _reference_samples(p, xbar, sq.phi_value(p, xbar), config):
+        pt = sq.LocalModel(p.g, p.f, x)
+        v = pt.grad + pt.phi_min_norm[1]
+        lhs = float(np.sum(v[support] ** 2)
+                    + np.abs(x[~support] - xbar[~support])
+                    @ (v[~support] ** 2))
+        best = min(best, lhs / gap ** (1.0 + beta))
+    return best
+
+
+def _sampled_problem(kind):
+    """(problem, minimizer) of a convex instance of each class, with
+    several coordinates off the support."""
+    n = 7
+    if kind == "pieces2":
+        pf = sq.parse_problem_file(PROBLEMS / "pieces2.json")
+        return pf.problem, np.array([0.5, 0.5])
+    if kind == "orthant":
+        g = sq.PolyhedralFunction.orthant_indicator(n)
+        c = [1.0, -1.0, 0.5, -0.3, -2.0, 0.8, -0.1]
+    elif kind == "box":
+        # [0, 1]^n with scaled and duplicated bound rows; x_0 and x_4 sit
+        # at their upper bounds
+        A = np.vstack([2.0 * np.eye(n), -np.eye(n), 3.0 * np.eye(1, n)])
+        b = np.concatenate([2.0 * np.ones(n), np.zeros(n), [3.0]])
+        g = sq.PolyhedralFunction.indicator(sq.Polyhedron(n, A, b))
+        c = [2.0, -1.0, 0.5, -0.3, 1.7, 0.8, -0.1]
+    elif kind == "simplex":
+        # {x >= 0, sum x = 2}, the equality row scaled by 2
+        dom = sq.Polyhedron(n, A_ineq=-np.eye(n), b_ineq=np.zeros(n),
+                            A_eq=2.0 * np.ones((1, n)), b_eq=[4.0])
+        g = sq.PolyhedralFunction.indicator(dom)
+        c = [1.8, 0.6, -1.0, 0.9, -0.2, 0.1, -3.0]
+    else:
+        # a general polyhedron: the row a x <= 2 is active at the minimizer
+        # xbar, with multiplier 1/2, and so are the orthant rows where
+        # xbar is 0, with multiplier 1
+        a = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        xbar = np.array([0.5, 0.25, 0.0, 0.5, 0.0, 0.5, 0.0])
+        g = sq.PolyhedralFunction.indicator(sq.Polyhedron(n, [a], [2.0]))
+        c = xbar + 0.5 * a - (xbar == 0.0)
+    assert g.domain.shape.kind == {"orthant": "box", "box": "box",
+                                   "simplex": "simplex"}.get(kind, "general")
+    c = np.array(c)
+    p = sq.CompositeProblem(sq.SmoothQuadratic(np.eye(n), -c), g)
+    if kind == "polyhedron":
+        return p, xbar
+    return p, sq.project_onto_polyhedron(g.domain, c)
+
+
+@pytest.mark.parametrize("kind", ["orthant", "box", "simplex", "pieces2",
+                                  "polyhedron"])
+def test_scatter_and_probe_match_a_per_sample_loop(kind):
+    p, xbar = _sampled_problem(kind)
+    ybar = np.sqrt(xbar)
+    for seed in (0, 7, 11):
+        config = sq.ScatterConfig(n_radii=12, n_dirs=5, seed=seed)
+        scatter = sq.sample_scatter(p, ybar, config)
+        assert scatter.shape[0] >= 8
+        assert np.array_equal(scatter, _reference_scatter(p, ybar, config))
+        for beta in (0.0, 0.25, 0.5, 0.75):
+            assert sq.lemma61_probe(p, xbar, beta, config) == \
+                _reference_probe(p, xbar, beta, config)
+
+
+def test_scatter_and_probe_errors_on_the_stack():
+    # at tol = 0 the sum of a projected simplex sample, and of its y*y,
+    # misses the total by rounding: the sample leaves the domain
+    f = sq.SmoothQuadratic(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.simplex_indicator(3))
+    xbar = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(sq.OutOfLiftedDomain):
+        sq.sample_scatter(p, xbar, tol=0.0)
+    with pytest.raises(sq.OutOfDomain):
+        sq.lemma61_probe(p, xbar, 0.5, tol=0.0)
+    # f = 1e-14 (x_0 + x_1): every gap lies in (0, 2e-16], below the floor
+    # 10 eps (1 + |phi(0)|)
+    flat = sq.CompositeProblem(sq.SmoothQuadratic(np.zeros((2, 2)),
+                                                  np.full(2, 1e-14)),
+                               sq.PolyhedralFunction.orthant_indicator(2))
+    with pytest.raises(sq.InsufficientSamples):
+        sq.sample_scatter(flat, np.zeros(2))
+    with pytest.raises(sq.InsufficientSamples):
+        sq.lemma61_probe(flat, np.zeros(2), 0.5)
 
 
 def test_lemma61_probe_errors():
@@ -186,6 +309,61 @@ def test_trace_rows_are_k_gap_residual_step():
     assert np.all(rows[:, 1] >= 0)
     assert tr.variant == "lifted"
     assert tr.f_star == 0.0
+
+
+class _CountingQuadratic:
+    """A duck-typed f that counts its value calls."""
+
+    def __init__(self, Q, q, r=0.0):
+        self.f, self.n, self.values = sq.SmoothQuadratic(Q, q, r), len(q), 0
+
+    def value(self, x):
+        self.values += 1
+        return self.f.value(x)
+
+    def grad(self, x):
+        return self.f.grad(x)
+
+    def hess(self, x):
+        return self.f.hess(x)
+
+
+# run_first_order(..., "lifted", start, steps=6) traces of the version that
+# evaluated h twice more per Armijo step
+_PINNED_LIFTED_TRACES = {
+    "orthant": [
+        (0, 0.18871565149725467, 0.9890136500574702, 0.6400000000000001),
+        (1, 0.06790258893805534, 0.6925857302531414, 0.40960000000000013),
+        (2, 0.02106933252147425, 0.380035659652552, 0.5120000000000001),
+        (3, 0.011811476777273677, 0.3608267855892216, 0.40960000000000013),
+        (4, 0.006376738727450371, 0.24332116247904548, 0.40960000000000013),
+        (5, 0.0, 0.13487168408499448, 0.40960000000000013)],
+    "simplex": [
+        (0, 0.152081102572573, 0.7488, 1.0),
+        (1, 0.029285881864274277, 0.18450306772574654, 1.0),
+        (2, 0.00221841894270014, 0.07606085888296214, 1.0),
+        (3, 0.00026747824591000224, 0.029943024198744655, 1.0),
+        (4, 6.440012192410194e-05, 0.015610885486530795, 1.0),
+        (5, 0.0, 0.007572566481927064, 1.0)],
+}
+
+
+@pytest.mark.parametrize("kind", ["orthant", "simplex"])
+def test_lifted_descent_evaluates_f_once_per_candidate(kind):
+    if kind == "orthant":
+        f = _CountingQuadratic(np.eye(2), np.array([-1.0, 1.0]), 1.0)
+        g, start = sq.PolyhedralFunction.orthant_indicator(2), [0.9, -0.4]
+    else:
+        f = _CountingQuadratic(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                               np.array([1.0, 2.0]))
+        g, start = sq.PolyhedralFunction.simplex_indicator(2), [0.6, 0.8]
+    tr = sq.run_first_order(sq.CompositeProblem(f, g), "lifted",
+                            np.array(start), steps=6)
+    assert tr.iterates == _PINNED_LIFTED_TRACES[kind]
+    # a step of length 0.8^j tried j + 1 candidates
+    tried = sum(round(math.log(t) / math.log(0.8)) + 1
+                for _, _, _, t in tr.iterates)
+    assert f.values == 1 + tried
 
 
 def test_projected_gradient_linear_on_interior_minimum():

@@ -227,6 +227,17 @@ def test_min_norm_weighted_with_more_generators_than_coordinates():
 # generator set of the same rows.
 
 
+def _normal_cone_min_norm(P, rows, shift, weights):
+    """The closed form at one point, as LocalModel calls it: a one-row
+    stack whose active rows are rows."""
+    active = np.zeros((1, P.m_ineq), dtype=bool)
+    active[0, rows] = True
+    values, z = polyhedra._min_norm_normal_cone(
+        P, active, np.asarray(shift, float)[None],
+        np.asarray(weights, float)[None])
+    return values[0], z[0]
+
+
 def _exact_normal_cone_min_norm(P, rows, shift, weights):
     """min ||weights o (shift + z)|| over z in cone(rows) + span(A_eq),
     computed in rationals from the float inputs and rounded once."""
@@ -310,7 +321,7 @@ def test_normal_cone_min_norm_matches_exact_and_qp(kind, n, weighting):
         w = {"ones": np.ones(n), "random": rng.uniform(0.0, 2.0, n),
              "zeros": np.where(rng.random(n) < 0.3, 0.0,
                                rng.uniform(0.0, 2.0, n))}[weighting]
-        value, z = polyhedra._min_norm_normal_cone(P, rows, shift, w)
+        value, z = _normal_cone_min_norm(P, rows, shift, w)
         scale = 1.0 + np.linalg.norm(w * shift)
         exact = _exact_normal_cone_min_norm(P, rows, shift, w)
         assert abs(value - exact) <= 1e-14 * scale
@@ -330,7 +341,7 @@ def test_normal_cone_min_norm_where_the_qp_multiplier_band_stops_early():
     # 1e-6, and returns a value 1.9e-10 (1 + ||w o shift||) too large
     P = sq.Polyhedron.nonneg_orthant(3)
     shift, w = np.array([1e3, 9e-7, -2e-6]), np.ones(3)
-    value, z = polyhedra._min_norm_normal_cone(P, [0, 1, 2], shift, w)
+    value, z = _normal_cone_min_norm(P, [0, 1, 2], shift, w)
     assert value == _exact_normal_cone_min_norm(P, [0, 1, 2], shift, w)
     assert value == 2e-6
     assert np.array_equal(z, [-1e3, -9e-7, 0.0])
@@ -344,22 +355,19 @@ def test_normal_cone_min_norm_simplex_hand_cases():
     P = sq.Polyhedron.standard_simplex(3)
     # x = (1, 0, 0): z = t 1 - mu on coordinates 1, 2 absorbs any shift
     # with shift_0 <= shift_1, shift_2
-    value, z = polyhedra._min_norm_normal_cone(P, [1, 2], [1.0, 3.0, 2.0],
-                                               np.ones(3))
+    value, z = _normal_cone_min_norm(P, [1, 2], [1.0, 3.0, 2.0], np.ones(3))
     assert value == 0.0 and np.array_equal(z, [-1.0, -3.0, -2.0])
     # nothing active: z = t 1 with t = -mean(shift)
-    value, z = polyhedra._min_norm_normal_cone(P, [], [1.0, 2.0, 6.0],
-                                               np.ones(3))
+    value, z = _normal_cone_min_norm(P, [], [1.0, 2.0, 6.0], np.ones(3))
     assert np.array_equal(z, [-3.0, -3.0, -3.0])
     assert value == pytest.approx(np.sqrt(4.0 + 1.0 + 9.0), rel=1e-15)
     # every weight zero: t = 0, value 0
-    value, z = polyhedra._min_norm_normal_cone(P, [1], [1.0, 2.0, 6.0],
-                                               np.zeros(3))
+    value, z = _normal_cone_min_norm(P, [1], [1.0, 2.0, 6.0], np.zeros(3))
     assert value == 0.0 and np.array_equal(z, [0.0, -2.0, 0.0])
     # the free coordinate weighs nothing: the objective is flat from the
     # largest breakpoint, 2, on, and t = 2 zeroes both active residuals
-    value, z = polyhedra._min_norm_normal_cone(P, [1, 2], [5.0, -1.0, -2.0],
-                                               [0.0, 1.0, 1.0])
+    value, z = _normal_cone_min_norm(P, [1, 2], [5.0, -1.0, -2.0],
+                                     [0.0, 1.0, 1.0])
     assert value == 0.0 and np.array_equal(z, [2.0, 1.0, 2.0])
 
 
@@ -367,9 +375,35 @@ def test_normal_cone_min_norm_box_zero_weight_gets_zero():
     # x = (1, 0) on [0, 1]^2: z_0 >= 0 and z_1 <= 0; weight 0 on
     # coordinate 0 leaves z_0 = 0 (the QP pins that ray to 0 too)
     P = sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0])
-    value, z = polyhedra._min_norm_normal_cone(P, [0, 3], [-1.0, 2.0],
-                                               [0.0, 1.0])
+    value, z = _normal_cone_min_norm(P, [0, 3], [-1.0, 2.0], [0.0, 1.0])
     assert value == 0.0 and np.array_equal(z, [0.0, -2.0])
+
+
+@pytest.mark.parametrize("kind", ["orthant", "box", "simplex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_stacked_closed_forms_match_one_row_calls(kind, n):
+    # a stack of 12 points on one domain: random active rows (none on
+    # the first), random weights with zeros (all zero on the second)
+    rng = np.random.default_rng([n, len(kind), 11])
+    P, _ = _shaped_domain(kind, n, rng)
+    N = 12
+    active = rng.random((N, P.m_ineq)) < 0.5
+    active[0] = False
+    shift = rng.standard_normal((N, n)) * rng.uniform(1e-3, 1e3, (N, 1))
+    w = np.where(rng.random((N, n)) < 0.3, 0.0, rng.uniform(0.0, 2.0, (N, n)))
+    w[1] = 0.0
+    values, Z = polyhedra._min_norm_normal_cone(P, active, shift, w)
+    for i in range(N):
+        value, z = _normal_cone_min_norm(P, np.flatnonzero(active[i]),
+                                         shift[i], w[i])
+        assert value == values[i] and np.array_equal(z, Z[i])
+    if kind == "simplex":
+        X = shift
+        stacked = polyhedra._project_simplex(X, P.shape.total)
+        for x, z in zip(X, stacked):
+            assert np.array_equal(z, sq.project_onto_polyhedron(P, x))
+            assert np.array_equal(
+                z, polyhedra._project_simplex(x[None], P.shape.total)[0])
 
 
 # Closed-form projections: boxes (the orthant included) and simplices are

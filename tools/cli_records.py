@@ -10,9 +10,11 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   101-103 (shipped points included), and `strict-comp FILE --x Y*Y`
   for each of them;
 * `kl-fit FILE --y Y` and `certify FILE --y Y` at Y = sqrt(xbar) on
-  the box and simplex problems of `gen.kl_plan(101)` cycle 0, written
-  to the pool's directory: their stationary points put coordinates at
-  upper bounds and on simplex faces, which no shipped problem does;
+  the box and simplex problems of `gen.kl_plan(101)` cycle 0 and on the
+  first of its polyhedron problems, written to the pool's directory:
+  their stationary points put coordinates at upper bounds and on simplex
+  faces, which no shipped problem does, and the polyhedron's samples
+  take the QP projection and the per-sample local models;
 * a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
   (the shipped points of the pool are perfbench's explicit list, which
   leaves out cone2);
@@ -117,16 +119,23 @@ def _runs(repo, pool_dir):
 
 def _kl_plan_problems(gen):
     """(name, problem dict, xbar) for each distinct box and simplex
-    problem of `gen.kl_plan(KL_PLAN_SEED)` cycle 0, in name order."""
-    found = {}
+    problem of `gen.kl_plan(KL_PLAN_SEED)` cycle 0 and for the first of
+    its polyhedron problems by name, in name order."""
+    found, polyhedra = {}, {}
     for spec in gen.kl_plan(KL_PLAN_SEED)[0]:
         name = spec["problem"]
         if name.startswith(("box", "simplex")) and "-" not in name:
-            domain = {k: v.tolist() for k, v in spec["dom"].items()}
-            d = {"n": len(spec["q"]),
-                 "f": {"Q": spec["Q"].tolist(), "q": spec["q"].tolist()},
-                 "g": {"domain": domain}}
-            found[name] = (name, d, spec["xbar"])
+            pool = found
+        elif name.startswith("polyhedron"):
+            name, pool = name.split("-")[0], polyhedra
+        else:
+            continue
+        domain = {k: v.tolist() for k, v in spec["dom"].items()}
+        d = {"n": len(spec["q"]),
+             "f": {"Q": spec["Q"].tolist(), "q": spec["q"].tolist()},
+             "g": {"domain": domain}}
+        pool[name] = (name, d, spec["xbar"])
+    found[min(polyhedra)] = polyhedra[min(polyhedra)]
     return [found[name] for name in sorted(found)]
 
 
