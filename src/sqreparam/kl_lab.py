@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedProblemClass,
 )
 from .polyfunc import (CompositeProblem, LocalModel, phi_value, _closed_form,
-                       _g_rows, _min_norm_rows)
+                       _f_kernels, _g_rows, _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
     project_onto_polyhedron,
@@ -155,7 +155,8 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
                       (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n),
                       start=xbar)
     signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
-    gap = np.array([float(p.f.value(x)) + gx if gx < _INF else _INF
+    value = _f_kernels(p.f)[0]
+    gap = np.array([float(value(x)) + gx if gx < _INF else _INF
                     for x, gx in zip(X, _g_rows(p.g, X, tol))]) - base
     keep = gap > 10.0 * np.finfo(float).eps * (1.0 + abs(base))
     if not keep.any():
@@ -403,69 +404,62 @@ def _run_projected_gradient(p: CompositeProblem, start, steps: int,
     return _finish_trace("original", records, values, f_star)
 
 
-def _armijo_step(h, y, base, grad, descent_sq, retract):
-    """Backtracking step along -grad with a retraction map, from y with
-    h(y) = base: (t, accepted point, its h), or (0, y, base)."""
-    t = 1.0
-    for _ in range(_ARMIJO_MAX_BACKTRACKS):
-        cand = retract(y - t * grad)
-        value = h(cand)
-        if value <= base - _ARMIJO_C1 * t * descent_sq:
-            return t, cand, value
-        t *= _ARMIJO_SHRINK
-    return 0.0, y, base
+def _sphere_retract(v: np.ndarray, radius: float) -> np.ndarray:
+    """v scaled onto the sphere of the given radius."""
+    norm = math.sqrt(v @ v)
+    if norm <= 1e-300:
+        raise NumericalFailure("sphere retraction hit the origin")
+    return (radius / norm) * v
 
 
 def _run_lifted_descent(p: CompositeProblem, start, steps: int,
                         f_star: float | None) -> SolverTrace:
-    y = np.asarray(start, dtype=float).copy()
-
-    def h(v):
-        return float(p.f.value(v * v))
-
-    if p.g.kind == "orthant":
-        def rgrad(v):
-            return 2.0 * v * p.f.grad(v * v)
-
-        def retract(v):
-            return v
-    elif p.g.kind == "simplex":
-        radius = math.sqrt(p.g.domain.shape.total)
-
-        def retract(v):
-            norm = float(np.linalg.norm(v))
-            if norm <= 1e-300:
-                raise NumericalFailure("sphere retraction hit the origin")
-            return (radius / norm) * v
-
-        def rgrad(v):
-            full = 2.0 * v * p.f.grad(v * v)
-            return full - (float(full @ v) / float(v @ v)) * v
-
-        y = retract(y)
-    else:
+    """Armijo backtracking along -grad of h(y) = f(y*y), retracted onto
+    the sphere of radius sqrt(total) along its tangent space when g is a
+    simplex indicator.  h is evaluated once per candidate, and x = y*y of
+    the accepted candidate feeds the next gradient."""
+    sphere = p.g.kind == "simplex"
+    if not sphere and p.g.kind != "orthant":
         raise UnsupportedProblemClass(
             "the lifted solver covers orthant and simplex indicators only")
-
+    value, grad_f = _f_kernels(p.f)
+    y = start
+    if sphere:
+        radius = math.sqrt(p.g.domain.shape.total)
+        y = _sphere_retract(y, radius)
+    x = y * y
+    prev = float(value(x))
     records = []
     values = []
-    prev = h(y)
     for k in range(steps):
-        grad = rgrad(y)
-        residual = float(np.linalg.norm(grad))
+        grad = 2.0 * y * grad_f(x)
+        if sphere:
+            grad = grad - (float(grad @ y) / float(y @ y)) * y
+        residual = math.sqrt(grad @ grad)
         values.append(prev)
         if residual == 0.0:
             records.append([k, prev, residual, 0.0])
             break
-        t, y_next, nxt = _armijo_step(h, y, prev, grad, residual * residual,
-                                      retract)
+        descent_sq = residual * residual
+        t = 1.0
+        for _ in range(_ARMIJO_MAX_BACKTRACKS):
+            cand = y - t * grad
+            if sphere:
+                cand = _sphere_retract(cand, radius)
+            x = cand * cand
+            nxt = float(value(x))
+            if nxt <= prev - _ARMIJO_C1 * t * descent_sq:
+                break
+            t *= _ARMIJO_SHRINK
+        else:
+            t, cand, nxt = 0.0, y, prev
         records.append([k, prev, residual, t])
         if nxt > prev + 1e-10 * (1.0 + abs(prev)):
             raise DivergenceDetected(
                 f"objective rose from {prev!r} to {nxt!r} at step {k}")
-        if t == 0.0 or nxt >= prev or np.array_equal(y_next, y):
+        if t == 0.0 or nxt >= prev or np.array_equal(cand, y):
             break
-        y, prev = y_next, nxt
+        y, prev = cand, nxt
     return _finish_trace("lifted", records, values, f_star)
 
 

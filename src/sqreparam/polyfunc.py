@@ -10,6 +10,7 @@ methods works.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,16 +63,36 @@ class SmoothQuadratic:
         return self.Q.shape[0]
 
     def value(self, x) -> float:
-        x = _as_vector(x, self.n, "x")
-        return float(0.5 * x @ self.Q @ x + self.q @ x + self.r)
+        return self._value(_as_vector(x, self.n, "x"))
 
     def grad(self, x) -> np.ndarray:
-        x = _as_vector(x, self.n, "x")
+        return self._grad(_as_vector(x, self.n, "x"))
+
+    def _value(self, x) -> float:
+        """value at a float vector x of length n, without value's check of
+        x.  An inf or NaN entry of x makes the value non-finite, and a
+        non-finite value runs that check, so such an x raises here too."""
+        value = float(0.5 * x @ self.Q @ x + self.q @ x + self.r)
+        if not math.isfinite(value):
+            _as_vector(x, self.n, "x")
+        return value
+
+    def _grad(self, x) -> np.ndarray:
+        """grad at a float vector x of length n, without grad's check."""
         return self.Q @ x + self.q
 
     def hess(self, x) -> np.ndarray:
         _as_vector(x, self.n, "x")
         return self.Q
+
+
+def _f_kernels(f):
+    """(value, grad) of f for the loops that evaluate it per sample or
+    per step: the unchecked kernels of a SmoothQuadratic, the public
+    methods of any other f."""
+    if type(f) is SmoothQuadratic:
+        return f._value, f._grad
+    return f.value, f.grad
 
 
 def _orthant_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,7 +327,8 @@ def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     dom = p.g.domain
     active = dom.b_ineq - (dom.A_ineq @ X[:, :, None])[:, :, 0] \
         <= DEFAULT_TOL_ACTIVE
-    grads = _as_matrix([p.f.grad(x) for x in X], p.n, "shift")
+    grad = _f_kernels(p.f)[1]
+    grads = _as_matrix([grad(x) for x in X], p.n, "shift")
     return (grads,) + _min_norm_normal_cone(dom, active, grads, weights)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for exponent prediction, scatter estimation, and solver rates."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -135,9 +136,10 @@ def test_lemma61_probe_one_gradient_per_model(monkeypatch):
     # one model, at the centre, and one grad f evaluation there and per
     # kept sample: 1 + 32 * 4 on the strict instance, where every sample
     # clears the gap floor; on the orthant the samples are scored as one
-    # stack, with no model each
+    # stack, with no model each; grad f is counted at the unchecked
+    # kernel, which the public grad calls and the stack calls directly
     builds, grads = [], []
-    init, grad = sq.LocalModel.__init__, sq.SmoothQuadratic.grad
+    init, grad = sq.LocalModel.__init__, sq.SmoothQuadratic._grad
 
     def counted_init(self, *args, **kwargs):
         builds.append(args)
@@ -148,7 +150,7 @@ def test_lemma61_probe_one_gradient_per_model(monkeypatch):
         return grad(self, x)
 
     monkeypatch.setattr(sq.LocalModel, "__init__", counted_init)
-    monkeypatch.setattr(sq.SmoothQuadratic, "grad", counted_grad)
+    monkeypatch.setattr(sq.SmoothQuadratic, "_grad", counted_grad)
     config = sq.ScatterConfig(n_radii=32, n_dirs=4)
     sq.lemma61_probe(strict1(), np.array([1.0]), 0.0, config)
     assert len(builds) == 1 and len(grads) == 129
@@ -364,6 +366,98 @@ def test_lifted_descent_evaluates_f_once_per_candidate(kind):
     tried = sum(round(math.log(t) / math.log(0.8)) + 1
                 for _, _, _, t in tr.iterates)
     assert f.values == 1 + tried
+
+
+# The lifted descent and the scatter evaluate a SmoothQuadratic through
+# its unchecked kernels; these pins were recorded from the version that
+# called the public value and grad, and a duck-typed f (which goes
+# through its public methods) must reproduce them too.
+
+
+def _digest(obj):
+    """(length, SHA-256 of the repr) of a trace's iterates or a report."""
+    text = repr(obj)
+    return (len(obj) if isinstance(obj, list) else None,
+            hashlib.sha256(text.encode()).hexdigest())
+
+
+def _lifted_runs():
+    """(name, f data (Q, q, r), g, start, f_star) of three lifted runs."""
+    # stationary at (1, 0, 0); the gradient is 0.5 at x_1 and 0 at x_2,
+    # so strict complementarity fails and the descent is sublinear
+    degenerate = (np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.25],
+                            [0.0, 0.25, 1.0]]), np.array([-2.0, 0.0, 0.0]), 0.0)
+    sphere = (np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.25],
+                        [0.0, 0.0, 1.5, 0.0], [0.0, 0.25, 0.0, 1.0]]),
+              np.array([1.0, 2.0, 0.5, 3.0]), 0.0)
+    return [
+        ("quartic1", (np.eye(1), np.zeros(1), 0.0),
+         sq.PolyhedralFunction.orthant_indicator(1), [0.5], 0.0),
+        ("orthant3", degenerate, sq.PolyhedralFunction.orthant_indicator(3),
+         [0.9, -0.6, 0.7], -1.0),
+        ("sphere4", sphere, sq.PolyhedralFunction.simplex_indicator(4),
+         [0.5, -0.5, 0.5, 0.5], None),
+    ]
+
+
+_PINNED_LONG_TRACES = {
+    "quartic1": (2000, "8479170253194ec9bbcbe0d070acd6dd"
+                       "6a0447f2666900e88b2c56a25c508fbd"),
+    "orthant3": (2000, "82d82954d6d84c54cc345499a64d5254"
+                       "c4d412ca6ae83d726b9eefcfc0cf9952"),
+    "sphere4": (30, "78d9de943f6834e93a4cadba6f51f6b4"
+                    "37b54e1583f82cb8c58915da0fae1d3a"),
+}
+
+
+@pytest.mark.parametrize("f_type", [sq.SmoothQuadratic, _CountingQuadratic])
+def test_lifted_traces_match_the_checked_version(f_type):
+    for name, data, g, start, f_star in _lifted_runs():
+        p = sq.CompositeProblem(f_type(*data), g)
+        tr = sq.run_first_order(p, "lifted", np.array(start), steps=2000,
+                                f_star=f_star)
+        assert _digest(tr.iterates) == _PINNED_LONG_TRACES[name], name
+
+
+_FIT_CONFIG = sq.ScatterConfig(n_radii=32, n_dirs=4, seed=5)
+
+_PINNED_FITS = {
+    "box": ("adc11609dfd7f9e884be1cc56198cbdc"
+            "be891695702c7f88ed2d30651e7ef28b", 15.861241090065722),
+    "simplex": ("602584a0fa22d208303ce1f608f758b6"
+                "3dac760cce6280721228fe2e206f796b", 434.61618990606985),
+    "polyhedron": ("54caa41fd7c86a8aed03a1c2297fee4f"
+                   "ae15b83a9df08cb61256aaa803fe18d9", 441.7621322643029),
+}
+
+
+@pytest.mark.parametrize("kind", ["box", "simplex", "polyhedron"])
+def test_fits_and_probes_match_the_checked_version(kind):
+    p, xbar = _sampled_problem(kind)
+    f = p.f
+    counting = sq.CompositeProblem(_CountingQuadratic(f.Q, f.q, f.r), p.g)
+    for prob in (p, counting):
+        report = sq.estimate_exponent(prob, np.sqrt(xbar), _FIT_CONFIG)
+        probe = sq.lemma61_probe(prob, xbar, 0.5, _FIT_CONFIG)
+        assert (_digest(report)[1], probe) == _PINNED_FITS[kind]
+
+
+def test_lifted_descent_checks_an_overflowing_candidate():
+    # the first candidate y - grad is about -2e200, so x = y*y overflows:
+    # the kernel's non-finite value runs the public check on x
+    f = sq.SmoothQuadratic(np.eye(1), np.array([1e200]))
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(1))
+    with pytest.raises(sq.DimensionMismatch, match="x: entries must be finite"):
+        sq.run_first_order(p, "lifted", np.array([1.0]), steps=10)
+
+
+def test_lifted_descent_on_the_sphere_stops_on_an_overflowing_gradient():
+    # the residual overflows to inf, every retracted candidate is the
+    # origin (its norm overflows too), and no step is accepted
+    f = sq.SmoothQuadratic(np.eye(2), np.array([1e200, 0.0]))
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.simplex_indicator(2))
+    tr = sq.run_first_order(p, "lifted", np.array([0.6, 0.8]), steps=10)
+    assert tr.iterates == [(0, 0.0, math.inf, 0.0)]
 
 
 def test_projected_gradient_linear_on_interior_minimum():

@@ -36,6 +36,65 @@ def test_smooth_quadratic_grad_matches_fd():
         assert fd == pytest.approx(f.grad(x)[i], abs=1e-6)
 
 
+def _quadratic_draws():
+    """(f, x) on seeded Q, q, r for n = 1..8, with tiny, unit, huge and
+    mixed-scale x; the huge ones overflow the value to inf."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        f = sq.SmoothQuadratic(rng.standard_normal((n, n)),
+                               rng.standard_normal(n), rng.standard_normal())
+        for scale in (1e-150, 1.0, 1e160):
+            yield f, scale * rng.standard_normal(n)
+        yield f, rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+
+
+def test_smooth_quadratic_kernels_match_the_checked_methods():
+    for f, x in _quadratic_draws():
+        # the expression value and grad evaluated before they had kernels
+        value = float(0.5 * x @ f.Q @ x + f.q @ x + f.r)
+        for got in (f._value(x), f.value(x), f.value(list(x))):
+            assert got == value or (np.isnan(got) and np.isnan(value))
+        grad = f.Q @ x + f.q
+        for got in (f._grad(x), f.grad(x), f.grad(list(x))):
+            assert np.array_equal(got, grad, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_smooth_quadratic_value_kernel_rejects_nonfinite_x(bad):
+    # an inf or NaN entry makes the value non-finite even where Q and q
+    # vanish (inf * 0 is NaN), so the kernel raises as value does
+    rng = np.random.default_rng(3)
+    for f in (sq.SmoothQuadratic(rng.standard_normal((3, 3)),
+                                 rng.standard_normal(3)),
+              sq.SmoothQuadratic(np.zeros((3, 3)), np.zeros(3))):
+        for i in range(3):
+            x = np.abs(rng.standard_normal(3))
+            x[i] = bad
+            for method in (f.value, f._value):
+                with pytest.raises(sq.DimensionMismatch,
+                                   match="^x: entries must be finite$"):
+                    method(x)
+
+
+def test_f_kernels_bind_the_checked_methods_of_other_f():
+    f = sq.SmoothQuadratic(np.eye(2), np.ones(2))
+    assert sq.polyfunc._f_kernels(f) == (f._value, f._grad)
+
+    class Shifted(sq.SmoothQuadratic):
+        def value(self, x):
+            return super().value(x) + 1.0
+
+    class Duck:
+        def value(self, x):
+            return 0.0
+
+        def grad(self, x):
+            return np.zeros(2)
+
+    for other in (Shifted(np.eye(2), np.ones(2)), Duck()):
+        assert sq.polyfunc._f_kernels(other) == (other.value, other.grad)
+
+
 def test_orthant_indicator_rows():
     g = sq.PolyhedralFunction.orthant_indicator(3)
     assert g.n_pieces == 0

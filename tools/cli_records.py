@@ -15,6 +15,11 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   their stationary points put coordinates at upper bounds and on simplex
   faces, which no shipped problem does, and the polyhedron's samples
   take the QP projection and the per-sample local models;
+* `solve FILE --variant lifted --steps 2000 --y0 START` on the lifted
+  solver runs of `gen.kl_plan(101)` cycle 0 whose domain is a simplex or
+  whose orthant instance is degenerate, each with its xbar as
+  `meta.known_minimizer`, so the gaps and the (sublinear on the
+  degenerate orthant) rate fit are printed;
 * a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
   (the shipped points of the pool are perfbench's explicit list, which
   leaves out cone2);
@@ -89,14 +94,20 @@ def _runs(repo, pool_dir):
     sys.path.insert(0, os.path.join(repo, "perfbench"))
     import gen
 
+    os.makedirs(os.path.join(pool_dir, "kl"))
     for name, d, xbar in _kl_plan_problems(gen):
         path = os.path.join(pool_dir, "kl", name + ".json")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)
         y = "--y=" + gen._vec_arg(xbar ** 0.5)
         yield ["kl-fit", path, y]
         yield ["certify", path, y]
+    for name, d, start in _kl_plan_solver_runs(gen):
+        path = os.path.join(pool_dir, "kl", name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        yield ["solve", path, "--variant", "lifted", "--steps", "2000",
+               "--y0=" + gen._vec_arg(start)]
     problems = os.path.join(repo, "problems")
     for seed in POOL_SEEDS:
         workdir = os.path.join(pool_dir, f"seed{seed}")
@@ -137,6 +148,25 @@ def _kl_plan_problems(gen):
         pool[name] = (name, d, spec["xbar"])
     found[min(polyhedra)] = polyhedra[min(polyhedra)]
     return [found[name] for name in sorted(found)]
+
+
+def _kl_plan_solver_runs(gen):
+    """(name, problem dict, start) for each lifted solver run of
+    `gen.kl_plan(KL_PLAN_SEED)` cycle 0 on a simplex or on a degenerate
+    (not strictly complementary) orthant instance, in name order."""
+    runs = []
+    for spec in gen.kl_plan(KL_PLAN_SEED)[0]:
+        if spec["call"] != "run_first_order" or spec["variant"] != "lifted" \
+                or (spec["problem"].startswith("orthant") and spec["strict"]):
+            continue
+        domain = {k: v.tolist() for k, v in spec["dom"].items()}
+        d = {"n": len(spec["q"]),
+             "f": {"Q": spec["Q"].tolist(), "q": spec["q"].tolist(),
+                   "r": spec["r"]},
+             "g": {"domain": domain},
+             "meta": {"known_minimizer": spec["xbar"].tolist()}}
+        runs.append((spec["problem"], d, spec["start"]))
+    return sorted(runs, key=lambda run: run[0])
 
 
 def record(repo: str, out_path: str) -> int:
