@@ -457,7 +457,7 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
         if nxt > prev + 1e-10 * (1.0 + abs(prev)):
             raise DivergenceDetected(
                 f"objective rose from {prev!r} to {nxt!r} at step {k}")
-        if t == 0.0 or nxt >= prev or np.array_equal(cand, y):
+        if t == 0.0 or nxt >= prev:
             break
         y, prev = cand, nxt
     return _finish_trace("lifted", records, values, f_star)

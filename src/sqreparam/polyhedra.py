@@ -10,9 +10,11 @@ bounded-variable simplex with Bland's smallest-index rule (identical
 input gives an identical optimal witness): inequality rows with one
 nonzero are read as bounds, and a variable with two finite bounds
 reaches its upper one by a bound flip, not through an extra row
-(Dantzig 1955; Bland 1977).  The QP solver is a primal active-set
-method with smallest-index tie breaking that solves each working-set KKT
-system by LU, and by least squares only when that system is singular.
+(Dantzig 1955; Bland 1977).  Its condensed tableau holds only the
+nonbasic columns, each mapped to its variable; Bland's rule compares
+variable indices.  The QP solver is a primal active-set method with
+smallest-index tie breaking that solves each working-set KKT system by
+LU, and by least squares only when that system is singular.
 On a box or simplex, projection and the weighted min-norm over a normal
 cone are closed forms instead (clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
@@ -312,46 +314,53 @@ class LPOutcome:
         return abs(self.value - self.dual_value)
 
 
-def _pivot(T: np.ndarray, basis: list, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, var: np.ndarray, basis: np.ndarray, row: int,
+           col: int) -> None:
+    """Pivot the condensed tableau on (row, col): var[col] enters, and the
+    leaving basis[row] takes column col with its full-tableau entries."""
+    inv = 1.0 / T[row, col]
     T[row] = T[row] / T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
     T -= np.outer(column, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    T[:, col] = 0.0 - column * inv
+    T[row, col] = inv
+    var[col], basis[row] = basis[row], var[col]
     # damp roundoff in the rhs so later ratio tests stay well posed
     rhs = T[:, -1]
     rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
 
 
-def _run_simplex(T: np.ndarray, basis: list, cost: np.ndarray,
-                 cap: np.ndarray, flipped: np.ndarray,
+def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
+                 cost: np.ndarray, cap: np.ndarray, flipped: np.ndarray,
                  tol: float, max_iter: int) -> tuple[str, int]:
-    """Minimize cost @ x over 0 <= x <= cap on the canonical tableau in
+    """Minimize cost @ x over 0 <= x <= cap on the condensed tableau in
     place; returns the status and the number of pivots.
 
-    flipped[j] marks x_j replaced by cap[j] - x_j (column and reduced
-    cost negated), so every nonbasic variable sits at 0, a flipped one
-    at its upper bound.  Bland's rule both for entering (smallest index
-    with negative reduced cost) and leaving (smallest variable index
-    among ratio ties, the entering variable's own bound flip, made
-    without a pivot, included), which rules out cycling.
+    T holds only the nonbasic columns, column k that of variable var[k],
+    and the rhs; basis[p] is the variable basic in row p.  flipped[j]
+    marks x_j replaced by cap[j] - x_j (column and reduced cost negated),
+    so every nonbasic variable sits at 0, a flipped one at its upper
+    bound.  Bland's rule by variable index, not column position, both
+    for entering (smallest index with negative reduced cost) and leaving
+    (smallest variable index among ratio ties, the entering variable's
+    own bound flip, made without a pivot, included), which rules out
+    cycling.
     """
-    m, width = T.shape
-    ncols = width - 1
-    reduced = np.where(flipped, -cost, cost)
+    m = T.shape[0]
+    full = np.where(flipped, -cost, cost)
+    reduced = full[var]
     for p in range(m):
-        j = basis[p]
-        if reduced[j] != 0.0:
-            reduced -= reduced[j] * T[p, :ncols]
+        if full[basis[p]] != 0.0:
+            reduced -= full[basis[p]] * T[p, :-1]
     pivots = 0
     for _ in range(max_iter):
         negative = (reduced < -tol).nonzero()[0]
         if negative.size == 0:
             return "optimal", pivots
-        enter = int(negative[0])
-        col, rhs = T[:, enter], T[:, -1]
+        k = int(negative[np.argmin(var[negative])])
+        enter = int(var[k])
+        col, rhs = T[:, k], T[:, -1]
         ratios = np.full(m, _INF)
         down, up = col > tol, col < -tol
         ratios[down] = rhs[down] / col[down]
@@ -362,28 +371,26 @@ def _run_simplex(T: np.ndarray, basis: list, cost: np.ndarray,
             return "unbounded", pivots
         band = best + 1e-9 * (1.0 + abs(best))
         ties = (ratios <= band).nonzero()[0]
-        leave = int(min(ties, key=lambda p: basis[p], default=-1))
+        leave = int(ties[np.argmin(basis[ties])]) if ties.size else -1
         if cap[enter] <= band and (leave < 0 or enter < basis[leave]):
             # the entering variable reaches its other bound first
             rhs -= cap[enter] * col
             rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
             col *= -1.0
-            reduced[enter] *= -1.0
+            reduced[k] *= -1.0
             flipped[enter] = not flipped[enter]
             continue
         if col[leave] < 0.0:
             # it leaves at its upper bound: complement it while basic
             j = basis[leave]
             T[leave] *= -1.0
-            T[leave, j] = 1.0
             T[leave, -1] += cap[j]
             flipped[j] = not flipped[j]
-        _pivot(T, basis, leave, enter)
+        ent = reduced[k]
+        _pivot(T, var, basis, leave, k)
         pivots += 1
-        ent = reduced[enter]
-        if ent != 0.0:
-            reduced -= ent * T[leave, :ncols]
-            reduced[enter] = 0.0
+        reduced[k] = 0.0
+        reduced -= ent * T[leave, :-1]
     raise NumericalFailure("simplex iteration budget exceeded")
 
 
@@ -463,14 +470,13 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     budget = 2000 + 50 * (m + N)
 
     # Phase 1: artificial variables on every row.
-    T = np.zeros((m, N + m + 1))
+    T = np.zeros((m, N + 1))
     T[:, :N] = A_std
-    T[:, N:N + m] = np.eye(m)
     T[:, -1] = b_std
-    basis = list(range(N, N + m))
+    var, basis = np.arange(N), np.arange(N, N + m)
     cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-    status, pivots = _run_simplex(T, basis, cost1, cap, flipped, pivot_tol,
-                                  budget)
+    status, pivots = _run_simplex(T, var, basis, cost1, cap, flipped,
+                                  pivot_tol, budget)
     if status != "optimal":
         raise NumericalFailure("phase-1 simplex reported unbounded")
     infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
@@ -481,23 +487,21 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     for p in range(m):
         if basis[p] < N:
             continue
-        entering = np.nonzero(np.abs(T[p, :N]) > 1e-9)[0]
+        entering = np.nonzero((var < N) & (np.abs(T[p, :-1]) > 1e-9))[0]
         if entering.size:
-            _pivot(T, basis, p, int(entering[0]))
+            _pivot(T, var, basis, p, int(entering[np.argmin(var[entering])]))
             pivots += 1
         else:
             keep[p] = False
     if not keep.all():
-        T = T[keep]
-        basis = [b for b, k in zip(basis, keep) if k]
-        A_std = A_std[keep]
-        b_std = b_std[keep]
-    T = np.hstack([T[:, :N], T[:, -1:]])
+        T, basis, A_std, b_std = T[keep], basis[keep], A_std[keep], b_std[keep]
+    T = T[:, np.append(var < N, True)]
+    var = var[var < N]
     cap, flipped = cap[:N], flipped[:N]
 
     cost2 = np.concatenate([-(M.T @ c), np.zeros(n_slack)])
-    status, more = _run_simplex(T, basis, cost2, cap, flipped, pivot_tol,
-                                budget)
+    status, more = _run_simplex(T, var, basis, cost2, cap, flipped,
+                                pivot_tol, budget)
     pivots += more
     if status == "unbounded":
         return LPOutcome(LPStatus.UNBOUNDED, _INF, pivots=pivots)
@@ -568,6 +572,7 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
     set's KKT system, then drops the smallest-index row whose multiplier
     is below -1e-9 (1 + max|c|), or steps toward the subproblem minimizer
     until a row blocks, the smallest index among steps tied within 1e-13.
+    An unblocked step keeps the working set, and its solve with it.
     """
     n = c.size
     x = np.asarray(x0, dtype=float).copy()
@@ -580,9 +585,11 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
     scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     row_floor = 1e-13 * (1.0 + np.max(np.abs(A_ineq), axis=1, initial=0.0))
 
+    sol = None
     for _ in range(100 + 20 * (n + A_ineq.shape[0])):
-        sol = _kkt_solve(H, c, np.vstack([A_eq, A_ineq[working]]),
-                         np.concatenate([b_eq, b_ineq[working]]))
+        if sol is None:
+            sol = _kkt_solve(H, c, np.vstack([A_eq, A_ineq[working]]),
+                             np.concatenate([b_eq, b_ineq[working]]))
         target = sol[:n]
         direction = target - x
         if np.max(np.abs(direction), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
@@ -590,24 +597,26 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
             if not violated.size:
                 return target
             working.pop(int(violated[0]))
+            sol = None
             continue
         # longest feasible step toward the subproblem solution
         advance = A_ineq @ direction
         room = np.maximum(b_ineq - A_ineq @ x, 0.0)
         candidate = advance > row_floor
         candidate[working] = False
-        alpha = 1.0
-        blocking = -1
-        for i in np.flatnonzero(candidate):
-            step = room[i] / advance[i]
-            if step < alpha - 1e-13:
-                alpha = step
-                blocking = int(i)
+        steps = np.divide(room, advance, out=np.full(room.size, _INF),
+                          where=candidate)
+        alpha, blocking = 1.0, -1
+        # a row blocks only with a step short of alpha = 1
+        for i in np.flatnonzero(steps < 1.0 - 1e-13).tolist():
+            if steps[i] < alpha - 1e-13:
+                alpha, blocking = steps[i], i
         if blocking < 0:
-            x = target
+            x = target          # the working set stands, and so does sol
         else:
             x = x + alpha * direction
             working = sorted(working + [blocking])
+            sol = None
     raise NumericalFailure("active-set QP iteration budget exceeded")
 
 

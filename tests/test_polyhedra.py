@@ -1,5 +1,6 @@
 """Unit tests for the polyhedral kernels: LP, projection, generator sets."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -543,18 +544,18 @@ def _counted_kkt_solves(monkeypatch):
 
 
 def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
-    # pinned to the counts of the least-squares solve the LU solve
-    # replaced: the method takes the same path, only each solve is cheaper
+    # one solve per working set: an unblocked step keeps the working set,
+    # and its solve serves the next multiplier test
     calls = _counted_kkt_solves(monkeypatch)
-    rng = np.random.default_rng(5)
-    P = _h_polyhedron(rng, 40)
-    x = 4.0 * rng.standard_normal(40)
-    z = sq.project_onto_polyhedron(P, x)
-    assert len(calls) == 228
+    P, v, rng = _pinned_draw(40)
+    z = sq.project_onto_polyhedron(P, 4.0 * v)
+    assert len(calls) == 148
     del calls[:]
     z_warm = sq.project_onto_polyhedron(
-        P, x + 0.1 * rng.standard_normal(40), start=z)
-    assert len(calls) == 2
+        P, 4.0 * v + 0.1 * rng.standard_normal(40), start=z)
+    assert len(calls) == 1
+    assert (_digest(z.tobytes()), _digest(z_warm.tobytes())) \
+        == _PROJECTION_PINS
     assert P.max_violation(z) <= 1e-9 and P.max_violation(z_warm) <= 1e-9
 
 
@@ -745,10 +746,7 @@ def test_lp_terminates_on_beales_cycling_example():
         assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
-    # The relative-interior LP has no singleton row and no two-sided
-    # bound, so it pivots as the plain two-phase simplex did: the witness
-    # is pinned from that solver, bit for bit, and so is its 10 pivots.
+def _recorded_lps(monkeypatch):
     outcomes = []
     lp_solve = polyhedra.lp_solve
 
@@ -757,6 +755,14 @@ def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(polyhedra, "lp_solve", recorded)
+    return outcomes
+
+
+def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
+    # The relative-interior LP has no singleton row and no two-sided
+    # bound, so it pivots as the plain two-phase simplex did: the witness
+    # is pinned from that solver, bit for bit, and so is its 10 pivots.
+    outcomes = _recorded_lps(monkeypatch)
     rng = np.random.default_rng(11)
     points, rays = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
     z = np.full(3, 1.0 / 3.0) @ points + np.full(2, 0.5) @ rays
@@ -779,3 +785,74 @@ def test_lp_pivot_count_on_a_general_polyhedron():
     assert out.pivots == 1479
     assert P.max_violation(out.witness) <= 1e-9
     assert out.duality_gap <= 1e-9 * (1.0 + abs(out.value))
+
+
+# SHA-256 pins of the kernels' outcomes.  The simplex and the active-set
+# QP are deterministic to the bit: a faster kernel must reproduce every
+# status, value, witness, dual value and pivot count, every projection
+# and every weighted min-norm below.
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _lp_digest(out):
+    return _digest(out.status, repr(out.value), out.witness.tobytes(),
+                   repr(out.dual_value), out.pivots)
+
+
+def _pinned_draw(n):
+    """A general polyhedron of 3n rows and a random vector, as drawn by
+    test_lp_pivot_count_on_a_general_polyhedron."""
+    rng = np.random.default_rng(5)
+    P = _h_polyhedron(rng, n)
+    return P, rng.standard_normal(n), rng
+
+
+_LP_PINS = {
+    10: ("59c13246030e9e57a7e238bc362a4f2c11718b45de4e44f12252a635854b28e6",
+         "e23cfa737764664c0f1fbebb74dc068b8fc0805fc9a47c1ba66d6c3dfab38911"),
+    20: ("2bf78e6b26b717d3eed3db7afbba9471ae66dc04f3c38162abc39b2864871625",
+         "0c27e6779045474098ea8a9cbe444a9f7f6ab5505b607f98bdbf4cdfd0797080"),
+    40: ("cbb5dfae26894283e2cf42184a0d1115e155128832a05d2c01d6f8d4beaa0d17",
+         "5089f7f6b1275592bd7e2c4735bd4ea5b92da459faa554fcb59829b9be81c368"),
+    80: ("c11f26aa832b42a5ddfb37c1caaca8bad2c10f72cd072ab3f7f5b2c5122280e4",
+         "6a9c0e18d7aff9ddb5dac4926e03e6f2472e41a587d21dcaca20de828e6d8a54"),
+}
+_RI_PIN = "353b86826113ca0fc2ede577ee9b14c861c0d8da56f3795a36d79e7721fcbf4c"
+_PROJECTION_PINS = (
+    "7db63aad651114db961a45cc0e590570dbac6b6e4101087fb52ab5a1e3753d56",
+    "12caffa1daa30877f6037e744566ae306451ee4941bd50f409b171a9c31ed2ac")
+_MIN_NORM_PIN = \
+    "bc986e3b4b29a71802b056a8ba2efd2c5c9a00f8df2ba19c67c9d023aab71043"
+
+
+@pytest.mark.parametrize("n", sorted(_LP_PINS))
+def test_lp_outcomes_match_their_pins(monkeypatch, n):
+    P, c, _ = _pinned_draw(n)
+    out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq)
+    outcomes = _recorded_lps(monkeypatch)
+    z = sq.feasible_point(P)
+    (feasible,) = outcomes
+    assert z is feasible.witness
+    assert (_lp_digest(out), _lp_digest(feasible)) == _LP_PINS[n]
+
+
+def test_ri_lp_with_fewer_generators_than_coordinates_matches_its_pin(
+        monkeypatch):
+    outcomes = _recorded_lps(monkeypatch)
+    rng = np.random.default_rng(23)
+    points, rays = rng.standard_normal((3, 12)), rng.standard_normal((6, 12))
+    lam = rng.uniform(0.2, 1.0, 3)
+    z = lam / lam.sum() @ points + rng.uniform(0.2, 1.0, 6) @ rays
+    assert sq.vrep_ri_membership(sq.GeneratorSet(12, points, rays), z)
+    (out,) = outcomes
+    assert _lp_digest(out) == _RI_PIN
+
+
+def test_min_norm_weighted_on_the_n40_draw_matches_its_pin():
+    # the projection pins are asserted with the QP's solve counts
+    P, v, rng = _pinned_draw(40)
+    S = sq.GeneratorSet(40, P.A_ineq[80:83], P.A_ineq[83:103])
+    value, z = sq.min_norm_weighted(S, 4.0 * v, rng.uniform(0.5, 2.0, 40))
+    assert _digest(repr(value), z.tobytes()) == _MIN_NORM_PIN
