@@ -77,7 +77,6 @@ from .second_order import (
     correspondence_check,
     d2_lifted_g,
     d2_lifted_objective_on_SI,
-    d2_smooth_orthant_lift,
     stationarity_multiplier,
 )
 from .kl_lab import (
@@ -95,6 +94,7 @@ from .kl_lab import (
     strict_complementarity,
 )
 from .oracles import (
+    d2_smooth_orthant_lift,
     enumerate_vertices,
     fd_second_subderivative,
     grid_min_norm,

@@ -394,6 +394,8 @@ def _cmd_kl_fit(args) -> int:
     inputs = None
     if args.alpha is not None:
         inputs = ExponentInputs(args.alpha, bool(args.strict), args.gamma)
+    elif args.gamma is not None or args.strict:
+        raise ValidationError("--gamma and --strict need --alpha")
     _kv("command", "kl-fit")
     _kv("problem", args.file)
     _kv("y", y)
@@ -435,6 +437,9 @@ def _cmd_solve(args) -> int:
         if xm.size != p.n:
             raise ValidationError("meta.known_minimizer has the wrong length")
         f_star = phi_value(p, xm)
+        if not np.isfinite(f_star):
+            raise ValidationError(
+                "meta.known_minimizer lies outside the domain of g")
     _kv("command", "solve")
     _kv("problem", args.file)
     _kv("variant", args.variant)

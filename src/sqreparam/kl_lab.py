@@ -38,8 +38,8 @@ from .errors import (
     OutOfLiftedDomain,
     UnsupportedProblemClass,
 )
-from .polyfunc import (CompositeProblem, LocalModel, phi_value, _closed_form,
-                       _f_kernels, _g_rows, _min_norm_rows)
+from .polyfunc import (CompositeProblem, LocalModel, phi_value, _f_kernels,
+                       _g_rows, _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
     project_onto_polyhedron,
@@ -137,7 +137,7 @@ class ScatterConfig:
 
 
 def _perturbations(p: CompositeProblem, xbar, base: float,
-                   config: ScatterConfig, tol: float):
+                   config: ScatterConfig):
     """Feasible points near xbar whose gap phi(x) - base clears the floor.
 
     Returns (x, gap, signs), one row per kept sample, in the sampling
@@ -157,7 +157,7 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
     signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
     value = _f_kernels(p.f)[0]
     gap = np.array([float(value(x)) + gx if gx < _INF else _INF
-                    for x, gx in zip(X, _g_rows(p.g, X, tol))]) - base
+                    for x, gx in zip(X, _g_rows(p.g, X))]) - base
     keep = gap > 10.0 * np.finfo(float).eps * (1.0 + abs(base))
     if not keep.any():
         raise InsufficientSamples("no sample cleared the gap floor")
@@ -174,9 +174,7 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 
 def sample_scatter(p: CompositeProblem, ybar,
-                   config: ScatterConfig = ScatterConfig(),
-                   tol: float = DEFAULT_TOL,
-                   tol_support: float = DEFAULT_TOL_SUPPORT) -> np.ndarray:
+                   config: ScatterConfig = ScatterConfig()) -> np.ndarray:
     """(gap, lifted residual) samples around a lifted stationary ybar.
 
     Returns an array of shape (n_samples, 2) sorted by gap.  Raises
@@ -184,22 +182,18 @@ def sample_scatter(p: CompositeProblem, ybar,
     InsufficientSamples when every sample falls below the gap floor.
     """
     ybar = _as_vector(ybar, p.n, "ybar")
-    base = lift_eval(p, ybar, tol)
+    base = lift_eval(p, ybar)
     if not np.isfinite(base):
         raise OutOfDomain("ybar*ybar is outside the domain of g")
-    if lifted_residual(p, ybar, tol_support, tol) > tol:
+    if lifted_residual(p, ybar) > DEFAULT_TOL:
         raise NotAStationaryPoint("ybar is not lifted stationary")
 
-    X, gaps, signs = _perturbations(p, ybar * ybar, base, config, tol)
+    X, gaps, signs = _perturbations(p, ybar * ybar, base, config)
     Y = signs * np.sqrt(np.maximum(X, 0.0))
-    if _closed_form(p.g):
-        X = Y * Y
-        if not (_g_rows(p.g, X, tol) < _INF).all():
-            raise OutOfLiftedDomain("y*y is outside the domain of g")
-        residuals = 2.0 * _min_norm_rows(p, X, np.abs(Y))[1]
-    else:
-        residuals = np.array([lifted_residual(p, y, tol_support, tol)
-                              for y in Y])
+    X = Y * Y
+    if not (_g_rows(p.g, X) < _INF).all():
+        raise OutOfLiftedDomain("y*y is outside the domain of g")
+    residuals = 2.0 * _min_norm_rows(p, X, np.abs(Y))[1]
     order = np.lexsort((residuals, gaps))
     return np.column_stack([gaps[order], residuals[order]])
 
@@ -227,7 +221,6 @@ class KLFitReport:
 def estimate_exponent(p: CompositeProblem, ybar,
                       config: ScatterConfig = ScatterConfig(),
                       inputs: ExponentInputs | None = None,
-                      tol: float = DEFAULT_TOL,
                       samples: np.ndarray | None = None) -> KLFitReport:
     """Estimate the lifted exponent from scatter data.
 
@@ -239,7 +232,7 @@ def estimate_exponent(p: CompositeProblem, ybar,
     config.
     """
     if samples is None:
-        samples = sample_scatter(p, ybar, config, tol)
+        samples = sample_scatter(p, ybar, config)
     gaps = samples[:, 0]
     residuals = samples[:, 1]
     keep = residuals > 0.0
@@ -274,9 +267,7 @@ def estimate_exponent(p: CompositeProblem, ybar,
 
 
 def lemma61_probe(p: CompositeProblem, xbar, beta: float,
-                  config: ScatterConfig = ScatterConfig(),
-                  tol: float = DEFAULT_TOL,
-                  tol_support: float = DEFAULT_TOL_SUPPORT) -> float:
+                  config: ScatterConfig = ScatterConfig()) -> float:
     """Empirical infimum of the sharpness ratio at order beta.
 
     For sampled feasible x near the global minimizer xbar, with v the
@@ -294,26 +285,22 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
     if not (0.0 <= beta < 1.0):
         raise InvalidRange(f"beta must lie in [0, 1), got {beta}")
     xbar = _as_vector(xbar, p.n, "xbar")
-    centre = LocalModel(p.g, p.f, xbar, tol)
+    centre = LocalModel(p.g, p.f, xbar)
     if not centre.in_domain:
         raise OutOfDomain("xbar is outside the domain of g")
     eigs = np.linalg.eigvalsh(np.asarray(p.f.hess(xbar), dtype=float))
     if eigs.size and eigs.min() < -1e-9:
         raise NotConvex("smooth part has a negative curvature direction")
-    base = phi_value(p, xbar, tol)
+    base = phi_value(p, xbar)
     if not centre.phi_stationary:
         raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
 
-    support = np.abs(xbar) > tol_support
-    X, gaps, _ = _perturbations(p, xbar, base, config, tol)
-    if _closed_form(p.g):
-        if not (_g_rows(p.g, X, tol) < _INF).all():
-            raise OutOfDomain("g_subdiff: point outside the domain")
-        grads, _, Z = _min_norm_rows(p, X, np.ones(X.shape))
-        V = grads + Z
-    else:
-        V = np.array([pt.grad + pt.phi_min_norm[1] for pt in
-                      (LocalModel(p.g, p.f, x, tol) for x in X)])
+    support = np.abs(xbar) > DEFAULT_TOL_SUPPORT
+    X, gaps, _ = _perturbations(p, xbar, base, config)
+    if not (_g_rows(p.g, X) < _INF).all():
+        raise OutOfDomain("g_subdiff: point outside the domain")
+    grads, _, Z = _min_norm_rows(p, X, np.ones(X.shape))
+    V = grads + Z
     # compress, not a mask, keeps rows contiguous: a product of strided
     # rows rounds differently
     on, off = (np.compress(m, V, axis=1) ** 2 for m in (support, ~support))
@@ -479,11 +466,14 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     step 1/L, L estimated by power iteration on the Hessian; g must be
     an indicator.  variant "lifted": descent on f(y*y), plain Armijo
     backtracking when g is the orthant indicator and sphere-retracted
-    backtracking when g is a simplex indicator.
+    backtracking when g is a simplex indicator.  A given f_star must be
+    finite (InvalidRange otherwise).
     """
     start = _as_vector(start, p.n, "start")
     if steps < 1:
         raise InvalidRange("steps must be positive")
+    if f_star is not None and not math.isfinite(f_star):
+        raise InvalidRange(f"f_star must be finite, got {f_star!r}")
     if variant == "original":
         return _run_projected_gradient(p, start, steps, f_star)
     if variant == "lifted":

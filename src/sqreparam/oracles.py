@@ -2,11 +2,12 @@
 
 Each oracle recomputes a quantity the fast path obtains by LP/QP duality
 or a closed formula, using nothing smarter than enumeration, grids, and
-raw difference quotients.  They refuse inputs above small hard caps
-(``TooLarge``) because their cost is combinatorial by design.  Ship them
-anyway: the batteries in ``sqreparam.checks``, which the self-test
-command and the acceptance suite run, judge the fast path against these
-on seeded random instances.
+raw difference quotients, or plain calculus where the lift is smooth
+(d2_smooth_orthant_lift).  The brute-force ones refuse inputs above small
+hard caps (``TooLarge``) because their cost is combinatorial by design.
+Ship them anyway: the batteries in ``sqreparam.checks``, which the
+self-test command and the acceptance suite run, judge the fast path
+against these on seeded random instances.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     OutOfDomain,
     TooLarge,
     UnboundedPolyhedron,
+    UnsupportedProblemClass,
 )
 from .polyhedra import (
     DEFAULT_TOL,
@@ -262,6 +264,25 @@ def fd_second_subderivative(H_eval, ybar, lam, w) -> float:
         return _INF
     tail = [q for q in per_t[-3:] if np.isfinite(q)]
     return float(min(tail))
+
+
+def d2_smooth_orthant_lift(p, y, w) -> float:
+    """Closed-form second-order quotient when g is the orthant indicator.
+
+    In that case the lifted objective is the smooth function f(y*y) on
+    all of space and the quotient is the plain Hessian quadratic form,
+    valid for arbitrary directions w:
+
+        2 <grad f(x), w*w> + 4 <y o w, hess f(x) (y o w)>.
+    """
+    if p.g.kind != "orthant":
+        raise UnsupportedProblemClass(
+            "closed form requires g to be the orthant indicator")
+    y = _as_vector(y, p.n, "y")
+    w = _as_vector(w, p.n, "w")
+    x = y * y
+    yw = y * w
+    return float(2.0 * p.f.grad(x) @ (w * w) + 4.0 * yw @ (p.f.hess(x) @ yw))
 
 
 def subgradient_inequality_check(g, x, v, tol: float = DEFAULT_TOL) -> bool:

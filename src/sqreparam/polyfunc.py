@@ -183,19 +183,17 @@ class PolyhedralFunction:
         return PolyhedralFunction(domain.n, A, b, domain)
 
 
-def g_eval(g: PolyhedralFunction, x, tol: float = DEFAULT_TOL) -> float:
-    """Extended-real value of g at x (+inf outside the domain); tol must
-    be finite and nonnegative (InvalidRange otherwise)."""
-    x = _as_vector(x, g.n, "x")
-    check_tol(tol)
-    return float(_g_rows(g, x[None], tol)[0])
+def g_eval(g: PolyhedralFunction, x) -> float:
+    """Extended-real value of g at x (+inf outside the domain, that is
+    beyond DEFAULT_TOL)."""
+    return float(_g_rows(g, _as_vector(x, g.n, "x")[None])[0])
 
 
-def _g_rows(g: PolyhedralFunction, X: np.ndarray, tol: float) -> np.ndarray:
+def _g_rows(g: PolyhedralFunction, X: np.ndarray) -> np.ndarray:
     """g_eval at each row of the unvalidated (N, n) array X."""
     values = np.zeros(X.shape[0]) if g.n_pieces == 0 else np.max(
         (g.pieces_A @ X[:, :, None])[:, :, 0] + g.pieces_b, axis=1)
-    return np.where(g.domain._violations(X) <= tol, values, _INF)
+    return np.where(g.domain._violations(X) <= DEFAULT_TOL, values, _INF)
 
 
 @dataclass(frozen=True)
@@ -321,9 +319,15 @@ def _closed_form(g: PolyhedralFunction) -> bool:
 
 def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     """grad f and LocalModel._min_norm at each row of the unvalidated
-    (N, n) array X, in the domain of g when _closed_form(g): the activity
-    test of activity_pattern over the stack, grad f row by row, and the
-    closed form over the stack.  Returns (grads, values, minimizers)."""
+    (N, n) array X, whose rows the caller has tested for the domain of g.
+    When _closed_form(p.g): the activity test of activity_pattern over the
+    stack, grad f row by row, and the closed form over the stack; one
+    LocalModel per row otherwise.  Returns (grads, values, minimizers)."""
+    if not _closed_form(p.g):
+        models = [LocalModel(p.g, p.f, x) for x in X]
+        values, Z = zip(*(pt._min_norm(w) for pt, w in zip(models, weights)))
+        return np.array([pt.grad for pt in models]), np.array(values), \
+            np.array(Z)
     dom = p.g.domain
     active = dom.b_ineq - (dom.A_ineq @ X[:, :, None])[:, :, 0] \
         <= DEFAULT_TOL_ACTIVE
@@ -332,10 +336,9 @@ def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     return (grads,) + _min_norm_normal_cone(dom, active, grads, weights)
 
 
-def g_subdiff(g: PolyhedralFunction, x,
-              tol: float = DEFAULT_TOL) -> GeneratorSet:
+def g_subdiff(g: PolyhedralFunction, x) -> GeneratorSet:
     """Subdifferential of g at x as a generator set (LocalModel.S)."""
-    return LocalModel(g, None, x, tol).S
+    return LocalModel(g, None, x).S
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,21 +362,20 @@ class CompositeProblem:
         return self.g.n
 
 
-def phi_value(p: CompositeProblem, x, tol: float = DEFAULT_TOL) -> float:
-    gx = g_eval(p.g, x, tol)
+def phi_value(p: CompositeProblem, x) -> float:
+    gx = g_eval(p.g, x)
     if not np.isfinite(gx):
         return _INF
     return float(p.f.value(x)) + gx
 
 
-def phi_subdiff(p: CompositeProblem, x,
-                tol: float = DEFAULT_TOL) -> GeneratorSet:
+def phi_subdiff(p: CompositeProblem, x) -> GeneratorSet:
     """Subdifferential of phi at x: grad f translates the points of
     the g subdifferential, rays and lines are unchanged."""
-    pt = LocalModel(p.g, p.f, x, tol)
+    pt = LocalModel(p.g, p.f, x)
     return pt.S.translate(pt.grad)
 
 
-def phi_residual(p: CompositeProblem, x, tol: float = DEFAULT_TOL) -> float:
+def phi_residual(p: CompositeProblem, x) -> float:
     """dist(0, subdiff phi(x)); raises OutOfDomain outside dom g."""
-    return LocalModel(p.g, p.f, x, tol).phi_residual
+    return LocalModel(p.g, p.f, x).phi_residual

@@ -58,13 +58,16 @@ class LiftedPoint(LocalModel):
     Built on first use, once each: the support sup (tuple: support) and
     its complement comp, which the lifted residual alone does not need;
     the lifted residual; and everything LocalModel builds, with S raising
-    OutOfLiftedDomain outside the domain.  tol and tol_support must be
-    finite and nonnegative (InvalidRange otherwise).
+    OutOfLiftedDomain outside the domain.  y must be a point, not a model
+    (DimensionMismatch), and tol and tol_support finite and nonnegative
+    (InvalidRange).
     """
 
     def __init__(self, g: PolyhedralFunction, f, y,
                  tol_support: float = DEFAULT_TOL_SUPPORT,
                  tol: float = DEFAULT_TOL):
+        if isinstance(y, LocalModel):
+            raise DimensionMismatch("y: expected a point, got a model")
         check_tol(tol_support, "tol_support")
         self.tol_support = tol_support
         self.y = _as_vector(y, g.n, "y")
@@ -95,11 +98,12 @@ class LiftedPoint(LocalModel):
         return 2.0 * self._min_norm(np.abs(self.y))[0]
 
 
-def _lift(g: PolyhedralFunction, f, y, tol_support: float,
-          tol: float) -> LiftedPoint:
-    """The model at y; a model of the same problem passes through."""
+def _lift(g: PolyhedralFunction, f, y) -> LiftedPoint:
+    """The model a certificate reads at y: built with the default
+    tolerances from a point, or y itself when it is a model of the same
+    problem, with the tolerances it was built with."""
     if not isinstance(y, LiftedPoint):
-        return LiftedPoint(g, f, y, tol_support, tol)
+        return LiftedPoint(g, f, y)
     if y.g is not g or (f is not None and y.f is not f):
         raise DimensionMismatch("y is the lifted point of another problem")
     return y
@@ -108,23 +112,22 @@ def _lift(g: PolyhedralFunction, f, y, tol_support: float,
 def lift_point(p: CompositeProblem, y,
                tol_support: float = DEFAULT_TOL_SUPPORT,
                tol: float = DEFAULT_TOL) -> LiftedPoint:
-    """The local model of the lift at y.  Every certificate function of
-    reparam and second_order takes it in place of y, with the tolerances
-    it was built with, so certificates at one point share one model."""
-    return _lift(p.g, p.f, y, tol_support, tol)
+    """The local model of the lift at the point y, with these
+    tolerances.  Every certificate function of reparam and second_order
+    takes it in place of y and judges by its tolerances, so certificates
+    at one point share one model."""
+    return LiftedPoint(p.g, p.f, y, tol_support, tol)
 
 
-def lift_eval(p: CompositeProblem, y, tol: float = DEFAULT_TOL) -> float:
+def lift_eval(p: CompositeProblem, y) -> float:
     """Phi(y) = phi(y*y), +inf when y*y leaves the domain of g."""
     y = _as_vector(y, p.n, "y")
-    return phi_value(p, y * y, tol)
+    return phi_value(p, y * y)
 
 
-def lifted_residual(p: CompositeProblem, y,
-                    tol_support: float = DEFAULT_TOL_SUPPORT,
-                    tol: float = DEFAULT_TOL) -> float:
+def lifted_residual(p: CompositeProblem, y) -> float:
     """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
-    return lift_point(p, y, tol_support, tol).lifted_residual
+    return _lift(p.g, p.f, y).lifted_residual
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,10 @@ class StationarityReport:
     degenerate_activity: bool
 
 
-def classify_first_order(p: CompositeProblem, y, tol: float = DEFAULT_TOL,
-                         tol_support: float = DEFAULT_TOL_SUPPORT
-                         ) -> StationarityReport:
-    """Classify y; out-of-domain points are reported, not raised."""
-    pt = lift_point(p, y, tol_support, tol)
+def classify_first_order(p: CompositeProblem, y) -> StationarityReport:
+    """Classify y, or the model y, at its tolerance; out-of-domain points
+    are reported, not raised."""
+    pt = _lift(p.g, p.f, y)
     if not pt.in_domain:
         return StationarityReport(False, pt.support, None, None,
                                   False, False, None, False)

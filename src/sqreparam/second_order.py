@@ -36,17 +36,15 @@ from .errors import (
     InconsistencyDetected,
     InfeasibleMultiplier,
     NotStationaryError,
-    UnsupportedProblemClass,
 )
 from .polyfunc import CompositeProblem, PolyhedralFunction
 from .polyhedra import (
-    DEFAULT_TOL,
     LPStatus,
     lp_solve,
     vrep_membership,
     _as_vector,
 )
-from .reparam import DEFAULT_TOL_SUPPORT, LiftedPoint, _lift, lift_point
+from .reparam import LiftedPoint, _lift
 
 _INF = float("inf")
 
@@ -93,7 +91,7 @@ def stationarity_multiplier(p: CompositeProblem, y) -> Multiplier | None:
     cross-checked against the lifted residual; disagreement beyond the
     tolerance band raises InconsistencyDetected.
     """
-    pt = lift_point(p, y)
+    pt = _lift(p.g, p.f, y)
     sup, grad = pt.sup, pt.grad
     out = _slice_lp(pt, -grad[sup])
 
@@ -127,7 +125,7 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     means +inf, an infeasible one means the supplied v is not a valid
     slice anchor (InfeasibleMultiplier).
     """
-    pt = _lift(g, None, ybar, DEFAULT_TOL_SUPPORT, DEFAULT_TOL)
+    pt = _lift(g, None, ybar)
     v = _as_vector(v, g.n, "v")
     w = _as_vector(w, g.n, "w")
     weights = np.zeros(g.n)
@@ -161,7 +159,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     subdifferential slice; when a second witness exists the computation
     is repeated and compared.
     """
-    pt = lift_point(p, y)
+    pt = _lift(p.g, p.f, y)
     w = _as_vector(w, p.n, "w")
     mult = stationarity_multiplier(p, pt)
     if mult is None:
@@ -181,25 +179,6 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
                 f"second-order value depends on the witness: "
                 f"{value!r} vs {second!r}")
     return value
-
-
-def d2_smooth_orthant_lift(p: CompositeProblem, y, w) -> float:
-    """Closed-form second-order quotient when g is the orthant indicator.
-
-    In that case the lifted objective is the smooth function f(y*y) on
-    all of space and the quotient is the plain Hessian quadratic form,
-    valid for arbitrary directions w:
-
-        2 <grad f(x), w*w> + 4 <y o w, hess f(x) (y o w)>.
-    """
-    if p.g.kind != "orthant":
-        raise UnsupportedProblemClass(
-            "closed form requires g to be the orthant indicator")
-    y = _as_vector(y, p.n, "y")
-    w = _as_vector(w, p.n, "w")
-    x = y * y
-    yw = y * w
-    return float(2.0 * p.f.grad(x) @ (w * w) + 4.0 * yw @ (p.f.hess(x) @ yw))
 
 
 def _steepest_direction(pt: LiftedPoint, v):
@@ -261,7 +240,7 @@ def correspondence_check(p: CompositeProblem, y) -> CorrespondenceReport:
     two must agree; the least quotient over unit off-support directions
     gives the negative direction or cross-checks the second-order LP.
     """
-    pt = lift_point(p, y)
+    pt = _lift(p.g, p.f, y)
     mult = stationarity_multiplier(p, pt)
     lifted_stationary = mult is not None
 

@@ -532,7 +532,7 @@ def test_solve_original_stops_on_the_simplex_vertex(capsys):
 
 @pytest.mark.parametrize("value, code", [
     ("abc", 2), ([[1], [2, 3]], 2), ({"a": 1}, 2), ([1, "x"], 2),
-    ([0.0, 1.0], 3),
+    ([0.0, 1.0], 3), ([-1.0], 3),
 ])
 def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
     data = json.loads((PROBLEMS / "quartic1.json").read_text())
@@ -555,6 +555,8 @@ def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
     ["certify", ORTHANT2, "--y", "1,0", "--tol", "nan"],
     ["certify", ORTHANT2, "--y", "1,0", "--tol-support", "inf"],
     ["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1", "--tol", "nan"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--gamma", "1"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--strict"],
 ])
 def test_invalid_seed_radius_or_tolerance_is_validation_error(capsys, argv):
     # rejected before any report line, with no numpy warning on the way

@@ -253,15 +253,19 @@ def test_scatter_and_probe_match_a_per_sample_loop(kind):
 
 
 def test_scatter_and_probe_errors_on_the_stack():
-    # at tol = 0 the sum of a projected simplex sample, and of its y*y,
-    # misses the total by rounding: the sample leaves the domain
+    # on the simplex of total 1e8 the sum of a projected sample, and of its
+    # y*y, misses the total by rounding beyond DEFAULT_TOL: the sample
+    # leaves the domain
     f = sq.SmoothQuadratic(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
-    p = sq.CompositeProblem(f, sq.PolyhedralFunction.simplex_indicator(3))
-    xbar = np.array([1.0, 0.0, 0.0])
+    total = 1e8
+    dom = sq.Polyhedron(3, A_ineq=-np.eye(3), b_ineq=np.zeros(3),
+                        A_eq=np.ones((1, 3)), b_eq=[total])
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.indicator(dom))
+    xbar = np.array([total, 0.0, 0.0])
     with pytest.raises(sq.OutOfLiftedDomain):
-        sq.sample_scatter(p, xbar, tol=0.0)
+        sq.sample_scatter(p, np.sqrt(xbar))
     with pytest.raises(sq.OutOfDomain):
-        sq.lemma61_probe(p, xbar, 0.5, tol=0.0)
+        sq.lemma61_probe(p, xbar, 0.5)
     # f = 1e-14 (x_0 + x_1): every gap lies in (0, 2e-16], below the floor
     # 10 eps (1 + |phi(0)|)
     flat = sq.CompositeProblem(sq.SmoothQuadratic(np.zeros((2, 2)),
@@ -290,6 +294,11 @@ def test_lemma61_probe_errors():
 def test_run_first_order_rejects_unknown_variant():
     with pytest.raises(sq.UnsupportedProblemClass):
         sq.run_first_order(quartic(), "bogus", np.array([1.0]), steps=5)
+    # a non-finite f_star would clip every gap to 0
+    for f_star in (math.inf, math.nan):
+        with pytest.raises(sq.InvalidRange):
+            sq.run_first_order(quartic(), "lifted", np.array([1.0]), steps=5,
+                               f_star=f_star)
 
 
 def test_run_first_order_rejects_nonindicator_original():

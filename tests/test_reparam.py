@@ -1,5 +1,7 @@
 """Unit tests for the lifted problem: evaluation, residual, classification."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,15 @@ def test_lift_point_squares_and_flags_domain():
 def test_lifted_point_is_shared_across_certificates():
     p, y = random_nonsmooth_instance(4)
     pt = sq.lift_point(p, y)
-    assert sq.lift_point(p, pt) is pt
+    # lift_point builds models from points only
+    with pytest.raises(sq.DimensionMismatch):
+        sq.lift_point(p, pt)
     assert sq.lifted_residual(p, pt) == sq.lifted_residual(p, y)
     assert sq.classify_first_order(p, pt) == sq.classify_first_order(p, y)
     # the model caches what it built: a second certificate reuses it
-    assert pt.S is sq.lift_point(p, pt).S
+    S = pt.S
+    sq.correspondence_check(p, pt)
+    assert pt.S is S and {"lifted_residual", "phi_min_norm"} <= vars(pt).keys()
     other = sq.CompositeProblem(p.f, sq.PolyhedralFunction.orthant_indicator(p.n))
     with pytest.raises(sq.DimensionMismatch):
         sq.lifted_residual(other, pt)
@@ -123,20 +129,66 @@ ORTHANT2 = sq.CompositeProblem(
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize("call", [
-    lambda t: sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol=t),
-    lambda t: sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol_support=t),
     lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol=t),
-    lambda t: sq.lifted_residual(ORTHANT2, [1.0, 0.0], tol_support=t),
+    lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol_support=t),
+    lambda t: sq.LiftedPoint(ORTHANT2.g, ORTHANT2.f, [1.0, 0.0], tol=t),
+    lambda t: sq.LiftedPoint(ORTHANT2.g, ORTHANT2.f, [1.0, 0.0],
+                             tol_support=t),
+    lambda t: sq.LocalModel(ORTHANT2.g, ORTHANT2.f, [1.0, 0.0], tol=t),
+    lambda t: sq.LocalModel(ORTHANT2.g, None, [1.0, 0.0], tol=t),
     lambda t: sq.strict_complementarity(ORTHANT2, [1.0, 0.0], tol=t),
-    lambda t: sq.phi_residual(ORTHANT2, [1.0, 0.0], tol=t),
-    lambda t: sq.lift_eval(ORTHANT2, [1.0, 0.0], tol=t),
 ])
 def test_tolerances_must_be_finite_and_nonnegative(call, bad):
+    # every place a tolerance can be set: the models and strict_complementarity
     with pytest.raises(sq.InvalidRange):
         call(bad)
 
 
 def test_zero_tolerances_are_allowed():
-    report = sq.classify_first_order(ORTHANT2, [1.0, 0.0], tol=0.0,
-                                     tol_support=0.0)
+    pt = sq.lift_point(ORTHANT2, [1.0, 0.0], tol=0.0, tol_support=0.0)
+    report = sq.classify_first_order(ORTHANT2, pt)
     assert report.in_domain and report.stationary_for_phi
+
+
+def test_the_models_tolerance_decides_the_verdict():
+    # grad f(x) = (1e-6, 0) at x = (1, 0): both residuals lie between the
+    # default tolerance 1e-9 and 1e-3
+    p = sq.CompositeProblem(
+        sq.SmoothQuadratic(np.eye(2), np.array([-1.0 + 1e-6, 0.0])),
+        sq.PolyhedralFunction.orthant_indicator(2))
+    y = np.array([1.0, 0.0])
+    loose = sq.lift_point(p, y, tol=1e-3)
+    assert loose.tol == 1e-3
+    report = sq.classify_first_order(p, loose)
+    assert report.stationary_for_Phi and report.stationary_for_phi
+    report = sq.classify_first_order(p, y)
+    assert not report.stationary_for_Phi and not report.stationary_for_phi
+
+
+def test_public_tolerance_keywords():
+    # a tolerance is set only on the models, strict_complementarity and the
+    # kernels and oracles; every other function uses the defaults
+    found = set()
+    for name in sq.__all__:
+        obj = getattr(sq, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", member)
+                        for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and callable(member)]
+        for label, member in members:
+            if not callable(member):
+                continue
+            try:
+                params = inspect.signature(member).parameters
+            except (TypeError, ValueError):
+                continue
+            found |= {f"{label}.{param}" for param in params
+                      if param.startswith("tol")}
+    assert found == {
+        "LiftedPoint.tol", "LiftedPoint.tol_support", "LocalModel.tol",
+        "lift_point.tol", "lift_point.tol_support",
+        "strict_complementarity.tol", "Polyhedron.contains.tol",
+        "vrep_membership.tol", "support_set.tol_support",
+        "enumerate_vertices.tol", "subgradient_inequality_check.tol",
+    }
