@@ -22,7 +22,6 @@ from .errors import (
     NotAMinimizer,
     NotAStationaryPoint,
     NotConvex,
-    NotStationaryError,
     NumericalFailure,
     OutOfDomain,
     OutOfLiftedDomain,
@@ -99,14 +98,12 @@ from .oracles import (
     fd_second_subderivative,
     grid_min_norm,
     grid_min_norm_gap_bound,
-    subgradient_inequality_check,
 )
 from .cli import (
     ProblemFile,
     emit_csv,
     parse_problem_dict,
     parse_problem_file,
-    serialize_problem,
 )
 
 __version__ = "0.1.0"

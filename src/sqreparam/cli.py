@@ -44,7 +44,6 @@ from .errors import (
     NotAMinimizer,
     NotAStationaryPoint,
     NotConvex,
-    NotStationaryError,
     OutOfDomain,
     ParseError,
     SqreparamError,
@@ -86,7 +85,6 @@ _VALIDATION_ERRORS = (
     NotAStationaryPoint,
     NotAMinimizer,
     NotConvex,
-    NotStationaryError,
     TooLarge,
     UnsupportedProblemClass,
     EmptySet,
@@ -253,25 +251,6 @@ def parse_problem_file(path) -> ProblemFile:
         raise ParseError(
             f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     return parse_problem_dict(data, where=str(path))
-
-
-def serialize_problem(pf: ProblemFile) -> dict:
-    """Inverse of parse_problem_dict, full precision."""
-    p = pf.problem
-    dom = p.g.domain
-    return {
-        "n": p.n,
-        "f": {"Q": p.f.Q.tolist(), "q": p.f.q.tolist(), "r": p.f.r},
-        "g": {
-            "pieces": [{"a": a.tolist(), "b": float(b)}
-                       for a, b in zip(p.g.pieces_A, p.g.pieces_b)],
-            "domain": {"A_ineq": dom.A_ineq.tolist(),
-                       "b_ineq": dom.b_ineq.tolist(),
-                       "A_eq": dom.A_eq.tolist(),
-                       "b_eq": dom.b_eq.tolist()},
-        },
-        "meta": dict(pf.meta),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class OutOfLiftedDomain(OutOfDomain):
     """The squared point y*y is not in the domain of the polyhedral term."""
 
 
-class NotStationaryError(SqreparamError):
-    """A second-order query requires a first-order stationary point."""
-
-
 class InfeasibleMultiplier(SqreparamError):
     """The supplied multiplier is not consistent with the subdifferential."""
 
@@ -68,7 +64,7 @@ class InconsistencyDetected(SqreparamError):
 
 
 class NotAStationaryPoint(SqreparamError):
-    """The base point of a sampling experiment is not stationary."""
+    """A query that needs a stationary point got one that is not."""
 
 
 class NotConvex(SqreparamError):

@@ -65,22 +65,26 @@ class ExponentInputs:
     strict: whether strict complementarity holds there.
     gamma: order in (0, 1] at which the nonstrict inequality is
         certified; only consulted when strict is False.
+    An alpha or a needed gamma out of range raises InvalidRange.
     """
 
     alpha: float
     strict: bool
     gamma: float | None = None
 
+    def __post_init__(self):
+        if not (0.0 < self.alpha < 1.0):
+            raise InvalidRange(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.strict and (self.gamma is None
+                                or not (0.0 < self.gamma <= 1.0)):
+            raise InvalidRange(
+                f"nonstrict prediction needs gamma in (0, 1], got {self.gamma}")
+
 
 def predict_exponent(inputs: ExponentInputs) -> float:
     """Predicted exponent of the lifted problem."""
-    if not (0.0 < inputs.alpha < 1.0):
-        raise InvalidRange(f"alpha must lie in (0, 1), got {inputs.alpha}")
     if inputs.strict:
         return max(inputs.alpha, 0.5)
-    if inputs.gamma is None or not (0.0 < inputs.gamma <= 1.0):
-        raise InvalidRange(
-            f"nonstrict prediction needs gamma in (0, 1], got {inputs.gamma}")
     beta = 1.0 - inputs.gamma * (1.0 - inputs.alpha)
     return 0.5 * (1.0 + beta)
 

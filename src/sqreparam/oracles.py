@@ -25,6 +25,12 @@ from .errors import (
     UnboundedPolyhedron,
     UnsupportedProblemClass,
 )
+from .polyfunc import (
+    CompositeProblem,
+    PolyhedralFunction,
+    SmoothQuadratic,
+    g_subdiff,
+)
 from .polyhedra import (
     DEFAULT_TOL,
     GeneratorSet,
@@ -50,7 +56,7 @@ _SEED = 0
 _ARC_RESOLUTION = 8
 
 
-def enumerate_vertices(P: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
+def enumerate_vertices(P: Polyhedron) -> np.ndarray:
     """All vertices of a bounded polyhedron by basis enumeration.
 
     Solves every n-row subsystem of the stacked constraint rows, keeps
@@ -90,11 +96,12 @@ def enumerate_vertices(P: Polyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
     candidates = np.linalg.solve(sub_A[mask], sub_b[mask][:, :, None])[:, :, 0]
 
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
+    slack = DEFAULT_TOL * scale
     feas = np.ones(candidates.shape[0], dtype=bool)
     if P.m_ineq:
-        feas &= np.all(candidates @ P.A_ineq.T - P.b_ineq <= tol * scale, axis=1)
+        feas &= np.all(candidates @ P.A_ineq.T - P.b_ineq <= slack, axis=1)
     if P.m_eq:
-        feas &= np.all(np.abs(candidates @ P.A_eq.T - P.b_eq) <= tol * scale,
+        feas &= np.all(np.abs(candidates @ P.A_eq.T - P.b_eq) <= slack,
                        axis=1)
     candidates = candidates[feas]
     vertices: list[np.ndarray] = []
@@ -285,35 +292,6 @@ def d2_smooth_orthant_lift(p, y, w) -> float:
     return float(2.0 * p.f.grad(x) @ (w * w) + 4.0 * yw @ (p.f.hess(x) @ yw))
 
 
-def subgradient_inequality_check(g, x, v, tol: float = DEFAULT_TOL) -> bool:
-    """Check g(z) >= g(x) + <v, z - x> on sampled feasible z.
-
-    Samples a coarse feasible grid around x plus random projected
-    points.  True means no sampled violation; it is a one-sided
-    certificate that v behaves like a subgradient at x.
-    """
-    from .polyfunc import g_eval  # local import to avoid a cycle
-
-    x = _as_vector(x, g.n, "x")
-    v = _as_vector(v, g.n, "v")
-    gx = g_eval(g, x)
-    rng = np.random.default_rng(_SEED)
-    samples = []
-    if g.n <= 3:
-        axis = np.linspace(-2.0, 2.0, 5)
-        for off in itertools.product(axis, repeat=g.n):
-            samples.append(x + np.array(off))
-    for scale in (0.3, 1.0, 3.0):
-        samples.extend(x + scale * rng.standard_normal((_N_PERTURB, g.n)))
-    slack = tol * (1.0 + abs(gx) + float(np.linalg.norm(v)))
-    for raw in samples:
-        z = project_onto_polyhedron(g.domain, raw, start=x)
-        gz = g_eval(g, z)
-        if gz < gx + float(v @ (z - x)) - slack:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Seeded instance generators for the validation batteries
 # ---------------------------------------------------------------------------
@@ -334,8 +312,6 @@ def random_orthant_instance(seed: int):
     indicator.  The returned y carries a sprinkling of exact zeros so
     zero-weight coordinates get exercised.
     """
-    from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
-
     rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(1, 7))
     M = rng.standard_normal((n, n))
@@ -355,9 +331,6 @@ def random_nonsmooth_instance(seed: int):
     returned y squares to a feasible point.  Draws are retried until
     the active generator set at y*y fits the grid_min_norm caps.
     """
-    from .polyfunc import (CompositeProblem, PolyhedralFunction,
-                           SmoothQuadratic, g_subdiff)
-
     rng = np.random.default_rng(check_seed(seed))
     for _ in range(200):
         n = int(rng.integers(1, 5))
@@ -421,8 +394,6 @@ def make_stationary_orthant_instance(seed: int, spurious: bool = False):
     stationary, and the negative second-order direction is the
     matching coordinate axis.  Returns (problem, y, xbar).
     """
-    from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
-
     rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(2, 7))
     support = rng.random(n) < 0.5
@@ -449,8 +420,6 @@ def make_stationary_pieces_instance(seed: int):
     with full support (the second-order slice is trivial).
     Returns (problem, y, xbar).
     """
-    from .polyfunc import CompositeProblem, PolyhedralFunction, SmoothQuadratic
-
     rng = np.random.default_rng(check_seed(seed))
     n = int(rng.integers(1, 5))
     xbar = rng.uniform(0.3, 1.5, n)

@@ -27,6 +27,7 @@ from .polyhedra import (
     _as_matrix,
     _as_vector,
     _min_norm_normal_cone,
+    _orthant_rows,
 )
 
 DEFAULT_TOL_ACTIVE = 1e-8
@@ -95,13 +96,6 @@ def _f_kernels(f):
     return f.value, f.grad
 
 
-def _orthant_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows that are a positive multiple of some -e_i with
-    zero right-hand side, i.e. a row -c x_i <= 0 with c > 0."""
-    return ((np.count_nonzero(A, axis=1) == 1) & (b == 0.0)
-            & (A.min(axis=1) < 0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class PolyhedralFunction:
     """g(x) = max_j (<a_j, x> + b_j) + indicator(domain).
@@ -110,10 +104,10 @@ class PolyhedralFunction:
     domain).  The stored domain is the user polyhedron intersected with
     the nonnegative orthant; construction fails on an empty domain.
 
-    kind reads the shape of the stored domain (Polyhedron.shape):
-    "orthant" for the plain indicator of the nonnegative orthant,
-    "simplex" for the indicator of {x >= 0, sum x = c} with c > 0, and
-    "general" otherwise.
+    kind, decided on first use from the shape of the stored domain, is
+    "orthant" (the indicator of the nonnegative orthant), "box" (of any
+    other box), "simplex" (of {x >= 0, sum x = c} with c > 0) or
+    "general" (pieces, or any other domain).
     """
 
     n: int
@@ -152,16 +146,15 @@ class PolyhedralFunction:
     def n_pieces(self) -> int:
         return self.pieces_A.shape[0]
 
-    @property
+    @cached_property
     def kind(self) -> str:
-        if self.n_pieces == 0:
-            shape = self.domain.shape
-            if shape.kind == "simplex":
-                return "simplex"
-            if shape.kind == "box" and np.all(shape.lower == 0.0) \
-                    and np.all(shape.upper == _INF):
-                return "orthant"
-        return "general"
+        if self.n_pieces:
+            return "general"
+        shape = self.domain.shape
+        if shape.kind == "box" and np.all(shape.lower == 0.0) \
+                and np.all(shape.upper == _INF):
+            return "orthant"
+        return shape.kind
 
     @staticmethod
     def indicator(domain: Polyhedron) -> "PolyhedralFunction":
@@ -240,9 +233,9 @@ class LocalModel:
     domain; its generator matrix G; grad f(x) (f is None when only g is
     modelled); and the phi min-norm pair (dist(0, subdiff phi(x)), argmin
     z in S of ||grad + z||), read by phi_residual and phi_stationary.
-    When g is the indicator of a box or simplex, the min-norm pairs (this
-    one and the lifted one) are closed forms read off the active rows, so
-    S and G are built only for the LPs and membership checks that use them.
+    When g.kind is not "general", the min-norm pairs (this one and the
+    lifted one) are closed forms read off the active rows, so S and G are
+    built only for the LPs and membership checks that use them.
     """
 
     def __init__(self, g: PolyhedralFunction, f, x, tol: float = DEFAULT_TOL):
@@ -282,10 +275,10 @@ class LocalModel:
 
     def _min_norm(self, weights) -> tuple[float, np.ndarray]:
         """min ||weights o (grad + z)|| over z in S, and its minimizer:
-        in closed form from the active rows when g is the indicator of a
-        box or simplex, with neither S nor G built; by the QP otherwise."""
+        in closed form from the active rows when g.kind is not "general",
+        with neither S nor G built; by the QP otherwise."""
         g = self.g
-        if _closed_form(g):
+        if g.kind != "general":
             if not self.in_domain:
                 raise self._outside()
             active = np.zeros((1, g.domain.m_ineq), dtype=bool)
@@ -311,19 +304,13 @@ class LocalModel:
             self.tol * (1.0 + float(np.linalg.norm(self.grad)))
 
 
-def _closed_form(g: PolyhedralFunction) -> bool:
-    """Whether g is the indicator of a box or simplex, whose min-norm
-    subgradients _min_norm_normal_cone computes in closed form."""
-    return g.n_pieces == 0 and g.domain.shape.kind != "general"
-
-
 def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     """grad f and LocalModel._min_norm at each row of the unvalidated
     (N, n) array X, whose rows the caller has tested for the domain of g.
-    When _closed_form(p.g): the activity test of activity_pattern over the
-    stack, grad f row by row, and the closed form over the stack; one
-    LocalModel per row otherwise.  Returns (grads, values, minimizers)."""
-    if not _closed_form(p.g):
+    When p.g.kind is not "general": the activity test of activity_pattern
+    over the stack, grad f row by row, and the closed form over the stack;
+    one LocalModel per row otherwise.  Returns (grads, values, minimizers)."""
+    if p.g.kind == "general":
         models = [LocalModel(p.g, p.f, x) for x in X]
         values, Z = zip(*(pt._min_norm(w) for pt, w in zip(models, weights)))
         return np.array([pt.grad for pt in models]), np.array(values), \

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -95,6 +94,13 @@ def _tightest_bounds(A, b, lower, upper, tol: float = DEFAULT_TOL):
     fixed = (lower > upper) & (lower - upper <= tol * (1.0 + np.abs(lower)))
     upper[fixed] = lower[fixed]
     return lower, upper
+
+
+def _orthant_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows that are a positive multiple of some -e_i with
+    zero right-hand side, i.e. a row -c x_i <= 0 with c > 0."""
+    return ((np.count_nonzero(A, axis=1) == 1) & (b == 0.0)
+            & (A.min(axis=1) < 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +192,9 @@ class Polyhedron:
             lower.setflags(write=False)
             upper.setflags(write=False)
             return Shape("box", lower=lower, upper=upper)
-        col = np.argmax(A != 0.0, axis=1)
-        coef = A[np.arange(self.m_ineq), col]
         row = self.A_eq[0]
-        if self.m_eq == 1 and np.all(coef < 0.0) and np.all(b == 0.0) \
-                and np.bincount(col, minlength=self.n).all() \
+        if self.m_eq == 1 and _orthant_rows(A, b).all() \
+                and np.count_nonzero(A, axis=0).all() \
                 and row[0] != 0.0 and np.all(row == row[0]):
             total = float(self.b_eq[0] / row[0])
             if total > 0.0:

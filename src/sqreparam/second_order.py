@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (
     InconsistencyDetected,
     InfeasibleMultiplier,
-    NotStationaryError,
+    NotAStationaryPoint,
 )
 from .polyfunc import CompositeProblem, PolyhedralFunction
 from .polyhedra import (
@@ -154,7 +154,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     """Second-order quotient of the full lifted objective on the
     off-support subspace.
 
-    Requires lifted stationarity (NotStationaryError otherwise).  The
+    Requires lifted stationarity (NotAStationaryPoint otherwise).  The
     value must not depend on which multiplier witness anchors the
     subdifferential slice; when a second witness exists the computation
     is repeated and compared.
@@ -163,7 +163,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     w = _as_vector(w, p.n, "w")
     mult = stationarity_multiplier(p, pt)
     if mult is None:
-        raise NotStationaryError("y is not a lifted stationary point")
+        raise NotAStationaryPoint("y is not a lifted stationary point")
     value = _d2_objective(p, pt, mult.v, w)
 
     # a second, generically different multiplier witness

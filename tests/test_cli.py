@@ -16,7 +16,6 @@ from sqreparam.cli import (
     main,
     parse_problem_dict,
     parse_problem_file,
-    serialize_problem,
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -37,20 +36,6 @@ def test_fixtures_parse():
         if "known_minimizer" in pf.meta:
             x = np.asarray(pf.meta["known_minimizer"], dtype=float)
             assert sq.phi_residual(pf.problem, x) <= 1e-8
-
-
-def test_serialize_parse_round_trip():
-    for path in FIXTURES:
-        pf = parse_problem_file(path)
-        data = serialize_problem(pf)
-        pf2 = parse_problem_dict(json.loads(json.dumps(data)))
-        assert np.array_equal(pf2.problem.f.Q, pf.problem.f.Q)
-        assert np.array_equal(pf2.problem.f.q, pf.problem.f.q)
-        assert pf2.problem.f.r == pf.problem.f.r
-        assert pf2.problem.g.n_pieces == pf.problem.g.n_pieces
-        assert np.array_equal(pf2.problem.g.domain.A_ineq,
-                              pf.problem.g.domain.A_ineq)
-        assert pf2.meta == pf.meta
 
 
 def test_parse_rejects_unknown_keys():
@@ -84,6 +69,41 @@ def test_parse_rejects_empty_domain():
             "g": {"domain": {"A_ineq": [[1.0]], "b_ineq": [-1.0]}}}
     with pytest.raises(sq.ValidationError):
         parse_problem_dict(data)
+
+
+# Each malformed file or vector exits before any report line: 2 when it
+# does not parse, 3 when it parses but is not a valid problem.
+MALFORMED = [
+    ("f-not-object", '{"n": 1, "f": [1]}', "0", 2),
+    ("g-not-object", '{"n": 1, "g": 1}', "0", 2),
+    ("domain-not-object", '{"n": 1, "g": {"domain": []}}', "0", 2),
+    ("top-not-object", '[1]', "0", 2),
+    ("n-missing", '{"f": {}}', "0", 2),
+    ("n-boolean", '{"n": true}', "0", 2),
+    ("n-zero", '{"n": 0}', "0", 3),
+    ("q-length", '{"n": 2, "f": {"q": [1]}}', "0,0", 3),
+    ("pieces-not-list", '{"n": 1, "g": {"pieces": {}}}', "0", 2),
+    ("piece-not-object", '{"n": 1, "g": {"pieces": [1]}}', "0", 2),
+    ("piece-without-a", '{"n": 1, "g": {"pieces": [{"b": 0}]}}', "0", 2),
+    ("a-length", '{"n": 1, "g": {"pieces": [{"a": [1, 2]}]}}', "0", 3),
+    ("meta-not-object", '{"n": 1, "meta": []}', "0", 2),
+    ("ragged-rows", '{"n": 2, "f": {"Q": [[1, 0], [0]]}}', "0,0", 3),
+    ("nan-in-Q", '{"n": 1, "f": {"Q": [[NaN]]}}', "0", 3),
+    ("y-not-numeric", '{"n": 2}', "a,b", 2),
+]
+
+
+@pytest.mark.parametrize("text, y, code", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_before_any_report(tmp_path, capsys, text, y,
+                                                 code):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    rc = main(["certify", str(path), f"--y={y}"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (code, "")
+    assert err.startswith("parse error: " if code == 2
+                          else "validation error: ")
 
 
 def test_main_missing_file_is_parse_error(capsys):
@@ -302,6 +322,34 @@ def test_certify_accepts_negative_vector_form(capsys):
     assert "stationary_for_phi = True" in capsys.readouterr().out
 
 
+def test_certify_outside_the_domain_skips_second_order(capsys):
+    # (1, 1) squares to a point off the simplex: the first-order lines
+    # are printed, the second-order check is not run
+    rc = main(["certify", str(PROBLEMS / "simplex2.json"), "--y", "1,1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[4:] == [
+        "in_domain = False", "support = [0, 1]", "lifted_residual = None",
+        "phi_residual = None", "min_support_abs = None",
+        "degenerate_activity = False", "stationary_for_Phi = False",
+        "stationary_for_phi = False",
+        "second_order = skipped (y*y lies outside the domain of g)"]
+
+
+def test_inconsistency_exits_five_with_its_report(monkeypatch, capsys):
+    report = sq.CorrespondenceReport(True, False, True, False)
+
+    def inconsistent(p, pt):
+        raise sq.InconsistencyDetected("routes disagree", report)
+
+    monkeypatch.setattr(cli, "correspondence_check", inconsistent)
+    rc = main(["certify", ORTHANT2, "--y", "1,0"])
+    out, err = capsys.readouterr()
+    assert rc == 5
+    assert out.endswith("stationary_for_phi = True\n")
+    assert err == f"inconsistency detected: routes disagree\nreport: {report}\n"
+
+
 # The shipped problems at their documented points, with every verdict
 # line of the certificate: in_domain, support, stationary_for_Phi,
 # stationary_for_phi, degenerate_activity, second_order_nonneg_on_SI,
@@ -518,6 +566,16 @@ def test_solve_original_variant(capsys):
     assert "final_gap" in out
 
 
+@pytest.mark.parametrize("variant, flag", [("original", "--x0"),
+                                           ("lifted", "--y0")])
+def test_solve_without_a_start_point_is_validation_error(capsys, variant,
+                                                         flag):
+    rc = main(["solve", str(PROBLEMS / "nnls1.json"), "--variant", variant])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err == f"validation error: --variant {variant} needs {flag}\n"
+
+
 def test_solve_original_stops_on_the_simplex_vertex(capsys):
     # the exact simplex projection reaches the vertex e1 and then maps it
     # to itself, so the run stops there instead of spending every step
@@ -557,6 +615,9 @@ def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
     ["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "1", "--tol", "nan"],
     ["kl-fit", QUARTIC1, "--y", "0", "--gamma", "1"],
     ["kl-fit", QUARTIC1, "--y", "0", "--strict"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "2", "--strict"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "0.5"],
+    ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "0.5", "--gamma", "0"],
 ])
 def test_invalid_seed_radius_or_tolerance_is_validation_error(capsys, argv):
     # rejected before any report line, with no numpy warning on the way

@@ -322,6 +322,15 @@ def test_trace_rows_are_k_gap_residual_step():
     assert tr.f_star == 0.0
 
 
+def test_lifted_descent_stops_at_a_zero_residual():
+    # y = 0 is a critical point of f(y*y): the first step records a zero
+    # residual and a zero step, and the run stops there
+    p = sq.CompositeProblem(sq.SmoothQuadratic(np.eye(1), np.zeros(1)),
+                            sq.PolyhedralFunction.orthant_indicator(1))
+    tr = sq.run_first_order(p, "lifted", np.zeros(1))
+    assert tr.iterates == [(0, 0.0, 0.0, 0.0)]
+
+
 class _CountingQuadratic:
     """A duck-typed f that counts its value calls."""
 

@@ -15,7 +15,6 @@ from sqreparam.oracles import (
     random_lp_instance,
     random_nonsmooth_instance,
     random_orthant_instance,
-    subgradient_inequality_check,
 )
 
 
@@ -79,21 +78,6 @@ def test_grid_min_norm_singleton_exact():
     w = np.array([2.0, 1.0])
     assert grid_min_norm(S, shift, w) == pytest.approx(
         np.linalg.norm(w * shift), abs=1e-12)
-
-
-def test_subgradient_inequality_check_cases():
-    g = sq.PolyhedralFunction.orthant_indicator(1)
-    assert subgradient_inequality_check(g, np.array([0.5]), np.array([0.0]))
-    assert subgradient_inequality_check(g, np.array([0.0]), np.array([-1.0]))
-    # +1 is not a subgradient of the indicator at 0: violated at z = 0.5
-    assert not subgradient_inequality_check(g, np.array([0.0]), np.array([1.0]))
-
-
-def test_subgradient_inequality_check_pieces():
-    g = sq.PolyhedralFunction(1, pieces_A=np.array([[1.0]]),
-                              pieces_b=np.zeros(1))
-    assert subgradient_inequality_check(g, np.array([1.0]), np.array([1.0]))
-    assert not subgradient_inequality_check(g, np.array([1.0]), np.array([2.0]))
 
 
 def test_random_orthant_instances_wellformed():

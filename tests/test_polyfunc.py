@@ -121,7 +121,7 @@ def test_domain_nonnegativity_rows_deduped():
         sq.Polyhedron(2, A_ineq=[[-2.0, 0.0], [-2.0, 0.0]],
                       b_ineq=[0.0, 0.0])), "orthant", 3),
     (lambda: sq.PolyhedralFunction.indicator(
-        sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0])), "general", 4),
+        sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0])), "box", 4),
     (lambda: sq.PolyhedralFunction.indicator(
         sq.Polyhedron(2, A_ineq=[[1.0, 1.0]], b_ineq=[2.0])), "general", 3),
     (lambda: sq.PolyhedralFunction.max_of_pieces(

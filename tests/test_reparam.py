@@ -167,7 +167,7 @@ def test_the_models_tolerance_decides_the_verdict():
 
 def test_public_tolerance_keywords():
     # a tolerance is set only on the models, strict_complementarity and the
-    # kernels and oracles; every other function uses the defaults
+    # kernels; every other function uses the defaults
     found = set()
     for name in sq.__all__:
         obj = getattr(sq, name)
@@ -190,5 +190,4 @@ def test_public_tolerance_keywords():
         "lift_point.tol", "lift_point.tol_support",
         "strict_complementarity.tol", "Polyhedron.contains.tol",
         "vrep_membership.tol", "support_set.tol_support",
-        "enumerate_vertices.tol", "subgradient_inequality_check.tol",
     }

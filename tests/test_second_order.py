@@ -110,6 +110,8 @@ def test_stationarity_multiplier_none_when_not_stationary():
         sq.SmoothQuadratic(np.eye(1), np.array([-1.0]), 0.5),
         sq.PolyhedralFunction.orthant_indicator(1))
     assert sq.stationarity_multiplier(p, np.array([0.5])) is None
+    with pytest.raises(sq.NotAStationaryPoint):
+        sq.d2_lifted_objective_on_SI(p, np.array([0.5]), np.array([1.0]))
 
 
 def test_correspondence_designed_true_case():
@@ -207,3 +209,68 @@ def test_correspondence_gate_catches_a_feasible_second_order_lp(
     p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
     with pytest.raises(sq.InconsistencyDetected, match="LP feasible"):
         sq.correspondence_check(p, np.zeros(2))
+
+
+def two_pieces():
+    # ||x||^2 / 2 + max(0, x1 + x2) on the orthant.  At y = 0 the support
+    # is empty, so the slice is all of subdiff g(0) = conv{(0, 0), (1, 1)}
+    # + cone(-e1, -e2), whatever witness anchors it.
+    f = sq.SmoothQuadratic(np.eye(2), np.zeros(2), 0.0)
+    g = sq.PolyhedralFunction(2, pieces_A=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                              pieces_b=np.zeros(2))
+    return sq.CompositeProblem(f, g)
+
+
+def test_d2_objective_compares_a_second_witness(monkeypatch):
+    # the multiplier LP returns v = (0, 0), the second slice LP v = (1, 1);
+    # both give 2 sup <w*w, p> = 2.5 at w = (1, 0.5)
+    seen = []
+    d2_objective = second_order._d2_objective
+
+    def recorded(p, pt, v, w):
+        seen.append((v.tolist(), d2_objective(p, pt, v, w)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(second_order, "_d2_objective", recorded)
+    value = sq.d2_lifted_objective_on_SI(two_pieces(), np.zeros(2),
+                                         np.array([1.0, 0.5]))
+    assert value == pytest.approx(2.5, abs=1e-12)
+    assert [v for v, _ in seen] == [[0.0, 0.0], [1.0, 1.0]]
+    assert seen[1][1] == pytest.approx(2.5, abs=1e-12)
+
+
+def test_d2_objective_raises_when_the_witnesses_disagree(monkeypatch):
+    d2_objective = second_order._d2_objective
+
+    def shifted(p, pt, v, w):
+        return d2_objective(p, pt, v, w) + float(v.sum())
+
+    monkeypatch.setattr(second_order, "_d2_objective", shifted)
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="depends on the witness"):
+        sq.d2_lifted_objective_on_SI(two_pieces(), np.zeros(2),
+                                     np.array([1.0, 0.5]))
+
+
+def test_steepest_direction_is_none_when_every_quotient_is_infinite(
+        monkeypatch):
+    # g is the indicator of {x2 = 0} and f = (x1 - 1)^2 / 2 + x2: y = (1, 0)
+    # is stationary both ways, and moving y2 leaves the domain, so the
+    # steepest-direction LP is infeasible and the quotient along e2 is +inf
+    dom = sq.Polyhedron(2, A_eq=np.array([[0.0, 1.0]]), b_eq=np.zeros(1))
+    f = sq.SmoothQuadratic(np.diag([1.0, 0.0]), np.array([-1.0, 1.0]), 0.5)
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.indicator(dom))
+    y = np.array([1.0, 0.0])
+    steepest = []
+    direction = second_order._steepest_direction
+
+    def recorded(pt, v):
+        steepest.append(direction(pt, v))
+        return steepest[-1]
+
+    monkeypatch.setattr(second_order, "_steepest_direction", recorded)
+    rep = sq.correspondence_check(p, y)
+    assert rep.consistent and rep.stationary_for_Phi and rep.stationary_for_phi
+    assert rep.negative_direction is None
+    assert steepest == [(None, np.inf)]
+    assert sq.d2_lifted_objective_on_SI(p, y, np.array([0.0, 1.0])) == np.inf
