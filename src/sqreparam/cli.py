@@ -295,7 +295,10 @@ def _parse_vector_arg(text: str, n: int, flag: str) -> np.ndarray:
     if len(values) != n:
         raise ValidationError(
             f"{flag}: expected {n} components, got {len(values)}")
-    return np.array(values)
+    values = np.array(values)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{flag}: entries must be finite")
+    return values
 
 
 def _fmt(value) -> str:
@@ -401,6 +404,8 @@ def _cmd_kl_fit(args) -> int:
 def _cmd_solve(args) -> int:
     pf = parse_problem_file(args.file)
     p = pf.problem
+    if args.steps < 1:
+        raise ValidationError(f"--steps: must be positive, got {args.steps}")
     if args.variant == "original":
         if args.x0 is None:
             raise ValidationError("--variant original needs --x0")
@@ -466,7 +471,8 @@ def _cmd_selftest(args) -> int:
 
 def _add_tol_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="stationarity tolerance (default 1e-9)")
+                     help="stationarity tolerance: a residual is stationary "
+                          "when <= tol * (1 + ||grad f(x)||) (default 1e-9)")
     sub.add_argument("--tol-support", dest="tol_support", type=float,
                      default=DEFAULT_TOL_SUPPORT,
                      help="support threshold on |y_i| (default 1e-8)")

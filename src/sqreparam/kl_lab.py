@@ -47,7 +47,7 @@ from .polyhedra import (
     _as_vector,
     _project_rows,
 )
-from .reparam import DEFAULT_TOL_SUPPORT, lift_eval, lifted_residual
+from .reparam import lift_eval, lift_point, support_set
 
 _INF = float("inf")
 
@@ -182,14 +182,14 @@ def sample_scatter(p: CompositeProblem, ybar,
     """(gap, lifted residual) samples around a lifted stationary ybar.
 
     Returns an array of shape (n_samples, 2) sorted by gap.  Raises
-    NotAStationaryPoint when ybar itself is not stationary and
+    NotAStationaryPoint when the model at ybar is not Phi_stationary and
     InsufficientSamples when every sample falls below the gap floor.
     """
     ybar = _as_vector(ybar, p.n, "ybar")
     base = lift_eval(p, ybar)
     if not np.isfinite(base):
         raise OutOfDomain("ybar*ybar is outside the domain of g")
-    if lifted_residual(p, ybar) > DEFAULT_TOL:
+    if not lift_point(p, ybar).Phi_stationary:
         raise NotAStationaryPoint("ybar is not lifted stationary")
 
     X, gaps, signs = _perturbations(p, ybar * ybar, base, config)
@@ -299,16 +299,16 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
     if not centre.phi_stationary:
         raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
 
-    support = np.abs(xbar) > DEFAULT_TOL_SUPPORT
+    sup, comp = support_set(xbar)
     X, gaps, _ = _perturbations(p, xbar, base, config)
     if not (_g_rows(p.g, X) < _INF).all():
         raise OutOfDomain("g_subdiff: point outside the domain")
     grads, _, Z = _min_norm_rows(p, X, np.ones(X.shape))
     V = grads + Z
-    # compress, not a mask, keeps rows contiguous: a product of strided
-    # rows rounds differently
-    on, off = (np.compress(m, V, axis=1) ** 2 for m in (support, ~support))
-    dist = np.abs(np.compress(~support, X - xbar, axis=1))
+    # take keeps rows contiguous: a product of strided rows rounds
+    # differently
+    on, off = (np.take(V, idx, axis=1) ** 2 for idx in (sup, comp))
+    dist = np.abs(np.take(X - xbar, comp, axis=1))
     lhs = np.sum(on, axis=1) + (dist[:, None, :] @ off[:, :, None])[:, 0, 0]
     # math.pow row by row: numpy's power differs from it in the last bit
     return float(np.min(lhs / [math.pow(gap, 1.0 + beta) for gap in gaps]))

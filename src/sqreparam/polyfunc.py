@@ -233,6 +233,9 @@ class LocalModel:
     domain; its generator matrix G; grad f(x) (f is None when only g is
     modelled); and the phi min-norm pair (dist(0, subdiff phi(x)), argmin
     z in S of ||grad + z||), read by phi_residual and phi_stationary.
+    A residual is stationary when it is at most tol * scale, with scale
+    = 1 + ||grad f(x)||: phi_stationary here and Phi_stationary on the
+    lift (reparam.LiftedPoint) are the only verdicts built by that rule.
     When g.kind is not "general", the min-norm pairs (this one and the
     lifted one) are closed forms read off the active rows, so S and G are
     built only for the LPs and membership checks that use them.
@@ -298,10 +301,17 @@ class LocalModel:
         return self.phi_min_norm[0]
 
     @cached_property
+    def scale(self) -> float:
+        """1 + ||grad f(x)||, the scale of the stationarity rule."""
+        return 1.0 + float(np.linalg.norm(self.grad))
+
+    def _stationary(self, residual: float) -> bool:
+        """The stationarity rule: residual <= tol * scale."""
+        return residual <= self.tol * self.scale
+
+    @cached_property
     def phi_stationary(self) -> bool:
-        """phi_residual <= tol * (1 + ||grad f(x)||)."""
-        return self.phi_residual <= \
-            self.tol * (1.0 + float(np.linalg.norm(self.grad)))
+        return self._stationary(self.phi_residual)
 
 
 def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):

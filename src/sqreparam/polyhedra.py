@@ -826,7 +826,7 @@ def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
         return np.minimum(np.maximum(X, shape.lower), shape.upper)
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)
-    z0 = start if start is not None and P.max_violation(start) <= 1e-9 \
+    z0 = start if start is not None and P.contains(start) \
         else feasible_point(P)
     return np.array([_qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq,
                                     P.A_ineq, P.b_ineq, z0) for x in X])

@@ -57,7 +57,8 @@ class LiftedPoint(LocalModel):
     y, x = y*y and in_domain (x in dom g) are built at construction.
     Built on first use, once each: the support sup (tuple: support) and
     its complement comp, which the lifted residual alone does not need;
-    the lifted residual; and everything LocalModel builds, with S raising
+    the lifted residual and its verdict Phi_stationary, by the rule of
+    LocalModel; and everything LocalModel builds, with S raising
     OutOfLiftedDomain outside the domain.  y must be a point, not a model
     (DimensionMismatch), and tol and tol_support finite and nonnegative
     (InvalidRange).
@@ -97,6 +98,10 @@ class LiftedPoint(LocalModel):
         """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
         return 2.0 * self._min_norm(np.abs(self.y))[0]
 
+    @cached_property
+    def Phi_stationary(self) -> bool:
+        return self._stationary(self.lifted_residual)
+
 
 def _lift(g: PolyhedralFunction, f, y) -> LiftedPoint:
     """The model a certificate reads at y: built with the default
@@ -134,8 +139,9 @@ def lifted_residual(p: CompositeProblem, y) -> float:
 class StationarityReport:
     """First-order classification of a lifted candidate y.
 
-    stationary_for_Phi tracks the lifted residual; stationary_for_phi
-    tracks the original residual at x = y*y.  A spurious candidate is
+    stationary_for_Phi and stationary_for_phi are the model's verdicts
+    Phi_stationary and phi_stationary on the lifted residual and on the
+    original residual at x = y*y.  A spurious candidate is
     stationary for Phi but not for phi.  min_support_abs is the margin
     min |y_i| over the support (None when the support is empty); when
     it is close to tol_support the classification is fragile.
@@ -158,8 +164,7 @@ def classify_first_order(p: CompositeProblem, y) -> StationarityReport:
     if not pt.in_domain:
         return StationarityReport(False, pt.support, None, None,
                                   False, False, None, False)
-    res_Phi, res_phi = pt.lifted_residual, pt.phi_residual
     min_abs = float(np.min(np.abs(pt.y[pt.sup]))) if pt.support else None
     return StationarityReport(
-        True, pt.support, res_Phi, res_phi,
-        res_Phi <= pt.tol, res_phi <= pt.tol, min_abs, pt.pattern.degenerate)
+        True, pt.support, pt.lifted_residual, pt.phi_residual,
+        pt.Phi_stationary, pt.phi_stationary, min_abs, pt.pattern.degenerate)

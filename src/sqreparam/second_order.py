@@ -88,15 +88,15 @@ def stationarity_multiplier(p: CompositeProblem, y) -> Multiplier | None:
 
     Feasibility LP over the generator coefficients of subdiff g(y*y)
     with the support rows pinned to -grad f.  The verdict is
-    cross-checked against the lifted residual; disagreement beyond the
-    tolerance band raises InconsistencyDetected.
+    cross-checked against the model's: no multiplier at a Phi_stationary
+    point, or a multiplier where the lifted residual leaves a band
+    proportional to the model's scale, raises InconsistencyDetected.
     """
     pt = _lift(p.g, p.f, y)
     sup, grad = pt.sup, pt.grad
     out = _slice_lp(pt, -grad[sup])
 
-    residual = pt.lifted_residual
-    scale = 1.0 + float(np.linalg.norm(grad))
+    residual, scale = pt.lifted_residual, pt.scale
     if out.status is LPStatus.OPTIMAL:
         if residual > 1e-6 * scale:
             raise InconsistencyDetected(
@@ -109,7 +109,7 @@ def stationarity_multiplier(p: CompositeProblem, y) -> Multiplier | None:
             raise InconsistencyDetected(
                 "multiplier witness violates the support equations")
         return Multiplier(v, 2.0 * pt.y * v)
-    if residual <= pt.tol * scale:
+    if pt.Phi_stationary:
         raise InconsistencyDetected(
             f"no multiplier although lifted residual is {residual:.3e}")
     return None

@@ -618,6 +618,16 @@ def test_solve_malformed_known_minimizer(tmp_path, capsys, value, code):
     ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "2", "--strict"],
     ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "0.5"],
     ["kl-fit", QUARTIC1, "--y", "0", "--alpha", "0.5", "--gamma", "0"],
+    ["certify", ORTHANT2, "--y", "nan,0"],
+    ["certify", ORTHANT2, "--y=-inf,0"],
+    ["strict-comp", str(PROBLEMS / "nnls1.json"), "--x", "inf"],
+    ["kl-fit", QUARTIC1, "--y", "nan"],
+    ["solve", QUARTIC1, "--variant", "lifted", "--y0", "nan"],
+    ["solve", str(PROBLEMS / "nnls1.json"), "--variant", "original",
+     "--x0", "inf"],
+    ["solve", QUARTIC1, "--variant", "lifted", "--y0", "0.5", "--steps", "0"],
+    ["solve", str(PROBLEMS / "nnls1.json"), "--variant", "original",
+     "--x0", "3", "--steps", "-3"],
 ])
 def test_invalid_seed_radius_or_tolerance_is_validation_error(capsys, argv):
     # rejected before any report line, with no numpy warning on the way

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam.oracles import make_stationary_orthant_instance
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -85,6 +86,16 @@ def test_sample_scatter_shape_and_order():
 def test_sample_scatter_rejects_nonstationary_center():
     with pytest.raises(sq.NotAStationaryPoint):
         sq.sample_scatter(strict1(), np.array([0.5]))
+
+
+def test_sample_scatter_accepts_rescaled_stationary_points():
+    # f + g multiplied by 1e6: the lifted residual at ybar is rounding of
+    # order 1e6 * eps, which a bare tol refused on 13 of these 40
+    for s in range(40):
+        p, ybar, _ = make_stationary_orthant_instance(s)
+        p = sq.CompositeProblem(
+            sq.SmoothQuadratic(1e6 * p.f.Q, 1e6 * p.f.q), p.g)
+        assert sq.sample_scatter(p, ybar).shape[1] == 2
 
 
 def test_estimate_exponent_quartic():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
-from sqreparam.oracles import random_nonsmooth_instance, random_orthant_instance
+from sqreparam.oracles import (
+    make_stationary_orthant_instance,
+    make_stationary_pieces_instance,
+    random_nonsmooth_instance,
+    random_orthant_instance,
+)
 
 
 def quad1():
@@ -163,6 +168,56 @@ def test_the_models_tolerance_decides_the_verdict():
     assert report.stationary_for_Phi and report.stationary_for_phi
     report = sq.classify_first_order(p, y)
     assert not report.stationary_for_Phi and not report.stationary_for_phi
+
+
+def rescaled_orthant_instance(seed, spurious):
+    # f + g of a designed instance multiplied by 1e6 (the orthant
+    # indicator is its own multiple): the same stationary points
+    p, y, _ = make_stationary_orthant_instance(seed, spurious)
+    f = sq.SmoothQuadratic(1e6 * p.f.Q, 1e6 * p.f.q)
+    return sq.CompositeProblem(f, p.g), y
+
+
+RESCALED = [(s, spurious) for spurious in (False, True) for s in range(40)]
+
+
+def criterion_2_mix(s):
+    # the instance mix of the correspondence acceptance criterion
+    seed = 5000 + s
+    kind = s % 5
+    if kind == 0:
+        return random_orthant_instance(seed)
+    if kind == 3:
+        return random_nonsmooth_instance(seed)
+    if kind == 4:
+        return make_stationary_pieces_instance(seed)[:2]
+    return make_stationary_orthant_instance(seed, spurious=kind == 2)[:2]
+
+
+def test_classify_rescaled_stationary_points():
+    # bare tol against residuals of order 1e6 * eps read a stationary
+    # point as not stationary on 26 of these 80
+    wrong = []
+    for s, spurious in RESCALED:
+        p, y = rescaled_orthant_instance(s, spurious)
+        report = sq.classify_first_order(p, y)
+        if (report.stationary_for_Phi, report.stationary_for_phi) != \
+                (True, not spurious):
+            wrong.append((s, spurious))
+    assert wrong == []
+
+
+def test_classify_reports_the_models_verdicts():
+    instances = [rescaled_orthant_instance(s, spurious)
+                 for s, spurious in RESCALED]
+    instances += [criterion_2_mix(s) for s in range(200)]
+    for p, y in instances:
+        pt = sq.lift_point(p, y)
+        report = sq.classify_first_order(p, pt)
+        if report.in_domain:
+            assert (report.stationary_for_Phi, report.stationary_for_phi) == \
+                (pt.Phi_stationary, pt.phi_stationary)
+            assert pt.scale == 1.0 + np.linalg.norm(pt.grad)
 
 
 def test_public_tolerance_keywords():
