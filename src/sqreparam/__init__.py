@@ -11,10 +11,7 @@ sqreparam.checks and the `sqreparam selftest` command).
 
 from .errors import (
     DimensionMismatch,
-    DivergenceDetected,
-    EmptySet,
     InconsistencyDetected,
-    InfeasibleMultiplier,
     InfeasiblePolyhedron,
     InsufficientSamples,
     InsufficientTrace,
@@ -28,7 +25,6 @@ from .errors import (
     ParseError,
     SqreparamError,
     TooLarge,
-    UnboundedPolyhedron,
     UnsupportedProblemClass,
     ValidationError,
 )

@@ -18,7 +18,8 @@ pieces to the empty list (plain indicator), domain to the nonnegative
 orthant.  Domains are always intersected with the orthant.  meta may
 carry "known_minimizer", "known_alpha", "known_gamma".
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 numerical
+Exit codes: 0 success, else the exit_code of the package error raised
+(sqreparam.errors): 2 parse error, 3 validation error, 4 numerical
 failure, 5 inconsistency detected.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,20 +38,11 @@ import numpy as np
 from .checks import CHECKS
 from .errors import (
     DimensionMismatch,
-    EmptySet,
     InconsistencyDetected,
     InfeasiblePolyhedron,
     InsufficientTrace,
-    InvalidRange,
-    NotAMinimizer,
-    NotAStationaryPoint,
-    NotConvex,
-    OutOfDomain,
     ParseError,
     SqreparamError,
-    TooLarge,
-    UnboundedPolyhedron,
-    UnsupportedProblemClass,
     ValidationError,
 )
 from .kl_lab import (
@@ -70,27 +63,6 @@ from .polyfunc import (
 from .polyhedra import DEFAULT_TOL, Polyhedron, check_tol
 from .reparam import DEFAULT_TOL_SUPPORT, classify_first_order, lift_point
 from .second_order import correspondence_check
-
-_EXIT_OK = 0
-_EXIT_PARSE = 2
-_EXIT_VALIDATION = 3
-_EXIT_NUMERICAL = 4
-_EXIT_INCONSISTENT = 5
-
-_VALIDATION_ERRORS = (
-    ValidationError,
-    DimensionMismatch,
-    InvalidRange,
-    OutOfDomain,
-    NotAStationaryPoint,
-    NotAMinimizer,
-    NotConvex,
-    TooLarge,
-    UnsupportedProblemClass,
-    EmptySet,
-    InfeasiblePolyhedron,
-    UnboundedPolyhedron,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +273,15 @@ def _parse_vector_arg(text: str, n: int, flag: str) -> np.ndarray:
     return values
 
 
+def _check_out(path) -> None:
+    """Refuse an --out path that cannot be written, before any report line."""
+    if path and (os.path.isdir(path)
+                 or not os.access(os.path.dirname(os.path.abspath(path)),
+                                  os.W_OK)
+                 or os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ValidationError(f"--out: cannot write {path}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool) or value is None:
         return str(value)
@@ -344,7 +325,7 @@ def _cmd_certify(args) -> int:
     _kv("stationary_for_phi", report.stationary_for_phi)
     if not report.in_domain:
         print("second_order = skipped (y*y lies outside the domain of g)")
-        return _EXIT_OK
+        return 0
     corr = correspondence_check(p, pt)
     _kv("second_order_nonneg_on_SI", corr.second_order_nonneg_on_SI)
     if corr.witness_lambda is not None:
@@ -352,7 +333,7 @@ def _cmd_certify(args) -> int:
     if corr.negative_direction is not None:
         _kv("negative_direction", np.asarray(corr.negative_direction))
     _kv("consistent", corr.consistent)
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_strict_comp(args) -> int:
@@ -364,7 +345,7 @@ def _cmd_strict_comp(args) -> int:
     _kv("problem", args.file)
     _kv("x", x)
     _kv("strict_complementarity", strict_complementarity(p, x, tol=args.tol))
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_kl_fit(args) -> int:
@@ -378,6 +359,7 @@ def _cmd_kl_fit(args) -> int:
         inputs = ExponentInputs(args.alpha, bool(args.strict), args.gamma)
     elif args.gamma is not None or args.strict:
         raise ValidationError("--gamma and --strict need --alpha")
+    _check_out(args.out)
     _kv("command", "kl-fit")
     _kv("problem", args.file)
     _kv("y", y)
@@ -398,7 +380,7 @@ def _cmd_kl_fit(args) -> int:
         emit_csv([(args.seed, gap, res) for gap, res in samples],
                  args.out, header=("seed", "gap", "residual"))
         _kv("out", args.out)
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -424,6 +406,7 @@ def _cmd_solve(args) -> int:
         if not np.isfinite(f_star):
             raise ValidationError(
                 "meta.known_minimizer lies outside the domain of g")
+    _check_out(args.out)
     _kv("command", "solve")
     _kv("problem", args.file)
     _kv("variant", args.variant)
@@ -447,7 +430,7 @@ def _cmd_solve(args) -> int:
         emit_csv(trace.iterates, args.out,
                  header=("k", "gap", "residual", "step"))
         _kv("out", args.out)
-    return _EXIT_OK
+    return 0
 
 
 def _cmd_selftest(args) -> int:
@@ -461,7 +444,7 @@ def _cmd_selftest(args) -> int:
         print(f"[{'PASS' if result.ok else 'FAIL'}] {name}: {result.detail}")
         failures += 0 if result.ok else 1
     print(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} groups passed")
-    return _EXIT_OK if failures == 0 else _EXIT_INCONSISTENT
+    return 0 if failures == 0 else InconsistencyDetected.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +522,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return _EXIT_PARSE
-    except _VALIDATION_ERRORS as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except InconsistencyDetected as err:
-        print(f"inconsistency detected: {err}", file=sys.stderr)
+    except SqreparamError as err:
+        print(f"{err.label}: {err}", file=sys.stderr)
         report = getattr(err, "report", None)
         if report is not None:
             print(f"report: {report}", file=sys.stderr)
-        return _EXIT_INCONSISTENT
-    except SqreparamError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -1,18 +1,49 @@
 """Exception hierarchy shared across the package.
 
-Every failure mode callers are expected to branch on gets its own class.
-The CLI maps these onto process exit codes, so keep the taxonomy flat and
-stable: structural input problems, domain violations, numerical trouble,
-and loud internal consistency failures.
+A class exists only for a failure that callers branch on, and it carries
+the process exit code and the stderr label the CLI reports it with:
+`cli.main` catches SqreparamError once and returns ``err.exit_code``.
+Four classes set them: SqreparamError (4, a numerical failure unless a
+subclass says otherwise), ParseError (2), ValidationError (3, every
+class that says the input is invalid derives from it) and
+InconsistencyDetected (5).
 """
 
 
 class SqreparamError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+    label = "numerical failure"
 
-class DimensionMismatch(SqreparamError):
-    """Inputs have inconsistent shapes or non-finite entries."""
+
+class ParseError(SqreparamError):
+    """A problem file is malformed; message carries the field path."""
+
+    exit_code = 2
+    label = "parse error"
+
+
+class ValidationError(SqreparamError):
+    """The input is invalid: it parsed, but the operation cannot take it."""
+
+    exit_code = 3
+    label = "validation error"
+
+
+class InconsistencyDetected(SqreparamError):
+    """Two routes that must agree disagreed beyond tolerance.
+
+    Raised instead of silently returning a report with a false
+    consistency flag; carries the offending report when available.
+    """
+
+    exit_code = 5
+    label = "inconsistency detected"
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NumericalFailure(SqreparamError):
@@ -23,58 +54,6 @@ class NumericalFailure(SqreparamError):
     """
 
 
-class EmptySet(SqreparamError):
-    """An operation was asked about an empty generator set."""
-
-
-class InfeasiblePolyhedron(SqreparamError):
-    """A projection target has no feasible point."""
-
-
-class UnboundedPolyhedron(SqreparamError):
-    """Vertex enumeration was asked about an unbounded polyhedron."""
-
-
-class TooLarge(SqreparamError):
-    """A brute-force oracle refused an input above its size cap."""
-
-
-class OutOfDomain(SqreparamError):
-    """The query point is not in the effective domain."""
-
-
-class OutOfLiftedDomain(OutOfDomain):
-    """The squared point y*y is not in the domain of the polyhedral term."""
-
-
-class InfeasibleMultiplier(SqreparamError):
-    """The supplied multiplier is not consistent with the subdifferential."""
-
-
-class InconsistencyDetected(SqreparamError):
-    """Two routes that must agree disagreed beyond tolerance.
-
-    Raised instead of silently returning a report with a false
-    consistency flag; carries the offending report when available.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class NotAStationaryPoint(SqreparamError):
-    """A query that needs a stationary point got one that is not."""
-
-
-class NotConvex(SqreparamError):
-    """A probe that assumes convexity got a nonconvex problem."""
-
-
-class NotAMinimizer(SqreparamError):
-    """A probe that assumes a global minimizer got a non-minimizing point."""
-
-
 class InsufficientSamples(SqreparamError):
     """Sampling produced too little usable data to fit anything."""
 
@@ -83,21 +62,43 @@ class InsufficientTrace(SqreparamError):
     """A solver trace is too short or too flat to classify its rate."""
 
 
-class UnsupportedProblemClass(SqreparamError):
+class DimensionMismatch(ValidationError):
+    """Inputs have inconsistent shapes or non-finite entries, or a
+    generator set that must have points has none."""
+
+
+class InfeasiblePolyhedron(ValidationError):
+    """A projection target has no feasible point."""
+
+
+class TooLarge(ValidationError):
+    """A brute-force oracle refused an input: above its size cap, or
+    unbounded where it enumerates vertices."""
+
+
+class OutOfDomain(ValidationError):
+    """The query point is not in the effective domain."""
+
+
+class OutOfLiftedDomain(OutOfDomain):
+    """The squared point y*y is not in the domain of the polyhedral term."""
+
+
+class NotAStationaryPoint(ValidationError):
+    """A query that needs a stationary point got one that is not."""
+
+
+class NotConvex(ValidationError):
+    """A probe that assumes convexity got a nonconvex problem."""
+
+
+class NotAMinimizer(ValidationError):
+    """A probe that assumes a global minimizer got a non-minimizing point."""
+
+
+class UnsupportedProblemClass(ValidationError):
     """The requested solver variant does not cover this problem shape."""
 
 
-class DivergenceDetected(SqreparamError):
-    """A descent method increased the objective; indicates a bug."""
-
-
-class InvalidRange(SqreparamError):
+class InvalidRange(ValidationError):
     """An exponent or rate parameter is outside its admissible range."""
-
-
-class ParseError(SqreparamError):
-    """A problem file is malformed; message carries the field path."""
-
-
-class ValidationError(SqreparamError):
-    """A problem file parsed but fails semantic validation."""

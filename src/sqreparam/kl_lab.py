@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DivergenceDetected,
     InsufficientSamples,
     InsufficientTrace,
     InvalidRange,
@@ -445,9 +444,6 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
         else:
             t, cand, nxt = 0.0, y, prev
         records.append([k, prev, residual, t])
-        if nxt > prev + 1e-10 * (1.0 + abs(prev)):
-            raise DivergenceDetected(
-                f"objective rose from {prev!r} to {nxt!r} at step {k}")
         if t == 0.0 or nxt >= prev:
             break
         y, prev = cand, nxt

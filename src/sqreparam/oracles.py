@@ -17,12 +17,11 @@ import itertools
 import numpy as np
 
 from .errors import (
-    EmptySet,
+    DimensionMismatch,
     InvalidRange,
     NumericalFailure,
     OutOfDomain,
     TooLarge,
-    UnboundedPolyhedron,
     UnsupportedProblemClass,
 )
 from .polyfunc import (
@@ -61,8 +60,8 @@ def enumerate_vertices(P: Polyhedron) -> np.ndarray:
 
     Solves every n-row subsystem of the stacked constraint rows, keeps
     the feasible solutions, and deduplicates.  Boundedness is checked
-    first with 2n support LPs; an unbounded input raises
-    UnboundedPolyhedron, an infeasible one returns an empty array.
+    first with 2n support LPs; an unbounded input is refused (TooLarge),
+    an infeasible one returns an empty array.
     Caps: n <= 8 and at most 16 rows in total.
     """
     if P.n > 8 or P.m_eq + P.m_ineq > 16:
@@ -73,8 +72,7 @@ def enumerate_vertices(P: Polyhedron) -> np.ndarray:
             c[i] = sign
             out = lp_solve(c, None, None, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq)
             if out.status is LPStatus.UNBOUNDED:
-                raise UnboundedPolyhedron(
-                    f"unbounded in direction {sign:+.0f}*e_{i}")
+                raise TooLarge(f"unbounded in direction {sign:+.0f}*e_{i}")
             if out.status is LPStatus.INFEASIBLE:
                 return np.zeros((0, P.n))
 
@@ -152,7 +150,7 @@ def grid_min_norm(S: GeneratorSet, shift, weights,
     Caps: at most 4 points, 3 rays, 2 lines.
     """
     if S.is_empty:
-        raise EmptySet("grid_min_norm needs a nonempty generator set")
+        raise DimensionMismatch("grid_min_norm needs a nonempty generator set")
     if S.n_points > 4 or S.n_rays > 3 or S.n_lines > 2:
         raise TooLarge("grid_min_norm caps at 4 points, 3 rays, 2 lines")
     _check_resolution(resolution)

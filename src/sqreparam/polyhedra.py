@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptySet,
     InfeasiblePolyhedron,
     InvalidRange,
     NumericalFailure,
@@ -666,10 +665,11 @@ def min_norm_weighted(S: GeneratorSet, shift,
     """Minimize ||weights o (shift + z)|| over z in S.
 
     Returns (value, minimizer).  Coordinates with weight zero do not
-    affect the value.  Raises EmptySet when S has no points.
+    affect the value.  Raises DimensionMismatch when S has no points.
     """
     if S.is_empty:
-        raise EmptySet("min_norm_weighted needs a nonempty generator set")
+        raise DimensionMismatch(
+            "min_norm_weighted needs a nonempty generator set")
     shift = _as_vector(shift, S.n, "shift")
     weights = _as_vector(weights, S.n, "weights")
     theta = _min_norm_coefficients(S, shift, weights)
@@ -681,7 +681,7 @@ def min_norm_weighted(S: GeneratorSet, shift,
 def vrep_membership(S: GeneratorSet, z, tol: float = DEFAULT_TOL) -> bool:
     """True iff dist(z, S) <= tol."""
     if S.is_empty:
-        raise EmptySet("membership query on an empty generator set")
+        raise DimensionMismatch("membership query on an empty generator set")
     z = _as_vector(z, S.n, "z")
     value, _ = min_norm_weighted(S, -z, np.ones(S.n))
     return value <= tol
@@ -698,7 +698,8 @@ def vrep_ri_membership(S: GeneratorSet, z) -> bool:
     the threshold used is DEFAULT_TOL.
     """
     if S.is_empty:
-        raise EmptySet("relative-interior query on an empty generator set")
+        raise DimensionMismatch(
+            "relative-interior query on an empty generator set")
     z = _as_vector(z, S.n, "z")
     n_pts, n_rays, n_lin = S.n_points, S.n_rays, S.n_lines
     K = n_pts + n_rays + n_lin
@@ -730,7 +731,7 @@ def vrep_ri_membership(S: GeneratorSet, z) -> bool:
 def vrep_support(S: GeneratorSet, w) -> float:
     """Support value sup{<w, s> : s in S}; +inf on escaping directions."""
     if S.is_empty:
-        raise EmptySet("support query on an empty generator set")
+        raise DimensionMismatch("support query on an empty generator set")
     w = _as_vector(w, S.n, "w")
     w_norm = float(np.linalg.norm(w))
     for r in S.rays:
@@ -743,7 +744,18 @@ def vrep_support(S: GeneratorSet, w) -> float:
 
 
 def feasible_point(P: Polyhedron) -> np.ndarray:
-    """Any feasible point of P; raises InfeasiblePolyhedron when empty."""
+    """Any feasible point of P; raises InfeasiblePolyhedron when empty.
+
+    Read off P.shape for a box (0 clipped into its bounds, empty when
+    some lower > upper) and a simplex (its barycentre); any other
+    polyhedron solves a feasibility LP."""
+    shape = P.shape
+    if shape.kind == "box":
+        if (shape.lower > shape.upper).any():
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+        return np.minimum(np.maximum(0.0, shape.lower), shape.upper)
+    if shape.kind == "simplex":
+        return np.full(P.n, shape.total / P.n)
     out = lp_solve(np.zeros(P.n), None, None, P.A_eq, P.b_eq,
                    P.A_ineq, P.b_ineq)
     if out.status is not LPStatus.OPTIMAL:
@@ -821,8 +833,7 @@ def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
     X: a closed form over the whole stack, or the QP row by row."""
     shape = P.shape
     if shape.kind == "box":
-        if (shape.lower > shape.upper).any():
-            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+        feasible_point(P)            # raises InfeasiblePolyhedron when empty
         return np.minimum(np.maximum(X, shape.lower), shape.upper)
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)

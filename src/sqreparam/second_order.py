@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import (
     InconsistencyDetected,
-    InfeasibleMultiplier,
     NotAStationaryPoint,
+    ValidationError,
 )
 from .polyfunc import CompositeProblem, PolyhedralFunction
 from .polyhedra import (
@@ -123,7 +123,8 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     coordinates.  Computed as 2 * sup of a linear functional over the
     subdifferential slice {p : p = v on the support}; an unbounded LP
     means +inf, an infeasible one means the supplied v is not a valid
-    slice anchor (InfeasibleMultiplier).
+    slice anchor (ValidationError; the certificates pass the multiplier
+    they found, so only a direct call can supply one).
     """
     pt = _lift(g, None, ybar)
     v = _as_vector(v, g.n, "v")
@@ -134,7 +135,7 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     if out.status is LPStatus.UNBOUNDED:
         return _INF
     if out.status is LPStatus.INFEASIBLE:
-        raise InfeasibleMultiplier(
+        raise ValidationError(
             "no subgradient matches v on the support of ybar")
     return 2.0 * out.value
 

@@ -106,6 +106,51 @@ def test_malformed_input_exits_before_any_report(tmp_path, capsys, text, y,
                           else "validation error: ")
 
 
+# The exit code and stderr prefix of every package error, as the README
+# lists them.
+EXIT_CODES = {
+    "ParseError": (2, "parse error"),
+    "ValidationError": (3, "validation error"),
+    "DimensionMismatch": (3, "validation error"),
+    "InfeasiblePolyhedron": (3, "validation error"),
+    "InvalidRange": (3, "validation error"),
+    "NotAMinimizer": (3, "validation error"),
+    "NotAStationaryPoint": (3, "validation error"),
+    "NotConvex": (3, "validation error"),
+    "OutOfDomain": (3, "validation error"),
+    "OutOfLiftedDomain": (3, "validation error"),
+    "TooLarge": (3, "validation error"),
+    "UnsupportedProblemClass": (3, "validation error"),
+    "SqreparamError": (4, "numerical failure"),
+    "NumericalFailure": (4, "numerical failure"),
+    "InsufficientSamples": (4, "numerical failure"),
+    "InsufficientTrace": (4, "numerical failure"),
+    "InconsistencyDetected": (5, "inconsistency detected"),
+}
+
+
+def test_every_public_error_has_a_documented_exit_code():
+    errors = {name for name in sq.__all__
+              if isinstance(getattr(sq, name), type)
+              and issubclass(getattr(sq, name), sq.SqreparamError)}
+    assert errors == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_a_raised_error_sets_the_exit_code_and_label(monkeypatch, capsys,
+                                                     name):
+    def failing(args):
+        print("command = selftest")
+        raise getattr(sq, name)("went wrong")
+
+    monkeypatch.setattr(cli, "_cmd_selftest", failing)
+    rc = main(["selftest"])
+    out, err = capsys.readouterr()
+    code, label = EXIT_CODES[name]
+    assert (rc, out, err) == (code, "command = selftest\n",
+                              f"{label}: went wrong\n")
+
+
 def test_main_missing_file_is_parse_error(capsys):
     assert main(["certify", "no_such_file.json", "--y", "1"]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -425,8 +470,9 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     # the model (not through the g_subdiff wrapper) and grad f is evaluated
     # once; on the orthant the lifted and the phi residual are closed
     # forms, so the weighted min-norm QP runs only for the membership
-    # check of the multiplier; the LPs are the domain check of parsing,
-    # the multiplier, the second-order LP and the steepest direction
+    # check of the multiplier; the LPs are the multiplier, the
+    # second-order LP and the steepest direction (parsing reads the
+    # orthant's feasible point off its shape)
     subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
@@ -435,7 +481,7 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
     assert "consistent = True" in capsys.readouterr().out
     assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 1)
-    assert (len(grads), len(lps)) == (1, 4)
+    assert (len(grads), len(lps)) == (1, 3)
 
 
 def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,
@@ -635,6 +681,22 @@ def test_invalid_seed_radius_or_tolerance_is_validation_error(capsys, argv):
     out, err = capsys.readouterr()
     assert (rc, out) == (3, "")
     assert err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl-fit", QUARTIC1, "--y", "0"],
+    ["solve", QUARTIC1, "--variant", "lifted", "--y0", "0.5", "--steps", "10"],
+], ids=["kl-fit", "solve"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_before_any_report(tmp_path, capsys, argv,
+                                                target):
+    path = tmp_path / "missing" / "x.csv" if target == "missing-directory" \
+        else tmp_path
+    rc = main(argv + ["--out", str(path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err == f"validation error: --out: cannot write {path}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_zero_tolerances_are_allowed(capsys):

@@ -37,6 +37,11 @@ def test_enumerate_vertices_size_cap():
         enumerate_vertices(sq.Polyhedron.box(np.zeros(9), np.ones(9)))
 
 
+def test_enumerate_vertices_refuses_an_unbounded_polyhedron():
+    with pytest.raises(sq.TooLarge, match=r"unbounded in direction \+1\*e_0"):
+        enumerate_vertices(sq.Polyhedron.nonneg_orthant(2))
+
+
 def test_fd_second_subderivative_smooth_quadratic():
     # H(y) = y1^2 + 2 y2^2 at the origin with zero multiplier: d2 = 2 w1^2 + 4 w2^2
     H = lambda y: float(y[0] ** 2 + 2.0 * y[1] ** 2)

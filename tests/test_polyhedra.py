@@ -89,7 +89,9 @@ def test_projection_idempotent():
         assert np.linalg.norm(z2 - z) <= 1e-9
 
 
-def test_feasible_point_and_infeasibility():
+def test_feasible_point_and_infeasibility(monkeypatch):
+    # a simplex and a box are read off their shape, without an LP
+    lps = _recorded_lps(monkeypatch)
     simp = sq.Polyhedron.standard_simplex(4)
     z = sq.feasible_point(simp)
     assert simp.contains(z)
@@ -99,6 +101,45 @@ def test_feasible_point_and_infeasibility():
         sq.feasible_point(bad)
     with pytest.raises(sq.InfeasiblePolyhedron):
         sq.project_onto_polyhedron(bad, np.zeros(1))
+    assert lps == []
+
+
+@pytest.mark.parametrize("P, point", [
+    (sq.Polyhedron.nonneg_orthant(3), [0.0, 0.0, 0.0]),
+    (sq.Polyhedron.box([1.0, -2.0, -3.0], [2.0, -1.0, 4.0]),
+     [1.0, -1.0, 0.0]),
+    (sq.Polyhedron(2, A_ineq=[[2.0, 0.0], [0.0, -1.0]], b_ineq=[-4.0, -1.0]),
+     [-2.0, 1.0]),
+    (sq.Polyhedron.standard_simplex(4), [0.25, 0.25, 0.25, 0.25]),
+    (sq.Polyhedron(2, A_ineq=-3.0 * np.eye(2), b_ineq=np.zeros(2),
+                   A_eq=[[2.0, 2.0]], b_eq=[6.0]), [1.5, 1.5]),
+], ids=["orthant", "box", "half-bounded", "simplex", "scaled-simplex"])
+def test_feasible_point_of_a_box_or_simplex_solves_no_lp(monkeypatch, P,
+                                                         point):
+    lps = _recorded_lps(monkeypatch)
+    assert np.array_equal(sq.feasible_point(P), point)
+    assert lps == []
+
+
+@pytest.mark.parametrize("query, message", [
+    (lambda S: sq.min_norm_weighted(S, np.zeros(2), np.ones(2)),
+     "min_norm_weighted needs a nonempty generator set"),
+    (lambda S: sq.vrep_membership(S, np.zeros(2)),
+     "membership query on an empty generator set"),
+    (lambda S: sq.vrep_ri_membership(S, np.zeros(2)),
+     "relative-interior query on an empty generator set"),
+    (lambda S: sq.vrep_support(S, np.ones(2)),
+     "support query on an empty generator set"),
+    (lambda S: grid_min_norm(S, np.zeros(2), np.ones(2)),
+     "grid_min_norm needs a nonempty generator set"),
+], ids=["min_norm_weighted", "vrep_membership", "vrep_ri_membership",
+        "vrep_support", "grid_min_norm"])
+def test_queries_on_an_empty_generator_set_are_invalid(query, message):
+    # rays and lines alone do not make a nonempty set
+    S = sq.GeneratorSet(2, rays=[[1.0, 0.0]], lines=[[0.0, 1.0]])
+    assert S.is_empty
+    with pytest.raises(sq.DimensionMismatch, match=message):
+        query(S)
 
 
 def test_generator_set_drops_zero_rays_and_lines():

@@ -44,6 +44,15 @@ def test_d2_designed_point_domain_infinite():
     assert val == np.inf
 
 
+def test_d2_anchor_without_a_matching_subgradient_is_invalid():
+    # on the orthant at x = (1, 0) every subgradient is 0 on the support
+    g = sq.PolyhedralFunction.orthant_indicator(2)
+    with pytest.raises(sq.ValidationError,
+                       match="no subgradient matches v on the support"):
+        sq.d2_lifted_g(g, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                       np.array([0.0, 1.0]))
+
+
 def test_d2_positive_homogeneity_degree_two():
     g = sq.PolyhedralFunction.simplex_indicator(2)
     y, v = np.array([1.0, 0.0]), np.array([1.0, 0.0])

@@ -23,11 +23,17 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
 * a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
   (the shipped points of the pool are perfbench's explicit list, which
   leaves out cone2);
-* `selftest` at seeds 0 and 7.
+* `selftest` at seeds 0 and 7;
+* the error paths: `certify` on malformed problem files, an empty
+  domain and an instance whose routes disagree (exit 5), written to the
+  pool's directory, invalid flag values, and `kl-fit` and `solve` with
+  an `--out` that cannot be written.
 
 Each run's stdout, stderr and exit code go into OUT, keyed by its
-argument list.  The pool's temporary directory is written as `<pool>`
-and DIR as `<repo>`, so records of two checkouts compare line for line.
+argument list; a run that raises records the exception's type and
+message as its exit code.  The pool's temporary directory is written as
+`<pool>` and DIR as `<repo>`, so records of two checkouts compare line
+for line.
 `diff` prints every run whose output or exit code differs, then a tally
 of the changed runs by key (the text before ` = ` or `: ` of each
 changed line, `exit` for an exit code), and exits 1 when any run
@@ -78,6 +84,65 @@ SOLVE = (
     ("pieces2", "original", "--x0=1,1"),
 )
 
+# Problem files for the error paths, with the point `certify` gets: exit
+# 2 when the file does not parse, 3 when it is not a valid problem, 5 on
+# the last, whose second-order LP disagrees with its first-order verdict.
+ERROR_FILES = (
+    ("f-not-object", '{"n": 1, "f": [1]}', "0"),
+    ("g-not-object", '{"n": 1, "g": 1}', "0"),
+    ("domain-not-object", '{"n": 1, "g": {"domain": []}}', "0"),
+    ("top-not-object", '[1]', "0"),
+    ("n-missing", '{"f": {}}', "0"),
+    ("n-boolean", '{"n": true}', "0"),
+    ("n-zero", '{"n": 0}', "0"),
+    ("q-length", '{"n": 2, "f": {"q": [1]}}', "0,0"),
+    ("pieces-not-list", '{"n": 1, "g": {"pieces": {}}}', "0"),
+    ("piece-not-object", '{"n": 1, "g": {"pieces": [1]}}', "0"),
+    ("piece-without-a", '{"n": 1, "g": {"pieces": [{"b": 0}]}}', "0"),
+    ("a-length", '{"n": 1, "g": {"pieces": [{"a": [1, 2]}]}}', "0"),
+    ("meta-not-object", '{"n": 1, "meta": []}', "0"),
+    ("ragged-rows", '{"n": 2, "f": {"Q": [[1, 0], [0]]}}', "0,0"),
+    ("nan-in-Q", '{"n": 1, "f": {"Q": [[NaN]]}}', "0"),
+    ("y-not-numeric", '{"n": 2}', "a,b"),
+    ("empty-domain",
+     '{"n": 1, "g": {"domain": {"A_ineq": [[1]], "b_ineq": [-1]}}}', "0"),
+    ("inconsistent",
+     '{"n": 2, "f": {"Q": [[1, 0], [0, 1]], "q": [1e6, -1e-8]}, "g": {}}',
+     "0,0"),
+)
+
+# Invalid flag values: (subcommand, shipped problem or None, flags...)
+BAD_FLAGS = (
+    ("selftest", None, "--seed", "-5"),
+    ("kl-fit", "quartic1", "--y", "0", "--seed", "-1"),
+    ("kl-fit", "quartic1", "--y", "0", "--dmax", "inf"),
+    ("certify", "orthant2", "--y", "1,0", "--tol", "-1"),
+    ("certify", "orthant2", "--y", "1,0", "--tol", "nan"),
+    ("certify", "orthant2", "--y", "1,0", "--tol-support", "inf"),
+    ("strict-comp", "nnls1", "--x", "1", "--tol", "nan"),
+    ("kl-fit", "quartic1", "--y", "0", "--gamma", "1"),
+    ("kl-fit", "quartic1", "--y", "0", "--strict"),
+    ("kl-fit", "quartic1", "--y", "0", "--alpha", "2", "--strict"),
+    ("kl-fit", "quartic1", "--y", "0", "--alpha", "0.5"),
+    ("kl-fit", "quartic1", "--y", "0", "--alpha", "0.5", "--gamma", "0"),
+    ("certify", "orthant2", "--y", "nan,0"),
+    ("certify", "orthant2", "--y=-inf,0"),
+    ("strict-comp", "nnls1", "--x", "inf"),
+    ("kl-fit", "quartic1", "--y", "nan"),
+    ("solve", "quartic1", "--variant", "lifted", "--y0", "nan"),
+    ("solve", "nnls1", "--variant", "original", "--x0", "inf"),
+    ("solve", "quartic1", "--variant", "lifted", "--y0", "0.5", "--steps",
+     "0"),
+    ("solve", "nnls1", "--variant", "original", "--x0", "3", "--steps", "-3"),
+)
+
+# Runs given an --out in a missing directory, and one that is a directory
+UNWRITABLE_OUT = (
+    ("kl-fit", "quartic1", "--y", "0"),
+    ("solve", "quartic1", "--variant", "lifted", "--y0", "0.5", "--steps",
+     "10"),
+)
+
 
 def _run(main, argv):
     out, err = io.StringIO(), io.StringIO()
@@ -86,6 +151,8 @@ def _run(main, argv):
             code = main(argv)
         except SystemExit as exc:          # argparse rejections
             code = exc.code
+        except Exception as exc:           # an uncaught failure is an outcome
+            code = f"{type(exc).__name__}: {exc}"
     return {"stdout": out.getvalue(), "stderr": err.getvalue(),
             "exit": code}
 
@@ -126,6 +193,19 @@ def _runs(repo, pool_dir):
                "--variant", variant, start]
     for seed in SELFTEST_SEEDS:
         yield ["selftest", "--seed", str(seed)]
+    os.makedirs(os.path.join(pool_dir, "errors"))
+    for name, text, y in ERROR_FILES:
+        path = os.path.join(pool_dir, "errors", name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        yield ["certify", path, "--y=" + y]
+    for cmd, name, *flags in BAD_FLAGS:
+        files = [] if name is None else [os.path.join(problems, name + ".json")]
+        yield [cmd, *files, *flags]
+    for cmd, name, *flags in UNWRITABLE_OUT:
+        for out in (os.path.join(pool_dir, "missing", "x.csv"), pool_dir):
+            yield [cmd, os.path.join(problems, name + ".json"), *flags,
+                   "--out", out]
 
 
 def _kl_plan_problems(gen):
