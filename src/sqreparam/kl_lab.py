@@ -41,7 +41,6 @@ from .polyfunc import (CompositeProblem, LocalModel, phi_value, _f_kernels,
                        _g_rows, _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
-    project_onto_polyhedron,
     vrep_ri_membership,
     _as_vector,
     _project_rows,
@@ -356,42 +355,26 @@ _MIN_RATE_POINTS = 20
 _ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
 
 
-def _power_iteration_bound(Q: np.ndarray) -> float:
-    """Spectral norm estimate of a symmetric matrix: 80 power iterations
-    from a deterministic start."""
-    n = Q.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    bound = 0.0
-    for _ in range(80):
-        w = Q @ v
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-300:
-            return 0.0
-        bound = norm
-        v = w / norm
-    return bound
-
-
-def _run_projected_gradient(p: CompositeProblem, start, steps: int,
-                            f_star: float | None) -> SolverTrace:
+def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
+    """Projected gradient on phi at the constant step 1/L, L the spectral
+    norm of the Hessian at the projected start; returns the records."""
     if p.g.n_pieces:
         raise UnsupportedProblemClass(
             "the original-variable solver needs an indicator g")
-    x = project_onto_polyhedron(p.g.domain, np.asarray(start, float))
-    L = _power_iteration_bound(np.asarray(p.f.hess(x), dtype=float))
+    domain = p.g.domain
+    grad_f = _f_kernels(p.f)[1]
+    x = _project_rows(domain, x[None], None)[0]
+    L = float(np.linalg.norm(np.asarray(p.f.hess(x), dtype=float), 2))
     step = 1.0 / L if L > 1e-12 else 1.0
     records = []
-    values = []
     for k in range(steps):
-        grad = p.f.grad(x)
-        x_next = project_onto_polyhedron(p.g.domain, x - step * grad, start=x)
+        x_next = _project_rows(domain, (x - step * grad_f(x))[None], x)[0]
         residual = float(np.linalg.norm(x - x_next)) / step
-        values.append(phi_value(p, x))
-        records.append([k, values[-1], residual, step])
+        records.append((k, phi_value(p, x), residual, step))
         if np.array_equal(x_next, x):
             break
         x = x_next
-    return _finish_trace("original", records, values, f_star)
+    return records
 
 
 def _sphere_retract(v: np.ndarray, radius: float) -> np.ndarray:
@@ -402,33 +385,30 @@ def _sphere_retract(v: np.ndarray, radius: float) -> np.ndarray:
     return (radius / norm) * v
 
 
-def _run_lifted_descent(p: CompositeProblem, start, steps: int,
-                        f_star: float | None) -> SolverTrace:
+def _run_lifted_descent(p: CompositeProblem, y, steps: int) -> list:
     """Armijo backtracking along -grad of h(y) = f(y*y), retracted onto
     the sphere of radius sqrt(total) along its tangent space when g is a
-    simplex indicator.  h is evaluated once per candidate, and x = y*y of
-    the accepted candidate feeds the next gradient."""
+    simplex indicator; returns the records.  h is evaluated once per
+    candidate, and x = y*y of the accepted candidate feeds the next
+    gradient."""
     sphere = p.g.kind == "simplex"
     if not sphere and p.g.kind != "orthant":
         raise UnsupportedProblemClass(
             "the lifted solver covers orthant and simplex indicators only")
     value, grad_f = _f_kernels(p.f)
-    y = start
     if sphere:
         radius = math.sqrt(p.g.domain.shape.total)
         y = _sphere_retract(y, radius)
     x = y * y
     prev = float(value(x))
     records = []
-    values = []
     for k in range(steps):
         grad = 2.0 * y * grad_f(x)
         if sphere:
             grad = grad - (float(grad @ y) / float(y @ y)) * y
         residual = math.sqrt(grad @ grad)
-        values.append(prev)
         if residual == 0.0:
-            records.append([k, prev, residual, 0.0])
+            records.append((k, prev, residual, 0.0))
             break
         descent_sq = residual * residual
         t = 1.0
@@ -443,18 +423,11 @@ def _run_lifted_descent(p: CompositeProblem, start, steps: int,
             t *= _ARMIJO_SHRINK
         else:
             t, cand, nxt = 0.0, y, prev
-        records.append([k, prev, residual, t])
-        if t == 0.0 or nxt >= prev:
+        records.append((k, prev, residual, t))
+        if nxt >= prev:
             break
         y, prev = cand, nxt
-    return _finish_trace("lifted", records, values, f_star)
-
-
-def _finish_trace(variant: str, records, values, f_star) -> SolverTrace:
-    best = f_star if f_star is not None else (min(values) if values else 0.0)
-    iterates = [(k, max(val - best, 0.0), res, st)
-                for (k, val, res, st) in records]
-    return SolverTrace(variant, iterates, best)
+    return records
 
 
 def run_first_order(p: CompositeProblem, variant: str, start,
@@ -463,7 +436,7 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     """Run a first-order method and log its trace.
 
     variant "original": projected gradient on phi with the constant
-    step 1/L, L estimated by power iteration on the Hessian; g must be
+    step 1/L, L the spectral norm of the Hessian at the start; g must be
     an indicator.  variant "lifted": descent on f(y*y), plain Armijo
     backtracking when g is the orthant indicator and sphere-retracted
     backtracking when g is a simplex indicator.  A given f_star must be
@@ -475,10 +448,14 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     if f_star is not None and not math.isfinite(f_star):
         raise InvalidRange(f"f_star must be finite, got {f_star!r}")
     if variant == "original":
-        return _run_projected_gradient(p, start, steps, f_star)
-    if variant == "lifted":
-        return _run_lifted_descent(p, start, steps, f_star)
-    raise UnsupportedProblemClass(f"unknown variant {variant!r}")
+        records = _run_projected_gradient(p, start, steps)
+    elif variant == "lifted":
+        records = _run_lifted_descent(p, start, steps)
+    else:
+        raise UnsupportedProblemClass(f"unknown variant {variant!r}")
+    best = f_star if f_star is not None else min(rec[1] for rec in records)
+    return SolverTrace(variant, [(k, max(val - best, 0.0), res, st)
+                                 for (k, val, res, st) in records], best)
 
 
 def fit_rate(trace: SolverTrace) -> RateFit:

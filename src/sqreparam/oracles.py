@@ -39,6 +39,7 @@ from .polyhedra import (
     project_onto_polyhedron,
     _as_vector,
 )
+from .reparam import support_set
 
 _INF = float("inf")
 # half-width of the box searched for unbounded coefficients
@@ -231,7 +232,7 @@ def fd_second_subderivative(H_eval, ybar, lam, w) -> float:
     if not np.isfinite(base):
         raise OutOfDomain("H must be finite at the base point")
 
-    support = np.nonzero(np.abs(ybar) > 1e-8)[0]
+    support = support_set(ybar)[0]
     rng = np.random.default_rng(_SEED)
     dirs = rng.standard_normal((_N_PERTURB, n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)

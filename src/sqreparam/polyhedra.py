@@ -78,11 +78,11 @@ def check_tol(value, name: str = "tol") -> None:
             f"{name}: must be finite and nonnegative, got {value!r}")
 
 
-def _tightest_bounds(A, b, lower, upper, tol: float = DEFAULT_TOL):
+def _tightest_bounds(A, b, lower, upper):
     """lower <= z <= upper tightened by the rows of A z <= b, each with
     one nonzero.  The tightest row wins, so duplicated and scaled rows
-    are fine.  Bounds crossed by at most tol (1 + |lower|) are a fixed
-    coordinate split by rounding and become upper = lower; a wider
+    are fine.  Bounds crossed by at most DEFAULT_TOL (1 + |lower|) are a
+    fixed coordinate split by rounding and become upper = lower; a wider
     crossing is left for the caller to read as an empty set."""
     col = np.argmax(A != 0.0, axis=1)
     coef = A[np.arange(A.shape[0]), col]
@@ -90,7 +90,8 @@ def _tightest_bounds(A, b, lower, upper, tol: float = DEFAULT_TOL):
     lower, upper = lower + 0.0, upper + 0.0
     np.maximum.at(lower, col[coef < 0.0], bound[coef < 0.0])
     np.minimum.at(upper, col[coef > 0.0], bound[coef > 0.0])
-    fixed = (lower > upper) & (lower - upper <= tol * (1.0 + np.abs(lower)))
+    fixed = (lower > upper) & (lower - upper
+                               <= DEFAULT_TOL * (1.0 + np.abs(lower)))
     upper[fixed] = lower[fixed]
     return lower, upper
 

@@ -500,6 +500,18 @@ def test_projected_gradient_linear_on_interior_minimum():
     assert fit.r_squared > 0.999
 
 
+def test_projected_gradient_steps_at_the_hessian_norm():
+    # Q 1 = 0, so a power iteration from the all-ones vector reads 0 and
+    # a unit step overshoots: the step must be 1 / ||Q||_2 = 0.25
+    f = sq.SmoothQuadratic(np.array([[2.0, -2.0], [-2.0, 2.0]]), np.zeros(2))
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
+    tr = sq.run_first_order(p, "original", [1.0, 2.0], steps=50)
+    gaps = [rec[1] for rec in tr.iterates]
+    assert all(rec[3] == pytest.approx(0.25) for rec in tr.iterates)
+    assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-12
+
+
 def test_lifted_descent_sublinear_on_quartic():
     tr = sq.run_first_order(quartic(), "lifted", np.array([0.5]), steps=2000,
                             f_star=0.0)
