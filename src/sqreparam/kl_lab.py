@@ -357,20 +357,26 @@ _ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
 
 def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
     """Projected gradient on phi at the constant step 1/L, L the spectral
-    norm of the Hessian at the projected start; returns the records."""
+    norm of the Hessian at the projected start; returns the records.
+    One domain test of x per step decides both phi(x), g being an
+    indicator, and whether x can start the next projection."""
     if p.g.n_pieces:
         raise UnsupportedProblemClass(
             "the original-variable solver needs an indicator g")
     domain = p.g.domain
-    grad_f = _f_kernels(p.f)[1]
+    value, grad_f = _f_kernels(p.f)
     x = _project_rows(domain, x[None], None)[0]
     L = float(np.linalg.norm(np.asarray(p.f.hess(x), dtype=float), 2))
     step = 1.0 / L if L > 1e-12 else 1.0
     records = []
     for k in range(steps):
-        x_next = _project_rows(domain, (x - step * grad_f(x))[None], x)[0]
-        residual = float(np.linalg.norm(x - x_next)) / step
-        records.append((k, phi_value(p, x), residual, step))
+        inside = domain._violations(x[None])[0] <= DEFAULT_TOL
+        x_next = _project_rows(domain, (x - step * grad_f(x))[None],
+                               x if inside else None)[0]
+        d = x - x_next
+        # phi_value's sum: f(x) plus the indicator's 0.0
+        phi = float(value(x)) + 0.0 if inside else _INF
+        records.append((k, phi, math.sqrt(d @ d) / step, step))
         if np.array_equal(x_next, x):
             break
         x = x_next

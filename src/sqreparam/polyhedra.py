@@ -11,10 +11,12 @@ input gives an identical optimal witness): inequality rows with one
 nonzero are read as bounds, and a variable with two finite bounds
 reaches its upper one by a bound flip, not through an extra row
 (Dantzig 1955; Bland 1977).  Its condensed tableau holds only the
-nonbasic columns, each mapped to its variable; Bland's rule compares
-variable indices.  The QP solver is a primal active-set method with
-smallest-index tie breaking that solves each working-set KKT system by
-LU, and by least squares only when that system is singular.
+nonbasic columns, each mapped to its variable, and the reduced costs
+as its last row, so one rank-1 update per pivot moves both; Bland's
+rule compares variable indices, one argmin per choice.  The QP solver
+is a primal active-set method with smallest-index tie breaking that
+solves each working-set KKT system by LU, and by least squares only
+when that system is singular.
 On a box or simplex, projection and the weighted min-norm over a normal
 cone are closed forms instead (clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -318,21 +320,28 @@ class LPOutcome:
         return abs(self.value - self.dual_value)
 
 
+def _damp(rhs: np.ndarray) -> None:
+    """Zero the roundoff just below 0 in a rhs, so later ratio tests stay
+    well posed."""
+    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+
+
 def _pivot(T: np.ndarray, var: np.ndarray, basis: np.ndarray, row: int,
-           col: int) -> None:
+           col: int, work: np.ndarray) -> None:
     """Pivot the condensed tableau on (row, col): var[col] enters, and the
-    leaving basis[row] takes column col with its full-tableau entries."""
+    leaving basis[row] takes column col with its full-tableau entries.
+    Every other row, the reduced-cost row included, loses its col entry
+    times the scaled pivot row; work is a buffer of T's shape."""
     inv = 1.0 / T[row, col]
-    T[row] = T[row] / T[row, col]
+    T[row] /= T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
-    T -= np.outer(column, T[row])
+    np.multiply.outer(column, T[row], out=work)
+    T -= work
     T[:, col] = 0.0 - column * inv
     T[row, col] = inv
     var[col], basis[row] = basis[row], var[col]
-    # damp roundoff in the rhs so later ratio tests stay well posed
-    rhs = T[:, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+    _damp(T[:, -1])
 
 
 def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
@@ -342,46 +351,66 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
     place; returns the status and the number of pivots.
 
     T holds only the nonbasic columns, column k that of variable var[k],
-    and the rhs; basis[p] is the variable basic in row p.  flipped[j]
-    marks x_j replaced by cap[j] - x_j (column and reduced cost negated),
-    so every nonbasic variable sits at 0, a flipped one at its upper
-    bound.  Bland's rule by variable index, not column position, both
-    for entering (smallest index with negative reduced cost) and leaving
-    (smallest variable index among ratio ties, the entering variable's
-    own bound flip, made without a pivot, included), which rules out
-    cycling.
+    and the rhs; basis[p] is the variable basic in row p.  Its last row
+    holds the reduced costs, which this function fills in, so each
+    pivot's one rank-1 update keeps them current too (the rhs entry of
+    that row is never read).  flipped[j] marks x_j replaced by cap[j] -
+    x_j (column, reduced cost included, negated), so every nonbasic
+    variable sits at 0, a flipped one at its upper bound.  Bland's rule
+    by variable index, not column position, both for entering (smallest
+    index with negative reduced cost) and leaving (smallest variable
+    index among ratio ties, the entering variable's own bound flip, made
+    without a pivot, included), which rules out cycling.  Each choice is
+    one argmin over the indices, with the sentinel cap.size, one past the
+    largest variable index, where a candidate is ruled out.
     """
-    m = T.shape[0]
+    m = T.shape[0] - 1
     full = np.where(flipped, -cost, cost)
-    reduced = full[var]
+    reduced = T[m, :-1]
+    reduced[:] = full[var]
     for p in range(m):
         if full[basis[p]] != 0.0:
             reduced -= full[basis[p]] * T[p, :-1]
+    if not var.size:
+        return "optimal", 0
+    sentinel = cap.size
+    rhs = T[:m, -1]
+    cap_b = cap[basis]
+    ratios, room = np.empty(m), np.empty(m)
+    down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    work = np.empty_like(T)
     pivots = 0
     for _ in range(max_iter):
-        negative = (reduced < -tol).nonzero()[0]
-        if negative.size == 0:
+        entering = np.where(reduced < -tol, var, sentinel)
+        k = int(entering.argmin())
+        enter = int(entering[k])
+        if enter == sentinel:
             return "optimal", pivots
-        k = int(negative[np.argmin(var[negative])])
-        enter = int(var[k])
-        col, rhs = T[:, k], T[:, -1]
-        ratios = np.full(m, _INF)
-        down, up = col > tol, col < -tol
-        ratios[down] = rhs[down] / col[down]
-        # a basic variable that grows stops at its own upper bound
-        ratios[up] = np.maximum(cap[basis][up] - rhs[up], 0.0) / -col[up]
+        col = T[:m, k]
+        np.greater(col, tol, out=down)
+        np.less(col, -tol, out=up)
+        ratios.fill(_INF)
+        np.divide(rhs, col, out=ratios, where=down)
+        # a basic variable that grows stops at its own upper bound:
+        # max(cap_b - rhs, 0) / -col, which is exactly -(room / col)
+        np.subtract(cap_b, rhs, out=room)
+        np.maximum(room, 0.0, out=room)
+        np.divide(room, col, out=room, where=up)
+        np.negative(room, out=ratios, where=up)
         best = min(ratios.min(initial=_INF), cap[enter])
         if best == _INF:
             return "unbounded", pivots
         band = best + 1e-9 * (1.0 + abs(best))
-        ties = (ratios <= band).nonzero()[0]
-        leave = int(ties[np.argmin(basis[ties])]) if ties.size else -1
-        if cap[enter] <= band and (leave < 0 or enter < basis[leave]):
+        leave, first = -1, sentinel
+        if m:
+            ties = np.where(ratios <= band, basis, sentinel)
+            leave = int(ties.argmin())
+            first = int(ties[leave])
+        if cap[enter] <= band and enter < first:
             # the entering variable reaches its other bound first
-            rhs -= cap[enter] * col
-            rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
-            col *= -1.0
-            reduced[k] *= -1.0
+            T[:, -1] -= cap[enter] * T[:, k]
+            _damp(T[:, -1])
+            T[:, k] *= -1.0
             flipped[enter] = not flipped[enter]
             continue
         if col[leave] < 0.0:
@@ -390,11 +419,9 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
             T[leave] *= -1.0
             T[leave, -1] += cap[j]
             flipped[j] = not flipped[j]
-        ent = reduced[k]
-        _pivot(T, var, basis, leave, k)
+        _pivot(T, var, basis, leave, k, work)
+        cap_b[leave] = cap[enter]
         pivots += 1
-        reduced[k] = 0.0
-        reduced -= ent * T[leave, :-1]
     raise NumericalFailure("simplex iteration budget exceeded")
 
 
@@ -473,10 +500,11 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     pivot_tol = 1e-10
     budget = 2000 + 50 * (m + N)
 
-    # Phase 1: artificial variables on every row.
-    T = np.zeros((m, N + 1))
-    T[:, :N] = A_std
-    T[:, -1] = b_std
+    # Phase 1: artificial variables on every row; the last row holds
+    # the reduced costs.
+    T = np.zeros((m + 1, N + 1))
+    T[:m, :N] = A_std
+    T[:m, -1] = b_std
     var, basis = np.arange(N), np.arange(N, N + m)
     cost1 = np.concatenate([np.zeros(N), np.ones(m)])
     status, pivots = _run_simplex(T, var, basis, cost1, cap, flipped,
@@ -487,18 +515,21 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     if infeas > DEFAULT_TOL * scale:
         return LPOutcome(LPStatus.INFEASIBLE, -_INF, pivots=pivots)
     # Drive artificials out of the basis; rows that resist are redundant.
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(m + 1, dtype=bool)
+    work = np.empty_like(T)
     for p in range(m):
         if basis[p] < N:
             continue
         entering = np.nonzero((var < N) & (np.abs(T[p, :-1]) > 1e-9))[0]
         if entering.size:
-            _pivot(T, var, basis, p, int(entering[np.argmin(var[entering])]))
+            _pivot(T, var, basis, p, int(entering[np.argmin(var[entering])]),
+                   work)
             pivots += 1
         else:
             keep[p] = False
     if not keep.all():
-        T, basis, A_std, b_std = T[keep], basis[keep], A_std[keep], b_std[keep]
+        rows = keep[:m]
+        T, basis, A_std, b_std = T[keep], basis[rows], A_std[rows], b_std[rows]
     T = T[:, np.append(var < N, True)]
     var = var[var < N]
     cap, flipped = cap[:N], flipped[:N]
@@ -511,7 +542,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
         return LPOutcome(LPStatus.UNBOUNDED, _INF, pivots=pivots)
 
     x_std = np.zeros(N)
-    x_std[basis] = T[:, -1]
+    x_std[basis] = T[:-1, -1]
     x_std = np.where(flipped, cap - x_std, x_std)
     z = M @ x_std[:K] + z0
     value = float(c @ z)
@@ -829,18 +860,27 @@ def _min_norm_normal_cone(P: Polyhedron, active, shift,
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]), Z
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, the Hessian of a projection QP, built
+    once for each of the last few n."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
     """project_onto_polyhedron at each row of the unvalidated (N, n) array
-    X: a closed form over the whole stack, or the QP row by row."""
+    X: a closed form over the whole stack, or the QP row by row, started
+    at start, a point of P, or at feasible_point(P) when start is None."""
     shape = P.shape
     if shape.kind == "box":
         feasible_point(P)            # raises InfeasiblePolyhedron when empty
         return np.minimum(np.maximum(X, shape.lower), shape.upper)
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)
-    z0 = start if start is not None and P.contains(start) \
-        else feasible_point(P)
-    return np.array([_qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq,
+    z0 = feasible_point(P) if start is None else start
+    return np.array([_qp_active_set(_identity(P.n), -x, P.A_eq, P.b_eq,
                                     P.A_ineq, P.b_ineq, z0) for x in X])
 
 
@@ -857,4 +897,6 @@ def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     x = _as_vector(x, P.n, "x")
     if start is not None:
         start = _as_vector(start, P.n, "start")
+        if not P.contains(start):
+            start = None
     return _project_rows(P, x[None], start)[0]

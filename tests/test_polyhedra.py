@@ -838,7 +838,8 @@ def _digest(*parts):
 
 
 def _lp_digest(out):
-    return _digest(out.status, repr(out.value), out.witness.tobytes(),
+    witness = None if out.witness is None else out.witness.tobytes()
+    return _digest(out.status, repr(out.value), witness,
                    repr(out.dual_value), out.pivots)
 
 
@@ -897,3 +898,54 @@ def test_min_norm_weighted_on_the_n40_draw_matches_its_pin():
     S = sq.GeneratorSet(40, P.A_ineq[80:83], P.A_ineq[83:103])
     value, z = sq.min_norm_weighted(S, 4.0 * v, rng.uniform(0.5, 2.0, 40))
     assert _digest(repr(value), z.tobytes()) == _MIN_NORM_PIN
+
+
+# The tableau's edge shapes, each pinned with the outcome the simplex
+# gave before its reduced costs became a tableau row.
+_EDGE_LPS = {
+    # square nonsingular A_eq on x >= 0: phase 1 makes every column
+    # basic, so phase 2 starts with no nonbasic column (free variables
+    # would leave their negative parts nonbasic)
+    "no-nonbasic-column": (
+        dict(c=[1.0, -2.0, 0.5], lower=np.zeros(3),
+             A_eq=[[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]],
+             b_eq=[1.0, 2.0, 3.0]),
+        "b781fd433f24129e0c57d827b9306f844001ce41a13c448af8fb7ce4a898a681"),
+    # every row is a bound, so the tableau has no rows; phase 2 flips
+    # x0 and x2 to their upper bounds
+    "no-rows": (
+        dict(c=[1.0, -2.0, 0.5],
+             A_ineq=[[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 3.0, 0.0],
+                     [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+             b_ineq=[1.0, 4.0, 3.0, 2.0, 0.5, 0.5]),
+        "5c3c2794d8e7810dd4c72fdc3d6e28fb6737f1fd9da82e8efe1279d029964aac"),
+    # x0 flips to its bound without a pivot
+    # (test_lp_bound_flip_wins_a_ratio_tie_by_its_index)
+    "bound-flip": (
+        dict(c=[0.0, 2.0, 1.0], lower=np.zeros(3), upper=[2.0, 1.0, 2.0],
+             A_ineq=[[1.0, -2.0, -1.0]], b_ineq=[2.0]),
+        "cfda7f707cfabd96f1b429cf6ab4af1c7fac2719834dfb6bc011e269cd3a7a2b"),
+    # the second equality row is twice the first: its artificial stays
+    # basic after phase 1 and the row is dropped
+    "redundant-row": (
+        dict(c=[1.0, 1.0, -1.0], lower=np.zeros(3),
+             A_eq=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 0.0]],
+             b_eq=[1.0, 2.0, 0.0]),
+        "3183b5d91d185b9f2b0a11f0fc315760f64c50d8094cd0df491a7df07d0a45d8"),
+    # x0 = 2, x1 = -1 is the only solution of the rows: phase 1 pivots
+    # once and ends with a positive artificial
+    "infeasible": (
+        dict(c=[1.0, 1.0], lower=np.zeros(2),
+             A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 3.0]),
+        "dd60991a44406a6a503fc239560f4936ad951a3b2c3938e698bcc346704d1b45"),
+    "unbounded": (
+        dict(c=[1.0, 1.0], lower=np.zeros(2), A_ineq=[[1.0, -1.0]],
+             b_ineq=[1.0]),
+        "252a0063b447ab9b71ad905b6b28bd9b973190a658ad160b20190c0244dfc1e2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_LPS))
+def test_lp_edge_shapes_match_their_pins(name):
+    kwargs, pin = _EDGE_LPS[name]
+    assert _lp_digest(sq.lp_solve(**kwargs)) == pin
