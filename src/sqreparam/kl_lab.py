@@ -37,8 +37,8 @@ from .errors import (
     OutOfLiftedDomain,
     UnsupportedProblemClass,
 )
-from .polyfunc import (CompositeProblem, LocalModel, phi_value, _f_kernels,
-                       _g_rows, _min_norm_rows)
+from .polyfunc import (CompositeProblem, LocalModel, SmoothQuadratic,
+                       phi_value, _f_kernels, _g_rows, _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
     vrep_ri_membership,
@@ -48,6 +48,7 @@ from .polyhedra import (
 from .reparam import lift_eval, lift_point, support_set
 
 _INF = float("inf")
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +392,52 @@ def _sphere_retract(v: np.ndarray, radius: float) -> np.ndarray:
     return (radius / norm) * v
 
 
+def _ray_values(f: SmoothQuadratic, y, d, total: float | None):
+    """t -> f(x(t)) for x(t) = (y - t d)*(y - t d) = a + t b + t^2 e, with
+    a = y*y, b = -2 y*d and e = d*d: x'Qx is the quartic of the Gram
+    [a b e]'Q[a b e] and q'x a quadratic.  Given total, x(t) is retracted
+    onto the sphere |y|^2 = total, so scaled by s = total / N(t), N(t) =
+    1'x(t); else s = 1.  A value or N(t) that is not a finite, normal
+    float, overflows included, reads nan: evaluate that t directly."""
+    with np.errstate(all="ignore"):
+        M = np.array((y * y, -2.0 * y * d, d * d))
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = (M @ f.Q @ M.T).tolist()
+        l0, l1, l2 = (M @ f.q).tolist()
+        n0, n1, n2 = M.sum(axis=1).tolist() if total else (1.0, 0.0, 0.0)
+    p1, p2, p3, r = 2.0 * g01, g11 + 2.0 * g02, 2.0 * g12, f.r
+
+    def value(t: float) -> float:
+        norm_sq = (n2 * t + n1) * t + n0
+        if not _TINY <= norm_sq < _INF:
+            return math.nan
+        s = (total or 1.0) / norm_sq
+        v = 0.5 * s * s * ((((g22 * t + p3) * t + p2) * t + p1) * t + g00) \
+            + s * ((l2 * t + l1) * t + l0) + r
+        return v if _TINY <= abs(v) < _INF else math.nan
+    return value
+
+
 def _run_lifted_descent(p: CompositeProblem, y, steps: int) -> list:
     """Armijo backtracking along -grad of h(y) = f(y*y), retracted onto
     the sphere of radius sqrt(total) along its tangent space when g is a
     simplex indicator; returns the records.  h is evaluated once per
-    candidate, and x = y*y of the accepted candidate feeds the next
-    gradient."""
+    candidate, past t = 1 off _ray_values for a SmoothQuadratic, and x =
+    y*y of the accepted candidate feeds the next gradient."""
     sphere = p.g.kind == "simplex"
     if not sphere and p.g.kind != "orthant":
         raise UnsupportedProblemClass(
             "the lifted solver covers orthant and simplex indicators only")
     value, grad_f = _f_kernels(p.f)
+    total = p.g.domain.shape.total if sphere else None
     if sphere:
-        radius = math.sqrt(p.g.domain.shape.total)
+        radius = math.sqrt(total)
         y = _sphere_retract(y, radius)
+
+    def move(t):
+        cand = y - t * grad
+        cand = _sphere_retract(cand, radius) if sphere else cand
+        return cand, cand * cand
+
     x = y * y
     prev = float(value(x))
     records = []
@@ -417,18 +450,22 @@ def _run_lifted_descent(p: CompositeProblem, y, steps: int) -> list:
             records.append((k, prev, residual, 0.0))
             break
         descent_sq = residual * residual
-        t = 1.0
+        t, ray = 1.0, None
         for _ in range(_ARMIJO_MAX_BACKTRACKS):
-            cand = y - t * grad
-            if sphere:
-                cand = _sphere_retract(cand, radius)
-            x = cand * cand
-            nxt = float(value(x))
+            nxt = math.nan if ray is None else ray(t)
+            direct = nxt != nxt
+            if direct:
+                cand, x = move(t)
+                nxt = float(value(x))
             if nxt <= prev - _ARMIJO_C1 * t * descent_sq:
                 break
+            if ray is None and type(p.f) is SmoothQuadratic:
+                ray = _ray_values(p.f, y, grad, total)
             t *= _ARMIJO_SHRINK
         else:
-            t, cand, nxt = 0.0, y, prev
+            t, cand, nxt, direct = 0.0, y, prev, True
+        if not direct:
+            cand, x = move(t)
         records.append((k, prev, residual, t))
         if nxt >= prev:
             break

@@ -591,8 +591,7 @@ def _kkt_solve(H, c, act, b_act) -> np.ndarray:
     rhs = np.concatenate([-c, b_act])
     try:
         sol = np.linalg.solve(kkt, rhs)
-        if np.max(np.abs(kkt @ sol - rhs)) \
-                <= 1e-9 * (1.0 + np.max(np.abs(rhs))):
+        if abs(kkt @ sol - rhs).max() <= 1e-9 * (1.0 + abs(rhs).max()):
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -609,26 +608,28 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
     until a row blocks, the smallest index among steps tied within 1e-13.
     An unblocked step keeps the working set, and its solve with it.
     """
-    n = c.size
+    n, m, m_eq = c.size, A_ineq.shape[0], A_eq.shape[0]
     x = np.asarray(x0, dtype=float).copy()
-    m_eq = A_eq.shape[0]
     slack0 = b_ineq - A_ineq @ x
-    if slack0.min(initial=0.0) < -1e-7 or \
-            np.max(np.abs(A_eq @ x - b_eq), initial=0.0) > 1e-7:
+    if slack0.min(initial=0.0) < -1e-7 or (
+            m_eq and abs(A_eq @ x - b_eq).max() > 1e-7):
         raise NumericalFailure("active-set QP needs a feasible start")
     working = np.flatnonzero(slack0 <= 1e-11).tolist()
-    scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-    row_floor = 1e-13 * (1.0 + np.max(np.abs(A_ineq), axis=1, initial=0.0))
+    floor = -1e-9 * (1.0 + float(abs(c).max(initial=0.0)))
+    row_floor = 1e-13 * (1.0 + abs(A_ineq).max(axis=1, initial=0.0))
+    unbounded = np.full(m, _INF)
 
     sol = None
-    for _ in range(100 + 20 * (n + A_ineq.shape[0])):
+    for _ in range(100 + 20 * (n + m)):
         if sol is None:
-            sol = _kkt_solve(H, c, np.vstack([A_eq, A_ineq[working]]),
-                             np.concatenate([b_eq, b_ineq[working]]))
+            act, b_act = A_ineq[working], b_ineq[working]
+            sol = _kkt_solve(H, c, np.vstack([A_eq, act]) if m_eq else act,
+                             np.concatenate([b_eq, b_act]) if m_eq else b_act)
         target = sol[:n]
         direction = target - x
-        if np.max(np.abs(direction), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(x), initial=0.0)):
-            violated = np.flatnonzero(sol[n + m_eq:] < -1e-9 * scale)
+        if abs(direction).max(initial=0.0) \
+                <= 1e-11 * (1.0 + abs(x).max(initial=0.0)):
+            violated = np.flatnonzero(sol[n + m_eq:] < floor)
             if not violated.size:
                 return target
             working.pop(int(violated[0]))
@@ -636,10 +637,11 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
             continue
         # longest feasible step toward the subproblem solution
         advance = A_ineq @ direction
-        room = np.maximum(b_ineq - A_ineq @ x, 0.0)
+        room = b_ineq - A_ineq @ x
+        np.maximum(room, 0.0, out=room)
         candidate = advance > row_floor
         candidate[working] = False
-        steps = np.divide(room, advance, out=np.full(room.size, _INF),
+        steps = np.divide(room, advance, out=unbounded.copy(),
                           where=candidate)
         alpha, blocking = 1.0, -1
         # a row blocks only with a step short of alpha = 1
@@ -875,7 +877,8 @@ def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
     at start, a point of P, or at feasible_point(P) when start is None."""
     shape = P.shape
     if shape.kind == "box":
-        feasible_point(P)            # raises InfeasiblePolyhedron when empty
+        if (shape.lower > shape.upper).any():
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
         return np.minimum(np.maximum(X, shape.lower), shape.upper)
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam import kl_lab
 from sqreparam.oracles import make_stationary_orthant_instance
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -439,13 +441,116 @@ _PINNED_LONG_TRACES = {
 }
 
 
-@pytest.mark.parametrize("f_type", [sq.SmoothQuadratic, _CountingQuadratic])
-def test_lifted_traces_match_the_checked_version(f_type):
-    for name, data, g, start, f_star in _lifted_runs():
-        p = sq.CompositeProblem(f_type(*data), g)
-        tr = sq.run_first_order(p, "lifted", np.array(start), steps=2000,
-                                f_star=f_star)
+def _long_trace(f_type, data, g, start, f_star):
+    p = sq.CompositeProblem(f_type(*data), g)
+    return sq.run_first_order(p, "lifted", np.array(start), steps=2000,
+                              f_star=f_star)
+
+
+def test_lifted_traces_match_the_checked_version():
+    # a duck-typed f is evaluated directly at every candidate
+    for name, *run in _lifted_runs():
+        tr = _long_trace(_CountingQuadratic, *run)
         assert _digest(tr.iterates) == _PINNED_LONG_TRACES[name], name
+
+
+# A SmoothQuadratic reads every candidate past t = 1 off its quartic along
+# the ray, which rounds differently: quartic1 accepts t = 1 at every step
+# and keeps its pin, orthant3 takes the same steps, and sphere4 parts from
+# the checked steps where its gap reaches the roundoff floor.
+_PINNED_CLOSED_FORM_TRACES = {
+    "quartic1": _PINNED_LONG_TRACES["quartic1"],
+    "orthant3": (2000, "191e27e620ec02cfd58b05c3e1abbb7d"
+                       "f5c9731f0ac3edd52fc233aca1a00c0b"),
+    "sphere4": (28, "2b29bfe9eddc983f8ba47e05400ad2a7"
+                    "3724e5e407fcf97a4685b7d5abf24d07"),
+}
+
+
+def test_closed_form_lifted_traces_follow_the_checked_steps():
+    for name, *run in _lifted_runs():
+        tr = _long_trace(sq.SmoothQuadratic, *run)
+        checked = _long_trace(_CountingQuadratic, *run)
+        floor = 64 * np.finfo(float).eps * (1.0 + abs(checked.f_star))
+        k = next((k for k, gap, _, _ in checked.iterates if gap <= floor),
+                 len(checked.iterates))
+        assert [rec[3] for rec in tr.iterates[:k]] \
+            == [rec[3] for rec in checked.iterates[:k]], name
+        assert sq.fit_rate(tr).kind == sq.fit_rate(checked).kind, name
+        assert _digest(tr.iterates) == _PINNED_CLOSED_FORM_TRACES[name], name
+
+
+def test_closed_form_lifted_descent_evaluates_f_once_per_step(monkeypatch):
+    # t = 1 directly at every step, once more for the start; a backtracked
+    # candidate comes off the quartic
+    calls = []
+    kernel = sq.SmoothQuadratic._value
+    monkeypatch.setattr(sq.SmoothQuadratic, "_value",
+                        lambda f, x: calls.append(1) or kernel(f, x))
+    for name, *run in _lifted_runs():
+        calls.clear()
+        tr = _long_trace(sq.SmoothQuadratic, *run)
+        assert len(calls) == len(tr.iterates) + 1, name
+
+
+def _ray_case(seed, sphere):
+    """(f, y, d, total) of a seeded ray: a SmoothQuadratic with n = 1...6
+    scaled by 1, 1e6 or 1e-6, y with zero coordinates, and d the lifted
+    gradient at y, tangent to the sphere |y|^2 = total when sphere is
+    set (total None otherwise)."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    scale = (1.0, 1e6, 1e-6)[seed % 3]
+    A = rng.standard_normal((n, n))
+    f = sq.SmoothQuadratic(scale * (A + A.T), scale * rng.standard_normal(n),
+                           scale * rng.standard_normal())
+    y = rng.standard_normal(n)
+    y[rng.random(n) < 0.4] = 0.0
+    y[seed % n] = 1.0 + y[seed % n]
+    total = float(rng.uniform(0.5, 3.0)) if sphere else None
+    if sphere:
+        y = kl_lab._sphere_retract(y, math.sqrt(total))
+    d = 2.0 * y * f.grad(y * y)
+    if sphere:
+        d = d - (float(d @ y) / float(y @ y)) * y
+    return f, y, d, total
+
+
+@pytest.mark.parametrize("sphere", [False, True])
+def test_ray_values_match_the_formed_candidates(sphere):
+    for seed in range(60):
+        f, y, d, total = _ray_case(seed, sphere)
+        ray = kl_lab._ray_values(f, y, d, total)
+        t = 1.0
+        for _ in range(30):
+            cand = y - t * d
+            if sphere:
+                cand = kl_lab._sphere_retract(cand, math.sqrt(total))
+            direct = f._value(cand * cand)
+            assert abs(ray(t) - direct) <= 1e-12 * (1.0 + abs(direct)), seed
+            t *= 0.8
+
+
+def test_ray_values_leave_an_underflowing_sphere_candidate_to_f():
+    # |y - t d| is about 1e-200, so N(t) = |y - t d|^2 underflows to 0:
+    # the candidate reads nan, and the direct evaluation's retraction
+    # raises as it always has
+    f = sq.SmoothQuadratic(np.eye(2), np.ones(2))
+    y, d = np.array([0.6e-200, 0.8e-200]), np.array([0.8e-200, -0.6e-200])
+    ray = kl_lab._ray_values(f, y, d, 1.0)
+    assert math.isnan(ray(0.8))
+    with pytest.raises(sq.NumericalFailure, match="hit the origin"):
+        kl_lab._sphere_retract(y - 0.8 * d, 1.0)
+
+
+@pytest.mark.parametrize("total", [None, 1.0])
+def test_ray_values_read_an_overflow_as_nan_without_a_warning(total):
+    f = sq.SmoothQuadratic(np.eye(2), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ray = kl_lab._ray_values(f, np.array([0.6, 0.8]),
+                                 np.array([8e200, -6e200]), total)
+        assert math.isnan(ray(0.8))
 
 
 _FIT_CONFIG = sq.ScatterConfig(n_radii=32, n_dirs=4, seed=5)
