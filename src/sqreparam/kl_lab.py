@@ -354,20 +354,31 @@ _ARMIJO_MAX_BACKTRACKS = 120
 # fewest iterates above the roundoff floor fit_rate classifies
 _MIN_RATE_POINTS = 20
 _ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
+# a projected-gradient step this short relative to 1 + |x| is roundoff
+_STEP_ROUNDOFF = 4 * np.finfo(float).eps
 
 
 def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
-    """Projected gradient on phi at the constant step 1/L, L the spectral
-    norm of the Hessian at the projected start; returns the records.
-    One domain test of x per step decides both phi(x), g being an
-    indicator, and whether x can start the next projection."""
+    """Projected gradient on phi at the constant step 1/L, L = ||Q||_2,
+    the Lipschitz constant of grad f for a SmoothQuadratic f, the only f
+    it takes; returns the records.  One domain test of x per step
+    decides both phi(x), g being an indicator, and whether x can start
+    the next projection.  The run stops once a step moves x by at most
+    4 eps (1 + |x|), which a bitwise repeat does too: such a step is
+    lost in roundoff, and the projection's rounding would keep it
+    jittering there until the budget."""
     if p.g.n_pieces:
         raise UnsupportedProblemClass(
             "the original-variable solver needs an indicator g")
+    if type(p.f) is not SmoothQuadratic:
+        raise UnsupportedProblemClass(
+            "the original-variable solver needs a SmoothQuadratic f: its "
+            "constant step is 1/L for the Lipschitz constant L of a "
+            "quadratic's gradient")
     domain = p.g.domain
-    value, grad_f = _f_kernels(p.f)
+    value, grad_f = p.f._value, p.f._grad
     x = _project_rows(domain, x[None], None)[0]
-    L = float(np.linalg.norm(np.asarray(p.f.hess(x), dtype=float), 2))
+    L = float(np.linalg.norm(p.f.Q, 2))
     step = 1.0 / L if L > 1e-12 else 1.0
     records = []
     for k in range(steps):
@@ -377,8 +388,9 @@ def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
         d = x - x_next
         # phi_value's sum: f(x) plus the indicator's 0.0
         phi = float(value(x)) + 0.0 if inside else _INF
-        records.append((k, phi, math.sqrt(d @ d) / step, step))
-        if np.array_equal(x_next, x):
+        moved_sq = d @ d
+        records.append((k, phi, math.sqrt(moved_sq) / step, step))
+        if moved_sq <= (_STEP_ROUNDOFF * (1.0 + math.sqrt(x @ x))) ** 2:
             break
         x = x_next
     return records
@@ -479,11 +491,13 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     """Run a first-order method and log its trace.
 
     variant "original": projected gradient on phi with the constant
-    step 1/L, L the spectral norm of the Hessian at the start; g must be
-    an indicator.  variant "lifted": descent on f(y*y), plain Armijo
-    backtracking when g is the orthant indicator and sphere-retracted
-    backtracking when g is a simplex indicator.  A given f_star must be
-    finite (InvalidRange otherwise).
+    step 1/L, L = ||Q||_2; f must be a SmoothQuadratic, for which L is
+    the Lipschitz constant of grad f, and g an indicator
+    (UnsupportedProblemClass otherwise).  It stops once a step moves x
+    by at most 4 eps (1 + |x|), lost in roundoff.  variant "lifted":
+    descent on f(y*y), plain Armijo backtracking when g is the orthant
+    indicator and sphere-retracted backtracking when g is a simplex
+    indicator.  A given f_star must be finite (InvalidRange otherwise).
     """
     start = _as_vector(start, p.n, "start")
     if steps < 1:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -578,20 +578,36 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 def _kkt_solve(H, c, act, b_act) -> np.ndarray:
     """Solve [[H, act'], [act, 0]] [x; eta] = [-c; b_act] for (x, eta).
 
-    By LU, and by least squares when LU raises or misses the right-hand
-    side by more than 1e-9 (1 + max|rhs|), as with dependent rows in act.
-    Every caller's system is consistent, so any solution that passes
-    serves, also for a Gram H singular on the null space of act.
+    H None stands for the identity, the Hessian of a projection: the
+    range-space method (Nocedal & Wright 2006, sec. 16.2) solves the
+    k x k system (act act') eta = -act c - b_act and sets x = -c - act'
+    eta, which zeroes the first block of the residual, so the solution
+    stands when |act x - b_act| <= 1e-9 (1 + max|rhs|).  Otherwise, as
+    with dependent rows in act, and for any other H, the full system is
+    solved by LU, and by least squares when LU raises or misses the
+    right-hand side by more than that bound.  Every caller's system is
+    consistent, so any solution that passes serves, also for a Gram H
+    singular on the null space of act.
     """
     n, k = c.size, act.shape[0]
+    rhs = np.concatenate([-c, b_act])
+    bound = 1e-9 * (1.0 + abs(rhs).max())
+    if H is None:
+        try:
+            eta = np.linalg.solve(act @ act.T, -(act @ c) - b_act)
+            x = -c - eta @ act
+            if abs(act @ x - b_act).max(initial=0.0) <= bound:
+                return np.concatenate([x, eta])
+        except np.linalg.LinAlgError:
+            pass
+        H = np.eye(n)
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = H
     kkt[:n, n:] = act.T
     kkt[n:, :n] = act
-    rhs = np.concatenate([-c, b_act])
     try:
         sol = np.linalg.solve(kkt, rhs)
-        if abs(kkt @ sol - rhs).max() <= 1e-9 * (1.0 + abs(rhs).max()):
+        if abs(kkt @ sol - rhs).max() <= bound:
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -599,11 +615,13 @@ def _kkt_solve(H, c, act, b_act) -> np.ndarray:
 
 
 def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
-    """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
+    """Minimize 0.5 x'Hx + c'x with H PSD, or the identity when H is
+    None, from a feasible start.
 
     Primal active-set method (Nocedal & Wright 2006, ch. 16); equality
     rows stay in every working set.  Each iteration solves the working
-    set's KKT system, then drops the smallest-index row whose multiplier
+    set's KKT system (by _kkt_solve, k x k in the working rows for the
+    identity), then drops the smallest-index row whose multiplier
     is below -1e-9 (1 + max|c|), or steps toward the subproblem minimizer
     until a row blocks, the smallest index among steps tied within 1e-13.
     An unblocked step keeps the working set, and its solve with it.
@@ -862,15 +880,6 @@ def _min_norm_normal_cone(P: Polyhedron, active, shift,
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]), Z
 
 
-@lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity, the Hessian of a projection QP, built
-    once for each of the last few n."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
-
-
 def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
     """project_onto_polyhedron at each row of the unvalidated (N, n) array
     X: a closed form over the whole stack, or the QP row by row, started
@@ -883,8 +892,8 @@ def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)
     z0 = feasible_point(P) if start is None else start
-    return np.array([_qp_active_set(_identity(P.n), -x, P.A_eq, P.b_eq,
-                                    P.A_ineq, P.b_ineq, z0) for x in X])
+    return np.array([_qp_active_set(None, -x, P.A_eq, P.b_eq, P.A_ineq,
+                                    P.b_ineq, z0) for x in X])
 
 
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
@@ -893,9 +902,11 @@ def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
     Boxes (the orthant included) and simplices, as P.shape reads them
     off the rows, are projected in closed form: clipping, and the
     sort/threshold rule.  Any other polyhedron goes through the
-    active-set QP, started at ``start`` when that is feasible, which
-    skips the feasibility LP (useful when projecting many perturbations
-    of one point).
+    active-set QP with the identity Hessian, whose working-set systems
+    are solved in the range space of the working rows (k x k, not
+    (n + k) x (n + k)); it is started at ``start`` when that is feasible,
+    which skips the feasibility LP (useful when projecting many
+    perturbations of one point).
     """
     x = _as_vector(x, P.n, "x")
     if start is not None:

@@ -560,8 +560,8 @@ _PINNED_FITS = {
             "be891695702c7f88ed2d30651e7ef28b", 15.861241090065722),
     "simplex": ("602584a0fa22d208303ce1f608f758b6"
                 "3dac760cce6280721228fe2e206f796b", 434.61618990606985),
-    "polyhedron": ("54caa41fd7c86a8aed03a1c2297fee4f"
-                   "ae15b83a9df08cb61256aaa803fe18d9", 441.7621322643029),
+    "polyhedron": ("cfd1b61272e03e59f3f973080c9eb701"
+                   "184abcd3ed65e7387830fcc1896be391", 441.7621322643029),
 }
 
 
@@ -615,6 +615,87 @@ def test_projected_gradient_steps_at_the_hessian_norm():
     assert all(rec[3] == pytest.approx(0.25) for rec in tr.iterates)
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 1e-12
+
+
+class _LogisticTilt:
+    """f(x) = log(1 + exp(-4 (x - 3))) + 0.005 x^2 in one variable.  Its
+    Hessian is 0.01 far from 3 but 4.01 at 3, so the Hessian at a start
+    of 20 bounds no step."""
+
+    n = 1
+
+    def value(self, x):
+        return float(np.logaddexp(0.0, -4.0 * (x[0] - 3.0))
+                     + 0.005 * x[0] ** 2)
+
+    def grad(self, x):
+        return np.array([-4.0 / (1.0 + np.exp(4.0 * (x[0] - 3.0)))
+                         + 0.01 * x[0]])
+
+    def hess(self, x):
+        s = 1.0 / (1.0 + np.exp(-4.0 * (x[0] - 3.0)))
+        return np.array([[16.0 * s * (1.0 - s) + 0.01]])
+
+
+def test_projected_gradient_refuses_an_f_that_is_not_a_quadratic():
+    # at the step 1/0.01 = 100, x alternated between about 0 and 400 (the
+    # gaps 10.0 and 798.0) until the budget; a duck-typed quadratic is
+    # refused too, since only the type is checked
+    orthant = sq.PolyhedralFunction.orthant_indicator(1)
+    for f in (_LogisticTilt(), _CountingQuadratic(np.eye(1), np.zeros(1))):
+        p = sq.CompositeProblem(f, orthant)
+        with pytest.raises(sq.UnsupportedProblemClass,
+                           match="SmoothQuadratic"):
+            sq.run_first_order(p, "original", [20.0], steps=300)
+
+
+def _jittering_polyhedron_run():
+    """(problem, start, f_star) of a strongly convex quadratic on a general
+    polyhedron in R^3, minimized where one of its rows is active (the
+    design of perfbench's kl-lab polyhedron runs, rng seed 25).  Stopped
+    only on a bitwise repeat, its projected gradient runs its 150 steps,
+    the last ones moving x by about 1e-15 to and fro."""
+    rng = np.random.default_rng(25)
+    n = 3
+    k = int(rng.integers(1, n))
+    A_act, A_in = rng.standard_normal((k, n)), rng.standard_normal((n, n))
+    xbar = rng.uniform(0.5, 1.5, n)
+    M = rng.standard_normal((n, n))
+    Q = M @ M.T + n * np.eye(n)
+    A = np.vstack([A_act, A_in])
+    b = np.concatenate([A_act @ xbar, A_in @ xbar + rng.uniform(0.3, 1.0, n)])
+    q = -Q @ xbar - A_act.T @ rng.uniform(0.5, 1.5, k)
+    p = sq.CompositeProblem(sq.SmoothQuadratic(Q, q), sq.PolyhedralFunction
+                            .indicator(sq.Polyhedron(n, A, b)))
+    start = xbar + 0.5 * rng.standard_normal(n)
+    return p, start, float(0.5 * xbar @ Q @ xbar + q @ xbar)
+
+
+def test_projected_gradient_stops_once_its_step_is_lost_in_roundoff(
+        monkeypatch):
+    p, start, f_star = _jittering_polyhedron_run()
+    assert p.g.kind == "general"
+    tr = sq.run_first_order(p, "original", start, steps=150, f_star=f_star)
+    with monkeypatch.context() as m:
+        # the stop on a bitwise repeat alone
+        m.setattr(kl_lab, "_STEP_ROUNDOFF", 0.0)
+        budget = sq.run_first_order(p, "original", start, steps=150,
+                                    f_star=f_star)
+        # and with the augmented KKT solve of the identity Hessian
+        qp = sq.polyhedra._qp_active_set
+        m.setattr(sq.polyhedra, "_qp_active_set",
+                  lambda H, c, *rows: qp(np.eye(c.size), c, *rows))
+        augmented = sq.run_first_order(p, "original", start, steps=150,
+                                       f_star=f_star)
+    for run in (budget, augmented):
+        assert len(run.iterates) == 150
+        assert all(0.0 < rec[2] * rec[3] <= 1e-14
+                   for rec in run.iterates[-20:])
+    assert len(tr.iterates) < 100
+    assert tr.iterates == budget.iterates[:len(tr.iterates)]
+    fit = sq.fit_rate(tr)
+    assert fit == sq.fit_rate(budget)
+    assert fit.kind == sq.fit_rate(augmented).kind == "linear"
 
 
 def test_lifted_descent_sublinear_on_quartic():

@@ -560,6 +560,30 @@ def test_general_polyhedra_use_the_qp(monkeypatch, make):
     assert P.max_violation(z) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
+@pytest.mark.parametrize("make", [_h_polyhedron, _simplex_missing_a_row])
+def test_range_space_projection_matches_the_augmented_kkt_path(make, n):
+    # H None solves k x k systems in the working rows; the identity given
+    # as a matrix takes the augmented (n + k) x (n + k) LU path
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(3):
+        P = make(rng, n)
+        x = 4.0 * rng.standard_normal(n)
+        args = (-x, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq, sq.feasible_point(P))
+        z = _qp_active_set(None, *args)
+        scale = 1.0 + np.linalg.norm(x)
+        assert np.max(np.abs(z - _qp_active_set(np.eye(n), *args))) \
+            <= 1e-9 * scale
+        assert P.max_violation(z) <= 1e-12 * scale
+        # x - z lies in the cone of the rows active at z: nonnegative
+        # multipliers on the inequality rows, free ones on the equalities
+        act = P.A_ineq[P.b_ineq - P.A_ineq @ z <= 1e-9 * scale]
+        rows = np.vstack([act, P.A_eq])
+        mult = np.linalg.lstsq(rows.T, x - z, rcond=None)[0]
+        assert np.max(np.abs(rows.T @ mult - (x - z))) <= 1e-9 * scale
+        assert mult[:len(act)].min(initial=0.0) >= -1e-9 * scale
+
+
 @pytest.mark.parametrize("P", [sq.Polyhedron.nonneg_orthant(3),
                                sq.Polyhedron.standard_simplex(3),
                                sq.Polyhedron(3, A_ineq=[[1.0, 1.0, 1.0]],
@@ -603,10 +627,11 @@ def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
 def test_qp_with_dependent_active_rows_matches_the_closed_form(monkeypatch):
     # the rotated box Q [-1, 1]^3 with every upper row written twice (once
     # scaled) and a redundant row; started at the corner Q (1, 1, 1), the
-    # first working set holds each pair of duplicates.  Its KKT matrix is
-    # singular: LU raises or returns a solution whose residual gives it
-    # away (without that check some of these draws exhaust the budget),
-    # and least squares takes over.
+    # first working set holds each pair of duplicates.  Its Gram act act'
+    # and its KKT matrix are singular: the range-space solve and then LU
+    # raise or return a solution whose residual gives it away (without
+    # that check some of these draws exhaust the budget), and least
+    # squares takes over.
     lstsq_calls = []
     lstsq = np.linalg.lstsq
 
@@ -863,8 +888,8 @@ _LP_PINS = {
 }
 _RI_PIN = "353b86826113ca0fc2ede577ee9b14c861c0d8da56f3795a36d79e7721fcbf4c"
 _PROJECTION_PINS = (
-    "7db63aad651114db961a45cc0e590570dbac6b6e4101087fb52ab5a1e3753d56",
-    "12caffa1daa30877f6037e744566ae306451ee4941bd50f409b171a9c31ed2ac")
+    "d9ddb38ef6d373038fb3c3491112c52e635253dcdd49e1631984477cef6907a9",
+    "a9ff88a6bed2868652ea801ddae09180dfc9c1ff824c3bc08dc1b19e2da7733e")
 _MIN_NORM_PIN = \
     "bc986e3b4b29a71802b056a8ba2efd2c5c9a00f8df2ba19c67c9d023aab71043"
 

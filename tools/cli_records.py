@@ -17,9 +17,11 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   take the QP projection and the per-sample local models;
 * `solve FILE --variant lifted --steps 2000 --y0 START` on the lifted
   solver runs of `gen.kl_plan(101)` cycle 0 whose domain is a simplex or
-  whose orthant instance is degenerate, each with its xbar as
-  `meta.known_minimizer`, so the gaps and the (sublinear on the
-  degenerate orthant) rate fit are printed;
+  whose orthant instance is degenerate, and `solve FILE --variant
+  original --steps 150 --x0 START` on its projected-gradient runs, whose
+  domain is a general polyhedron, so their steps take the QP
+  projection; each with its xbar as `meta.known_minimizer`, so the gaps
+  and the (sublinear on the degenerate orthant) rate fit are printed;
 * a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
   (the shipped points of the pool are perfbench's explicit list, which
   leaves out cone2);
@@ -169,12 +171,13 @@ def _runs(repo, pool_dir):
         y = "--y=" + gen._vec_arg(xbar ** 0.5)
         yield ["kl-fit", path, y]
         yield ["certify", path, y]
-    for name, d, start in _kl_plan_solver_runs(gen):
+    for name, d, variant, steps, start in _kl_plan_solver_runs(gen):
         path = os.path.join(pool_dir, "kl", name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)
-        yield ["solve", path, "--variant", "lifted", "--steps", "2000",
-               "--y0=" + gen._vec_arg(start)]
+        flag = "--y0=" if variant == "lifted" else "--x0="
+        yield ["solve", path, "--variant", variant, "--steps", str(steps),
+               flag + gen._vec_arg(start)]
     problems = os.path.join(repo, "problems")
     for seed in POOL_SEEDS:
         workdir = os.path.join(pool_dir, f"seed{seed}")
@@ -231,12 +234,12 @@ def _kl_plan_problems(gen):
 
 
 def _kl_plan_solver_runs(gen):
-    """(name, problem dict, start) for each lifted solver run of
-    `gen.kl_plan(KL_PLAN_SEED)` cycle 0 on a simplex or on a degenerate
-    (not strictly complementary) orthant instance, in name order."""
+    """(name, problem dict, variant, steps, start) for each solver run of
+    `gen.kl_plan(KL_PLAN_SEED)` cycle 0 but the lifted runs on strictly
+    complementary orthant instances, in name order."""
     runs = []
     for spec in gen.kl_plan(KL_PLAN_SEED)[0]:
-        if spec["call"] != "run_first_order" or spec["variant"] != "lifted" \
+        if spec["call"] != "run_first_order" \
                 or (spec["problem"].startswith("orthant") and spec["strict"]):
             continue
         domain = {k: v.tolist() for k, v in spec["dom"].items()}
@@ -245,7 +248,8 @@ def _kl_plan_solver_runs(gen):
                    "r": spec["r"]},
              "g": {"domain": domain},
              "meta": {"known_minimizer": spec["xbar"].tolist()}}
-        runs.append((spec["problem"], d, spec["start"]))
+        runs.append((spec["problem"], d, spec["variant"], spec["steps"],
+                     spec["start"]))
     return sorted(runs, key=lambda run: run[0])
 
 
