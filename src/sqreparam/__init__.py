@@ -53,7 +53,6 @@ from .polyfunc import (
     g_eval,
     g_subdiff,
     phi_residual,
-    phi_subdiff,
     phi_value,
 )
 from .reparam import (

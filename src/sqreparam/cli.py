@@ -455,10 +455,12 @@ def _cmd_selftest(args) -> int:
 def _add_tol_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="stationarity tolerance: a residual is stationary "
-                          "when <= tol * (1 + ||grad f(x)||) (default 1e-9)")
+                          "when <= tol * (1 + ||grad f(x)||) "
+                          f"(default {DEFAULT_TOL})")
     sub.add_argument("--tol-support", dest="tol_support", type=float,
                      default=DEFAULT_TOL_SUPPORT,
-                     help="support threshold on |y_i| (default 1e-8)")
+                     help="support threshold on |y_i| "
+                          f"(default {DEFAULT_TOL_SUPPORT})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,8 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     klfit.add_argument("--strict", action="store_true",
                        help="assume strict complementarity in the prediction")
     klfit.add_argument("--seed", type=int, default=0)
-    klfit.add_argument("--dmin", type=float, default=1e-6)
-    klfit.add_argument("--dmax", type=float, default=1e-2)
+    klfit.add_argument("--dmin", type=float, default=ScatterConfig.delta_min)
+    klfit.add_argument("--dmax", type=float, default=ScatterConfig.delta_max)
     klfit.add_argument("--out", default=None, help="scatter CSV path")
     klfit.set_defaults(handler=_cmd_kl_fit)
 

@@ -64,7 +64,7 @@ class InsufficientTrace(SqreparamError):
 
 class DimensionMismatch(ValidationError):
     """Inputs have inconsistent shapes or non-finite entries, or a
-    generator set that must have points has none."""
+    generator set is built without a point."""
 
 
 class InfeasiblePolyhedron(ValidationError):

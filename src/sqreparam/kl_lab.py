@@ -216,7 +216,6 @@ class KLFitReport:
     n_samples: int
     n_bins_used: int
     gap_range: tuple
-    bin_minima: tuple
     predicted: float | None = None
     verdict: bool | None = None
 
@@ -266,7 +265,7 @@ def estimate_exponent(p: CompositeProblem, ybar,
                if predicted is not None else None)
     return KLFitReport(float(slope), r_squared, int(samples.shape[0]),
                        len(minima), (float(gaps.min()), float(gaps.max())),
-                       tuple(minima), predicted, verdict)
+                       predicted, verdict)
 
 
 def lemma61_probe(p: CompositeProblem, xbar, beta: float,

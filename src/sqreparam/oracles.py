@@ -17,7 +17,6 @@ import itertools
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidRange,
     NumericalFailure,
     OutOfDomain,
@@ -150,8 +149,6 @@ def grid_min_norm(S: GeneratorSet, shift, weights,
     the resolution doubles (the grids are nested).
     Caps: at most 4 points, 3 rays, 2 lines.
     """
-    if S.is_empty:
-        raise DimensionMismatch("grid_min_norm needs a nonempty generator set")
     if S.n_points > 4 or S.n_rays > 3 or S.n_lines > 2:
         raise TooLarge("grid_min_norm caps at 4 points, 3 rays, 2 lines")
     _check_resolution(resolution)
@@ -185,7 +182,7 @@ def grid_min_norm_gap_bound(S: GeneratorSet, weights,
     assuming the optimal ray coefficients fit inside the box."""
     _check_resolution(resolution)
     weights = _as_vector(weights, S.n, "weights")
-    G = S.generator_matrix() * weights[:, None]
+    G = S.G * weights[:, None]
     col_norm = float(np.max(np.linalg.norm(G, axis=0), initial=0.0))
     R = resolution
     radius = 2.0 * S.n_points / R + S.n_rays * _BOX_BOUND / (2.0 * R)

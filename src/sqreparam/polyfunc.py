@@ -50,7 +50,7 @@ class SmoothQuadratic:
         if not np.all(np.isfinite(Q)):
             raise DimensionMismatch("Q must be finite")
         Q = 0.5 * (Q + Q.T)
-        q = _as_vector(self.q, Q.shape[0], "q")
+        q = _as_vector(self.q, Q.shape[0], "q").copy()
         if not np.isfinite(self.r):
             raise DimensionMismatch("r must be finite")
         object.__setattr__(self, "Q", Q)
@@ -119,7 +119,7 @@ class PolyhedralFunction:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
         A = _as_matrix(self.pieces_A, self.n, "pieces_A")
-        b = _as_vector(self.pieces_b, A.shape[0], "pieces_b")
+        b = _as_vector(self.pieces_b, A.shape[0], "pieces_b").copy()
         dom = self.domain if self.domain is not None else Polyhedron(self.n)
         if dom.n != self.n:
             raise DimensionMismatch("domain dimension does not match n")
@@ -230,15 +230,16 @@ class LocalModel:
     S = subdiff g(x) = conv(active piece gradients, or the origin when
     there are no pieces) + cone(active inequality normals) + span(equality
     normals), exact when x and the pattern are, and raising outside the
-    domain; its generator matrix G; grad f(x) (f is None when only g is
-    modelled); and the phi min-norm pair (dist(0, subdiff phi(x)), argmin
-    z in S of ||grad + z||), read by phi_residual and phi_stationary.
+    domain (S.G is its generator matrix); grad f(x) (f is None when only
+    g is modelled); and the phi min-norm pair (dist(0, subdiff phi(x)),
+    argmin z in S of ||grad + z||), read by phi_residual and
+    phi_stationary.
     A residual is stationary when it is at most tol * scale, with scale
     = 1 + ||grad f(x)||: phi_stationary here and Phi_stationary on the
     lift (reparam.LiftedPoint) are the only verdicts built by that rule.
     When g.kind is not "general", the min-norm pairs (this one and the
-    lifted one) are closed forms read off the active rows, so S and G are
-    built only for the LPs and membership checks that use them.
+    lifted one) are closed forms read off the active rows, so S is built
+    only for the LPs and membership checks that use it.
     """
 
     def __init__(self, g: PolyhedralFunction, f, x, tol: float = DEFAULT_TOL):
@@ -269,17 +270,13 @@ class LocalModel:
         return GeneratorSet(g.n, points, rays, g.domain.A_eq)
 
     @cached_property
-    def G(self) -> np.ndarray:
-        return self.S.generator_matrix()
-
-    @cached_property
     def grad(self) -> np.ndarray:
         return self.f.grad(self.x)
 
     def _min_norm(self, weights) -> tuple[float, np.ndarray]:
         """min ||weights o (grad + z)|| over z in S, and its minimizer:
         in closed form from the active rows when g.kind is not "general",
-        with neither S nor G built; by the QP otherwise."""
+        without building S; by the QP otherwise."""
         g = self.g
         if g.kind != "general":
             if not self.in_domain:
@@ -364,13 +361,6 @@ def phi_value(p: CompositeProblem, x) -> float:
     if not np.isfinite(gx):
         return _INF
     return float(p.f.value(x)) + gx
-
-
-def phi_subdiff(p: CompositeProblem, x) -> GeneratorSet:
-    """Subdifferential of phi at x: grad f translates the points of
-    the g subdifferential, rays and lines are unchanged."""
-    pt = LocalModel(p.g, p.f, x)
-    return pt.S.translate(pt.grad)
 
 
 def phi_residual(p: CompositeProblem, x) -> float:

@@ -145,8 +145,9 @@ class Polyhedron:
             raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
         A_ineq = _as_matrix(self.A_ineq, self.n, "A_ineq")
         A_eq = _as_matrix(self.A_eq, self.n, "A_eq")
-        b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq")
-        b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq")
+        # the vectors are copied: a view would follow the caller's edits
+        b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq").copy()
+        b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq").copy()
         for name, val in (("A_ineq", A_ineq), ("b_ineq", b_ineq),
                           ("A_eq", A_eq), ("b_eq", b_eq)):
             object.__setattr__(self, name, val)
@@ -229,13 +230,16 @@ class Polyhedron:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Generator form conv(points) + cone(rays) + span(lines).
+    """Generator form conv(points) + cone(rays) + span(lines), never empty.
 
-    The set is empty exactly when ``points`` is empty.  Zero rays and
-    zero lines are dropped at construction: they contribute nothing and
-    a zero ray would let relative-interior tests pad coefficients for
-    free.  Zero *points* are kept; conv({0, p}) genuinely differs from
-    conv({p}).
+    Construction copies the generators into one read-only (K, n) stack,
+    points, then rays, then lines; ``points``, ``rays`` and ``lines`` are
+    row views of it and G, the (n, K) generator matrix whose columns the
+    coefficients (lam, mu, nu) of every LP and QP over the set weigh, is
+    its transpose.  A set without points raises DimensionMismatch.  Zero
+    rays and zero lines are dropped: they contribute nothing and a zero
+    ray would let relative-interior tests pad coefficients for free.
+    Zero *points* are kept; conv({0, p}) genuinely differs from conv({p}).
     """
 
     n: int
@@ -247,17 +251,17 @@ class GeneratorSet:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
         points = _as_matrix(self.points, self.n, "points")
+        if not points.shape[0]:
+            raise DimensionMismatch("a generator set needs at least one point")
         rays = _as_matrix(self.rays, self.n, "rays")
+        rays = rays[rays.any(axis=1)]
         lines = _as_matrix(self.lines, self.n, "lines")
-        rays = rays[np.any(rays != 0.0, axis=1)] if rays.size else rays
-        lines = lines[np.any(lines != 0.0, axis=1)] if lines.size else lines
-        for name, val in (("points", points), ("rays", rays), ("lines", lines)):
+        stack = np.concatenate([points, rays, lines[lines.any(axis=1)]])
+        stack.setflags(write=False)
+        i, j = points.shape[0], points.shape[0] + rays.shape[0]
+        for name, val in (("points", stack[:i]), ("rays", stack[i:j]),
+                          ("lines", stack[j:]), ("G", stack.T)):
             object.__setattr__(self, name, val)
-            val.setflags(write=False)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.points.shape[0] == 0
 
     @property
     def n_points(self) -> int:
@@ -271,15 +275,9 @@ class GeneratorSet:
     def n_lines(self) -> int:
         return self.lines.shape[0]
 
-    def generator_matrix(self) -> np.ndarray:
-        """Columns are all generators in order: points, rays, lines."""
-        return np.vstack([self.points, self.rays, self.lines]).T
-
     def combine(self, coeffs) -> np.ndarray:
         """Evaluate the combination given stacked (lam, mu, nu) coefficients."""
-        coeffs = _as_vector(coeffs, self.n_points + self.n_rays + self.n_lines,
-                            "coeffs")
-        return self.generator_matrix() @ coeffs
+        return self.G @ _as_vector(coeffs, self.G.shape[1], "coeffs")
 
     def translate(self, v) -> "GeneratorSet":
         v = _as_vector(v, self.n, "v")
@@ -687,7 +685,7 @@ def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
     constraints; otherwise the active-set method runs from the uniform
     convex combination.
     """
-    G = S.generator_matrix()
+    G = S.G
     n_pts, n_signed = S.n_points, S.n_points + S.n_rays
     K = G.shape[1]
     WG = G * weights[:, None]
@@ -717,11 +715,9 @@ def min_norm_weighted(S: GeneratorSet, shift,
     """Minimize ||weights o (shift + z)|| over z in S.
 
     Returns (value, minimizer).  Coordinates with weight zero do not
-    affect the value.  Raises DimensionMismatch when S has no points.
+    affect the value.  S is never empty (GeneratorSet holds at least one
+    point), so the minimum exists.
     """
-    if S.is_empty:
-        raise DimensionMismatch(
-            "min_norm_weighted needs a nonempty generator set")
     shift = _as_vector(shift, S.n, "shift")
     weights = _as_vector(weights, S.n, "weights")
     theta = _min_norm_coefficients(S, shift, weights)
@@ -732,8 +728,6 @@ def min_norm_weighted(S: GeneratorSet, shift,
 
 def vrep_membership(S: GeneratorSet, z, tol: float = DEFAULT_TOL) -> bool:
     """True iff dist(z, S) <= tol."""
-    if S.is_empty:
-        raise DimensionMismatch("membership query on an empty generator set")
     z = _as_vector(z, S.n, "z")
     value, _ = min_norm_weighted(S, -z, np.ones(S.n))
     return value <= tol
@@ -749,24 +743,18 @@ def vrep_ri_membership(S: GeneratorSet, z) -> bool:
     on every listed point and ray, so ri membership is optimal t > 0;
     the threshold used is DEFAULT_TOL.
     """
-    if S.is_empty:
-        raise DimensionMismatch(
-            "relative-interior query on an empty generator set")
     z = _as_vector(z, S.n, "z")
-    n_pts, n_rays, n_lin = S.n_points, S.n_rays, S.n_lines
-    K = n_pts + n_rays + n_lin
-    G = S.generator_matrix()
+    K, n_bounded = S.G.shape[1], S.n_points + S.n_rays
 
     nvar = K + 1                       # coefficients plus t
     c = np.zeros(nvar)
     c[-1] = 1.0
-    lower = np.concatenate([np.zeros(n_pts + n_rays),
-                            np.full(n_lin + 1, -_INF)])
+    lower = np.concatenate([np.zeros(n_bounded),
+                            np.full(nvar - n_bounded, -_INF)])
     A_eq = np.zeros((S.n + 1, nvar))
-    A_eq[:S.n, :K] = G
-    A_eq[S.n, :n_pts] = 1.0
+    A_eq[:S.n, :K] = S.G
+    A_eq[S.n, :S.n_points] = 1.0
     b_eq = np.concatenate([z, [1.0]])
-    n_bounded = n_pts + n_rays
     A_in = np.zeros((n_bounded, nvar))
     A_in[:, -1] = 1.0
     A_in[:, :n_bounded] -= np.eye(n_bounded)
@@ -782,8 +770,6 @@ def vrep_ri_membership(S: GeneratorSet, z) -> bool:
 
 def vrep_support(S: GeneratorSet, w) -> float:
     """Support value sup{<w, s> : s in S}; +inf on escaping directions."""
-    if S.is_empty:
-        raise DimensionMismatch("support query on an empty generator set")
     w = _as_vector(w, S.n, "w")
     w_norm = float(np.linalg.norm(w))
     for r in S.rays:

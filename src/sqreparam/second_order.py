@@ -65,8 +65,9 @@ class Multiplier:
 def _slice_rows(pt: LiftedPoint, anchor):
     """Rows E theta = e of the slice of subdiff g(y*y): the simplex row
     on the convex block of theta, then G theta = anchor on the support."""
-    E = np.vstack([np.zeros(pt.G.shape[1]), pt.G[pt.sup]])
-    E[0, :pt.S.n_points] = 1.0
+    S = pt.S
+    E = np.vstack([np.zeros(S.G.shape[1]), S.G[pt.sup]])
+    E[0, :S.n_points] = 1.0
     return E, np.concatenate([np.ones(1), anchor])
 
 
@@ -131,7 +132,7 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     w = _as_vector(w, g.n, "w")
     weights = np.zeros(g.n)
     weights[pt.comp] = w[pt.comp] ** 2
-    out = _slice_lp(pt, v[pt.sup], objective=pt.G.T @ weights)
+    out = _slice_lp(pt, v[pt.sup], objective=pt.S.G.T @ weights)
     if out.status is LPStatus.UNBOUNDED:
         return _INF
     if out.status is LPStatus.INFEASIBLE:
@@ -168,7 +169,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     value = _d2_objective(p, pt, mult.v, w)
 
     # a second, generically different multiplier witness
-    out = _slice_lp(pt, -pt.grad[pt.sup], objective=pt.G.T @ np.ones(p.n))
+    out = _slice_lp(pt, -pt.grad[pt.sup], objective=pt.S.G.T @ np.ones(p.n))
     if out.status is not LPStatus.OPTIMAL:
         return value
     other = pt.S.combine(out.witness)
@@ -194,7 +195,7 @@ def _steepest_direction(pt: LiftedPoint, v):
     S, comp, k = pt.S, pt.comp, pt.comp.size
     E, e = _slice_rows(pt, v[pt.sup])
     # rows are homogeneous: unit peaks keep the set and keep phase 1 sound
-    rows = np.hstack([pt.G[comp].T, -E.T])
+    rows = np.hstack([S.G[comp].T, -E.T])
     rows /= np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
     signed = S.n_points + S.n_rays
     A_eq = np.vstack([np.repeat([1.0, 0.0], [k, e.size]), rows[signed:]])
@@ -246,7 +247,7 @@ def correspondence_check(p: CompositeProblem, y) -> CorrespondenceReport:
     lifted_stationary = mult is not None
 
     sup, comp, grad = pt.sup, pt.comp, pt.grad
-    out = _slice_lp(pt, -grad[sup], A_ineq=-pt.G[comp], b_ineq=grad[comp])
+    out = _slice_lp(pt, -grad[sup], A_ineq=-pt.S.G[comp], b_ineq=grad[comp])
     second_order = out.status is LPStatus.OPTIMAL
     witness_lambda = (grad + pt.S.combine(out.witness)) if second_order else None
 

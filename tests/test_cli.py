@@ -24,6 +24,17 @@ ORTHANT2 = str(PROBLEMS / "orthant2.json")
 QUARTIC1 = str(PROBLEMS / "quartic1.json")
 
 
+def test_parser_defaults_come_from_the_library():
+    parse = cli._build_parser().parse_args
+    args = parse(["certify", ORTHANT2, "--y", "0,0"])
+    assert (args.tol, args.tol_support) == (sq.DEFAULT_TOL,
+                                            sq.DEFAULT_TOL_SUPPORT)
+    assert parse(["strict-comp", ORTHANT2, "--x", "0,0"]).tol == sq.DEFAULT_TOL
+    args = parse(["kl-fit", QUARTIC1, "--y", "0"])
+    config = sq.ScatterConfig()
+    assert (args.dmin, args.dmax) == (config.delta_min, config.delta_max)
+
+
 def test_fixture_corpus_present():
     names = {p.stem for p in FIXTURES}
     assert {"nnls1", "quartic1", "orthant2", "simplex2", "pieces2"} <= names

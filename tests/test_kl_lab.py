@@ -556,12 +556,12 @@ def test_ray_values_read_an_overflow_as_nan_without_a_warning(total):
 _FIT_CONFIG = sq.ScatterConfig(n_radii=32, n_dirs=4, seed=5)
 
 _PINNED_FITS = {
-    "box": ("adc11609dfd7f9e884be1cc56198cbdc"
-            "be891695702c7f88ed2d30651e7ef28b", 15.861241090065722),
-    "simplex": ("602584a0fa22d208303ce1f608f758b6"
-                "3dac760cce6280721228fe2e206f796b", 434.61618990606985),
-    "polyhedron": ("cfd1b61272e03e59f3f973080c9eb701"
-                   "184abcd3ed65e7387830fcc1896be391", 441.7621322643029),
+    "box": ("de2da0a08e4f2393f705fe6a5c6fd6ef"
+            "fc38abd1da0f3d71c3640651e7e0b526", 15.861241090065722),
+    "simplex": ("bc669382fed3bc8f231b3cc073cb0632"
+                "b4a54f5a6af2ae2e4f03f71098ed5799", 434.61618990606985),
+    "polyhedron": ("e899167ef749757e3de90e8879464762"
+                   "94d7823244ee78f6400a0873be2f374d", 441.7621322643029),
 }
 
 

@@ -204,12 +204,33 @@ def test_phi_residual_designed_values():
     assert sq.phi_residual(p, np.array([0.0])) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_phi_subdiff_shifts_by_gradient():
-    p = quad1()
-    S = sq.phi_subdiff(p, np.array([0.0]))
-    assert sq.vrep_membership(S, np.array([-1.0]))
-    assert sq.vrep_membership(S, np.array([-5.0]))
-    assert not sq.vrep_membership(S, np.array([-0.5]))
+def test_problem_objects_do_not_follow_edits_of_their_inputs():
+    A, b = -np.eye(2), np.zeros(2)
+    A_eq, b_eq = np.ones((1, 2)), np.ones(1)
+    box = sq.Polyhedron(2, A, b)
+    simplex = sq.Polyhedron(2, A, b, A_eq, b_eq)
+    Q, q = np.eye(2), np.zeros(2)
+    f = sq.SmoothQuadratic(Q, q)
+    pieces_A, pieces_b = np.array([[1.0, 0.0]]), np.zeros(1)
+    g = sq.PolyhedralFunction(2, pieces_A, pieces_b, box)
+    assert (box.shape.kind, simplex.shape.kind, g.kind) \
+        == ("box", "simplex", "general")
+    b[0], b_eq[0], q[0], pieces_b[0], Q[0, 0] = -1.0, 2.0, 3.0, 3.0, 5.0
+    # the matrices kept are frozen on the caller's side
+    assert not any(M.flags.writeable for M in (A, A_eq, pieces_A))
+    assert (box.shape.kind, simplex.shape.kind, g.kind) \
+        == ("box", "simplex", "general")
+    assert np.array_equal(box.b_ineq, [0.0, 0.0])
+    assert np.array_equal(box.shape.lower, [0.0, 0.0])
+    assert box.contains([0.5, 0.0])
+    assert np.array_equal(sq.project_onto_polyhedron(box, [-1.0, -1.0]),
+                          [0.0, 0.0])
+    assert np.array_equal(simplex.b_eq, [1.0]) and simplex.shape.total == 1.0
+    assert simplex.contains([0.5, 0.5])
+    assert f.value([1.0, 0.0]) == 0.5
+    assert np.array_equal(f.q, [0.0, 0.0])
+    assert sq.g_eval(g, [1.0, 0.0]) == 1.0
+    assert np.array_equal(g.pieces_b, [0.0])
 
 
 def test_composite_problem_dimension_guard():

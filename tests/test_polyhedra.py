@@ -121,25 +121,46 @@ def test_feasible_point_of_a_box_or_simplex_solves_no_lp(monkeypatch, P,
     assert lps == []
 
 
-@pytest.mark.parametrize("query, message", [
-    (lambda S: sq.min_norm_weighted(S, np.zeros(2), np.ones(2)),
-     "min_norm_weighted needs a nonempty generator set"),
-    (lambda S: sq.vrep_membership(S, np.zeros(2)),
-     "membership query on an empty generator set"),
-    (lambda S: sq.vrep_ri_membership(S, np.zeros(2)),
-     "relative-interior query on an empty generator set"),
-    (lambda S: sq.vrep_support(S, np.ones(2)),
-     "support query on an empty generator set"),
-    (lambda S: grid_min_norm(S, np.zeros(2), np.ones(2)),
-     "grid_min_norm needs a nonempty generator set"),
+@pytest.mark.parametrize("points", [None, np.zeros((0, 2))],
+                         ids=["rays-and-lines", "empty-points"])
+def test_generator_set_without_points_is_refused(points):
+    # rays and lines alone do not make a nonempty set
+    with pytest.raises(sq.DimensionMismatch, match="at least one point"):
+        sq.GeneratorSet(2, points, rays=[[1.0, 0.0]], lines=[[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("query, expected", [
+    (lambda S: sq.min_norm_weighted(S, np.array([1.0, 3.0]), np.ones(2))[0],
+     1.0),
+    (lambda S: sq.vrep_membership(S, np.array([1.0, -3.0])), True),
+    (lambda S: sq.vrep_ri_membership(S, np.array([1.0, -3.0])), True),
+    (lambda S: sq.vrep_support(S, np.array([-1.0, 0.0])), 0.0),
+    (lambda S: grid_min_norm(S, np.array([1.0, 3.0]), np.ones(2)), 1.0),
 ], ids=["min_norm_weighted", "vrep_membership", "vrep_ri_membership",
         "vrep_support", "grid_min_norm"])
-def test_queries_on_an_empty_generator_set_are_invalid(query, message):
-    # rays and lines alone do not make a nonempty set
-    S = sq.GeneratorSet(2, rays=[[1.0, 0.0]], lines=[[0.0, 1.0]])
-    assert S.is_empty
-    with pytest.raises(sq.DimensionMismatch, match=message):
-        query(S)
+def test_queries_on_an_empty_generator_set_are_invalid(query, expected):
+    # no query can be handed an empty set: building one is refused
+    with pytest.raises(sq.DimensionMismatch, match="at least one point"):
+        query(sq.GeneratorSet(2, rays=[[1.0, 0.0]], lines=[[0.0, 1.0]]))
+    # with a point the same generators make the half-plane x >= 0, which
+    # every query answers without an emptiness check of its own
+    S = sq.GeneratorSet(2, [[0.0, 0.0]], rays=[[1.0, 0.0]], lines=[[0.0, 1.0]])
+    assert query(S) == pytest.approx(expected, abs=1e-9)
+
+
+def test_generator_set_is_one_read_only_stack():
+    pts = np.array([[1.0, 0.0], [0.0, 2.0]])
+    rays = np.array([[0.0, 0.0], [0.0, 1.0]])
+    S = sq.GeneratorSet(2, pts, rays, [[1.0, 1.0]])
+    assert S.G is S.G
+    assert S.G.shape == (2, 4) and not S.G.flags.writeable
+    assert np.array_equal(S.G, np.vstack([pts, rays[1:], [[1.0, 1.0]]]).T)
+    for part in (S.points, S.rays, S.lines):
+        assert np.shares_memory(part, S.G) and not part.flags.writeable
+    # the caller's arrays are neither kept nor frozen
+    assert pts.flags.writeable and not np.shares_memory(pts, S.G)
+    pts[0, 0] = 5.0
+    assert np.array_equal(S.points, [[1.0, 0.0], [0.0, 2.0]])
 
 
 def test_generator_set_drops_zero_rays_and_lines():
@@ -154,7 +175,7 @@ def test_generator_set_drops_zero_rays_and_lines():
 def test_generator_set_keeps_zero_points():
     S = sq.GeneratorSet(1, points=np.array([[0.0]]))
     assert S.n_points == 1
-    assert not S.is_empty
+    assert sq.vrep_membership(S, [0.0])
 
 
 def test_generator_combine_and_translate():
@@ -255,7 +276,7 @@ def test_min_norm_weighted_with_more_generators_than_coordinates():
         val, z = sq.min_norm_weighted(S, shift, w)
         assert val == pytest.approx(np.linalg.norm(w * (shift + z)), abs=1e-12)
         coeffs = sq.lp_solve(np.zeros(7), np.zeros(7), None,
-                             A_eq=np.vstack([S.generator_matrix(),
+                             A_eq=np.vstack([S.G,
                                              [1, 1, 1, 1, 0, 0, 0]]),
                              b_eq=np.append(z, 1.0))
         assert coeffs.status is sq.LPStatus.OPTIMAL

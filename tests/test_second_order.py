@@ -111,7 +111,8 @@ def test_stationarity_multiplier_engineered():
     lam = np.asarray(mult.lam)
     support, _ = sq.support_set(y)
     assert np.all(np.abs(lam[support]) <= 1e-9)
-    assert sq.vrep_membership(sq.phi_subdiff(p, xbar), lam, tol=1e-8)
+    pt = sq.LocalModel(p.g, p.f, xbar)
+    assert sq.vrep_membership(pt.S.translate(pt.grad), lam, tol=1e-8)
 
 
 def test_stationarity_multiplier_none_when_not_stationary():

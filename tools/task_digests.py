@@ -1,4 +1,4 @@
-"""Print one SHA-256 per perfbench workload and seed over every task output.
+"""Print SHA-256 digests of every task output of a perfbench workload and seed.
 
     python tools/task_digests.py WORKLOAD SEED [SEED ...] [--repo DIR]
 
@@ -11,9 +11,12 @@ message.  Each output is hashed in a canonical form: arrays by dtype,
 shape and bytes, floats by `repr` (exact), dataclasses field by field,
 enums by name, and strings with the pool's temporary directory written
 as `<pool>` and DIR as `<repo>`, so two checkouts that compute the same
-outputs print the same digests.  Prints one line per seed:
+outputs print the same digests.  Prints one line per seed, over all
+its tasks, then one line per task kind, in sorted order, over that
+kind's tasks alone, so a digest that moves names the kinds that moved:
 
     WORKLOAD SEED TASKS ERRORS SHA256
+    WORKLOAD SEED KIND TASKS ERRORS SHA256
 
 Problem files go to a temporary directory, removed at exit; nothing is
 written under DIR.
@@ -58,14 +61,14 @@ def _canonical(obj, norm):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
-def digest(repo: str, workload: str, seed: int) -> tuple[int, int, str]:
-    """(tasks, errors, SHA-256) of one pass over the seed's task pool."""
+def digest(repo: str, workload: str, seed: int) -> dict:
+    """{kind: [tasks, errors, hash]} of one pass over the seed's task
+    pool, with the kind None for all tasks together."""
     import sqreparam as sq
     import workloads
 
     generate, cls = workloads.WORKLOADS[workload]
-    h = hashlib.sha256()
-    tasks = errors = 0
+    tallies = {}
     with tempfile.TemporaryDirectory() as pool_dir:
         def norm(text):
             return text.replace(pool_dir, "<pool>").replace(repo, "<repo>")
@@ -76,13 +79,18 @@ def digest(repo: str, workload: str, seed: int) -> tuple[int, int, str]:
                 try:
                     task.output = task.fn()
                 except Exception as exc:   # a failed task is an outcome
-                    errors += 1
+                    failed = 1
                     record = ("raised", type(exc).__name__, norm(str(exc)))
                 else:
+                    failed = 0
                     record = _canonical(task.output, norm)
-                tasks += 1
-                h.update(repr((task.kind, record)).encode())
-    return tasks, errors, h.hexdigest()
+                line = repr((task.kind, record)).encode()
+                for key in (None, task.kind):
+                    tally = tallies.setdefault(key, [0, 0, hashlib.sha256()])
+                    tally[0] += 1
+                    tally[1] += failed
+                    tally[2].update(line)
+    return tallies
 
 
 def main(argv=None) -> int:
@@ -97,8 +105,14 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     os.chdir(repo)      # the shipped problems are named relative to it
     for seed in args.seeds:
-        tasks, errors, sha = digest(repo, args.workload, seed)
-        print(f"{args.workload} {seed} {tasks} {errors} {sha}", flush=True)
+        tallies = digest(repo, args.workload, seed)
+        tasks, errors, h = tallies.pop(None)
+        print(f"{args.workload} {seed} {tasks} {errors} {h.hexdigest()}")
+        for kind in sorted(tallies):
+            tasks, errors, h = tallies[kind]
+            print(f"{args.workload} {seed} {kind} {tasks} {errors} "
+                  f"{h.hexdigest()}")
+        sys.stdout.flush()
     return 0
 
 
