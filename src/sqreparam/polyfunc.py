@@ -28,6 +28,7 @@ from .polyhedra import (
     _as_vector,
     _min_norm_normal_cone,
     _orthant_rows,
+    _owned,
 )
 
 DEFAULT_TOL_ACTIVE = 1e-8
@@ -118,7 +119,7 @@ class PolyhedralFunction:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
-        A = _as_matrix(self.pieces_A, self.n, "pieces_A")
+        A = _owned(_as_matrix(self.pieces_A, self.n, "pieces_A"))
         b = _as_vector(self.pieces_b, A.shape[0], "pieces_b").copy()
         dom = self.domain if self.domain is not None else Polyhedron(self.n)
         if dom.n != self.n:

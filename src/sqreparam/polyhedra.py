@@ -13,7 +13,9 @@ reaches its upper one by a bound flip, not through an extra row
 (Dantzig 1955; Bland 1977).  Its condensed tableau holds only the
 nonbasic columns, each mapped to its variable, and the reduced costs
 as its last row, so one rank-1 update per pivot moves both; Bland's
-rule compares variable indices, one argmin per choice.  The QP solver
+rule compares variable indices, one argmin per choice.  Phase 1 starts
+from the slack basis, with artificials only on the rows that need one.
+The QP solver
 is a primal active-set method with smallest-index tie breaking that
 solves each working-set KKT system by LU, and by least squares only
 when that system is singular.
@@ -58,6 +60,12 @@ def _as_matrix(rows, n: int, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DimensionMismatch(f"{name}: entries must be finite")
     return a
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """a itself when it owns its data, else a copy of the same layout: a
+    view (a slice, a reshaped row) would follow edits of its base."""
+    return a if a.base is None else a.copy(order="K")
 
 
 def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
@@ -143,9 +151,10 @@ class Polyhedron:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
-        A_ineq = _as_matrix(self.A_ineq, self.n, "A_ineq")
-        A_eq = _as_matrix(self.A_eq, self.n, "A_eq")
-        # the vectors are copied: a view would follow the caller's edits
+        # the vectors are copied, and so is a matrix that is a view: it
+        # would follow the caller's edits
+        A_ineq = _owned(_as_matrix(self.A_ineq, self.n, "A_ineq"))
+        A_eq = _owned(_as_matrix(self.A_eq, self.n, "A_eq"))
         b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq").copy()
         b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq").copy()
         for name, val in (("A_ineq", A_ineq), ("b_ineq", b_ineq),
@@ -360,7 +369,11 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
     index among ratio ties, the entering variable's own bound flip, made
     without a pivot, included), which rules out cycling.  Each choice is
     one argmin over the indices, with the sentinel cap.size, one past the
-    largest variable index, where a candidate is ruled out.
+    largest variable index, where a candidate is ruled out.  The ratio
+    test reads a basic value below 0 as 0, so no ratio is negative.  A
+    column that no row and no bound blocks is priced afresh from cost
+    before "unbounded" is returned, since its carried reduced cost may
+    be rounding drift.
     """
     m = T.shape[0] - 1
     full = np.where(flipped, -cost, cost)
@@ -387,8 +400,11 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
         col = T[:m, k]
         np.greater(col, tol, out=down)
         np.less(col, -tol, out=up)
+        # a basic value that rounding left just below 0 blocks at 0: a
+        # negative ratio would step the pivot backwards
         ratios.fill(_INF)
-        np.divide(rhs, col, out=ratios, where=down)
+        np.maximum(rhs, 0.0, out=room)
+        np.divide(room, col, out=ratios, where=down)
         # a basic variable that grows stops at its own upper bound:
         # max(cap_b - rhs, 0) / -col, which is exactly -(room / col)
         np.subtract(cap_b, rhs, out=room)
@@ -397,7 +413,13 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
         np.negative(room, out=ratios, where=up)
         best = min(ratios.min(initial=_INF), cap[enter])
         if best == _INF:
-            return "unbounded", pivots
+            # nothing blocks: price the column afresh before believing
+            # it, since its carried reduced cost may be drift alone
+            full = np.where(flipped, -cost, cost)
+            reduced[k] = full[enter] - full[basis] @ col
+            if reduced[k] < -tol:
+                return "unbounded", pivots
+            continue
         band = best + 1e-9 * (1.0 + abs(best))
         leave, first = -1, sentinel
         if m:
@@ -433,8 +455,10 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     _tightest_bounds (the rule of Polyhedron.shape, at DEFAULT_TOL); bounds
     crossed beyond it, or a zero row with b < 0, are infeasible.  The
     simplex keeps x = z - lower in [0, upper - lower] by bound flips,
-    not by rows.  Returns an LPOutcome; the witness is the
-    deterministic optimal vertex selected by Bland's rule.
+    not by rows.  Phase 1 starts from the slack basis: only equality
+    rows and rows with a negative right-hand side get an artificial.
+    Returns an LPOutcome; the witness is the deterministic optimal vertex
+    that Bland's rule reaches from the slack basis.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -498,17 +522,25 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     pivot_tol = 1e-10
     budget = 2000 + 50 * (m + N)
 
-    # Phase 1: artificial variables on every row; the last row holds
-    # the reduced costs.
-    T = np.zeros((m + 1, N + 1))
-    T[:m, :N] = A_std
+    # Phase 1 starts from the slack basis: an inequality row that was
+    # not sign-flipped keeps its slack basic, and only the equality and
+    # flipped rows get an artificial, N + p for row p.  T holds the
+    # nonbasic structurals and slacks; its last row holds the reduced
+    # costs.
+    slack_rows = m_eq + np.flatnonzero(~flip[m_eq:])
+    basis = np.arange(N, N + m)
+    basis[slack_rows] = K - m_eq + slack_rows
+    var = np.concatenate([np.arange(K), K + np.flatnonzero(flip[m_eq:])])
+    T = np.zeros((m + 1, var.size + 1))
+    T[:m, :-1] = A_std[:, var]
     T[:m, -1] = b_std
-    var, basis = np.arange(N), np.arange(N, N + m)
-    cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-    status, pivots = _run_simplex(T, var, basis, cost1, cap, flipped,
-                                  pivot_tol, budget)
-    if status != "optimal":
-        raise NumericalFailure("phase-1 simplex reported unbounded")
+    pivots = 0
+    if slack_rows.size < m:
+        cost1 = np.concatenate([np.zeros(N), (basis >= N) * 1.0])
+        status, pivots = _run_simplex(T, var, basis, cost1, cap, flipped,
+                                      pivot_tol, budget)
+        if status != "optimal":
+            raise NumericalFailure("phase-1 simplex reported unbounded")
     infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
     if infeas > DEFAULT_TOL * scale:
         return LPOutcome(LPStatus.INFEASIBLE, -_INF, pivots=pivots)

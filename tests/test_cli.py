@@ -297,6 +297,68 @@ def test_certify_rescaled_spurious_points(tmp_path, capsys, problem, y):
     assert "consistent = True" in out
 
 
+UNBLOCKED_DRIFT = [
+    # records certify-288 of perfbench's gen.certify_pool(108) and
+    # certify-088 of gen.certify_pool(140): pieces instances with f + g
+    # multiplied by 1e-6.  Phase 1 of a slice LP entered a column that
+    # no row and no bound blocks, on a carried reduced cost that had
+    # drifted to -2.3e-10 (-1.2e-10) with no costed basic row left.
+    # Priced afresh it is 0; both used to exit 4 with "phase-1 simplex
+    # reported unbounded"
+    ({"n": 2,
+      "f": {"Q": [[-2.788636187379837e-06, 8.062743220772329e-07],
+                  [8.062743220772329e-07, -6.303884453029323e-07]],
+            "q": [1.7855473875489768e-06, -7.923404409143626e-07],
+            "r": 0.0},
+      "g": {"pieces": [{"a": [-1.7619553751508845e-09, 9.802652779137238e-07],
+                        "b": 5.575031571826297e-07},
+                       {"a": [2.013901280449971e-06, -1.4070686062408977e-06],
+                        "b": 3.190050106684419e-07},
+                       {"a": [-2.0760949493346484e-06,
+                              -1.3187765251360708e-07],
+                        "b": 8.889435104650457e-07}],
+            "domain": {"A_ineq": [[0.11414414352363297, 1.5120650695099211],
+                                  [0.37618110963626017, -1.0492527423075353],
+                                  [2.120077559638027, -1.3313527280226591],
+                                  [-0.031277032078603335, -1.4097282472875667]],
+                       "b_ineq": [0.35063527493124524, 0.39971426411520344,
+                                  2.2527054652937486, -0.0332336620334151]}}},
+     "--y=1.0308045615862442,0",
+     ["stationary_for_Phi = True", "stationary_for_phi = False",
+      "second_order_nonneg_on_SI = False", "negative_direction = [0, 1]",
+      "consistent = True"]),
+    ({"n": 2,
+      "f": {"Q": [[7.98598368494515e-07, -5.747565646877238e-07],
+                  [-5.747565646877238e-07, -6.629822937221718e-07]],
+            "q": [-4.953925760470817e-07, 7.438464311735668e-07], "r": 0.0},
+      "g": {"pieces": [{"a": [2.0879144347322685e-06, 1.0149596096352181e-06],
+                        "b": -7.421632830036679e-07}],
+            "domain": {"A_ineq": [[-1.5123818464131251, 1.321964516054184],
+                                  [-0.16256947669602284, -0.9081587265720312],
+                                  [-0.5741098193629792, -0.16270583049175277],
+                                  [-0.3452475276696551, 1.3719281417749392],
+                                  [-0.7444420349135007, -0.3683020952382742],
+                                  [1.0074221160597057, 0.5006565531011745]],
+                       "b_ineq": [1.117985283789272, -0.9164737250220345,
+                                  -0.48523921312907387, 1.0364345138710467,
+                                  -0.7713779446837493, 1.0459056053630638]}}},
+     "--y=0.76752094585327679,-0.95063304320946851",
+     ["stationary_for_Phi = True", "stationary_for_phi = True",
+      "second_order_nonneg_on_SI = True", "consistent = True"]),
+]
+
+
+@pytest.mark.parametrize("problem, y, verdicts", UNBLOCKED_DRIFT,
+                         ids=["certify-288-seed108", "certify-088-seed140"])
+def test_certify_reprices_an_unblocked_column(tmp_path, capsys, problem, y,
+                                              verdicts):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(problem))
+    assert main(["certify", str(path), y]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line in lines for line in verdicts)
+
+
 def test_certify_with_a_zero_weight_on_a_ray(tmp_path, capsys):
     # f + g of a random instance multiplied by 1e6.  y_3 = 0 gives the
     # ray -e_3 of the subdifferential a zero weight, so its column of the

@@ -233,6 +233,38 @@ def test_problem_objects_do_not_follow_edits_of_their_inputs():
     assert np.array_equal(g.pieces_b, [0.0])
 
 
+# A matrix that owns its data is kept and frozen on the caller's side; a
+# view would still follow edits through its writable base, so it is
+# copied.
+
+def test_a_polyhedron_does_not_follow_edits_of_the_base_of_a_slice():
+    A = np.vstack([-np.eye(2), np.eye(2)])
+    P = sq.Polyhedron(2, A[:2], [0.0, 0.0])
+    assert P.shape.kind == "box"
+    A[0] = [1.0, 1.0]
+    assert np.array_equal(P.A_ineq, -np.eye(2))
+    assert P.shape.kind == "box" and P.contains([0.5, 0.5])
+    owned = -np.eye(2)
+    assert sq.Polyhedron(2, owned, [0.0, 0.0]).A_ineq is owned
+
+
+def test_a_polyhedron_does_not_follow_edits_of_a_row_given_as_a_vector():
+    row = np.array([1.0, 1.0])
+    P = sq.Polyhedron(2, row, [1.0], row, [1.0])
+    row[0] = 5.0
+    assert np.array_equal(P.A_ineq, [[1.0, 1.0]])
+    assert np.array_equal(P.A_eq, [[1.0, 1.0]])
+    assert P.contains([0.5, 0.5])
+
+
+def test_pieces_do_not_follow_edits_of_the_base_of_a_slice():
+    pieces = np.array([[1.0, 0.0], [0.0, 1.0]])
+    g = sq.PolyhedralFunction(2, pieces[:1], [0.0])
+    pieces[0] = [5.0, 5.0]
+    assert np.array_equal(g.pieces_A, [[1.0, 0.0]])
+    assert sq.g_eval(g, [1.0, 1.0]) == 1.0
+
+
 def test_composite_problem_dimension_guard():
     f = sq.SmoothQuadratic(np.eye(2), np.zeros(2))
     g = sq.PolyhedralFunction.orthant_indicator(3)

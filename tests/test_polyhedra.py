@@ -635,7 +635,7 @@ def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
     calls = _counted_kkt_solves(monkeypatch)
     P, v, rng = _pinned_draw(40)
     z = sq.project_onto_polyhedron(P, 4.0 * v)
-    assert len(calls) == 148
+    assert len(calls) == 144
     del calls[:]
     z_warm = sq.project_onto_polyhedron(
         P, 4.0 * v + 0.1 * rng.standard_normal(40), start=z)
@@ -799,18 +799,34 @@ def test_lp_infinite_bounds_on_the_wrong_side_are_empty(c, kwargs):
 
 
 def test_lp_bound_flip_wins_a_ratio_tie_by_its_index():
-    # Phase 1 enters x0, which the row stops at 2, as does its own upper
-    # bound.  Among the tied variables Bland's rule takes the smallest
-    # index, x0 itself (the artificial is x4), so x0 flips to its bound
-    # without a pivot; the slack then replaces the artificial, and phase
-    # 2 flips x1 and x2 to their bounds: one pivot in all.  Leaving the
-    # tie to the artificial costs three.
-    out = sq.lp_solve([0.0, 2.0, 1.0], lower=np.zeros(3),
-                      upper=[2.0, 1.0, 2.0], A_ineq=[[1.0, -2.0, -1.0]],
-                      b_ineq=[2.0])
+    # The row x0 - 2 x1 - x2 + x3 = 2 is an equality, so phase 1 starts
+    # with the artificial x4 basic in it.  Phase 1 enters x0, which the
+    # row stops at 2, as does its own upper bound.  Among the tied
+    # variables Bland's rule takes the smallest index, x0 itself, so x0
+    # flips to its bound without a pivot; x3 then replaces the
+    # artificial, and phase 2 flips x1 and x2 to their bounds: one pivot
+    # in all.  Leaving the tie to the artificial costs three.
+    out = sq.lp_solve([0.0, 2.0, 1.0, 0.0], lower=np.zeros(4),
+                      upper=[2.0, 1.0, 2.0, np.inf],
+                      A_eq=[[1.0, -2.0, -1.0, 1.0]], b_eq=[2.0])
     assert out.status is sq.LPStatus.OPTIMAL
-    assert np.array_equal(out.witness, [2.0, 1.0, 2.0])
+    assert np.array_equal(out.witness, [2.0, 1.0, 2.0, 4.0])
     assert out.pivots == 1
+
+
+def test_lp_with_a_feasible_slack_basis_skips_phase_1(monkeypatch):
+    # b > 0 and no bound on z: the slack basis is feasible at z = 0, so
+    # phase 1 has no artificial, and a zero objective leaves phase 2
+    # nothing to do
+    rng = np.random.default_rng(7)
+    P = sq.Polyhedron(20, rng.standard_normal((60, 20)),
+                      rng.uniform(0.1, 1.0, 60))
+    assert P.shape.kind == "general"
+    outcomes = _recorded_lps(monkeypatch)
+    z = sq.feasible_point(P)
+    (out,) = outcomes
+    assert out.pivots == 0
+    assert np.array_equal(z, np.zeros(20))
 
 
 def test_lp_terminates_on_beales_cycling_example():
@@ -847,29 +863,57 @@ def _recorded_lps(monkeypatch):
 
 def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
     # The relative-interior LP has no singleton row and no two-sided
-    # bound, so it pivots as the plain two-phase simplex did: the witness
-    # is pinned from that solver, bit for bit, and so is its 10 pivots.
+    # bound.  Its witness is Bland's vertex from the slack basis, pinned
+    # bit for bit, and so is its 6 pivots (10 when phase 1 put an
+    # artificial on every row).
     outcomes = _recorded_lps(monkeypatch)
     rng = np.random.default_rng(11)
     points, rays = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
     z = np.full(3, 1.0 / 3.0) @ points + np.full(2, 0.5) @ rays
     assert sq.vrep_ri_membership(sq.GeneratorSet(4, points, rays), z)
     (out,) = outcomes
-    pinned = ["0x1.5555555555555p-2", "0x1.5555555555558p-2",
-              "0x1.5555555555554p-2", "0x1.0000000000003p-1",
-              "0x1.ffffffffffffep-2", "0x1.5555555555555p-2"]
+    pinned = ["0x1.5555555555558p-2", "0x1.5555555555554p-2",
+              "0x1.5555555555556p-2", "0x1.0000000000008p-1",
+              "0x1.ffffffffffff6p-2", "0x1.5555555555558p-2"]
     assert [float(v).hex() for v in out.witness] == pinned
-    assert out.pivots == 10
+    assert out.pivots == 6
+
+
+def test_ri_lp_at_a_barycentre_in_r80_never_steps_behind_0(monkeypatch):
+    # The n = 80 barycentre query of the kernel benchmark: 3 points and
+    # 40 rays, every coefficient 1/3.  Phase 1 from all artificials
+    # stopped with "phase-1 simplex reported unbounded" after 439 pivots,
+    # some of whose steps were as negative as -4.3.  From the slack
+    # basis, a ratio test that let a basic value rounded below 0 set a
+    # negative ratio stepped backwards on 5,878 of the 12,600 pivots its
+    # iteration budget allows, and ran out.  Blocked at 0, the ratio
+    # leaves only the rounding that the leaving row's value carries
+    # (-4e-10 at worst here) in the step the pivot takes.
+    steps = []
+    pivot = polyhedra._pivot
+
+    def watched(T, var, basis, row, col, work):
+        steps.append(T[row, -1] / T[row, col])
+        pivot(T, var, basis, row, col, work)
+
+    monkeypatch.setattr(polyhedra, "_pivot", watched)
+    rng = np.random.default_rng(21)
+    points, rays = rng.standard_normal((3, 80)), rng.standard_normal((40, 80))
+    z = np.full(3, 1.0 / 3.0) @ points + np.full(40, 1.0 / 3.0) @ rays
+    assert sq.vrep_ri_membership(sq.GeneratorSet(80, points, rays), z)
+    assert len(steps) == 220
+    assert min(steps) >= -1e-9
 
 
 def test_lp_pivot_count_on_a_general_polyhedron():
-    # 3,010 pivots when the box rows were tableau rows
+    # 3,010 pivots when the box rows were tableau rows, 1,479 when
+    # phase 1 put an artificial on every row
     rng = np.random.default_rng(5)
     P = _h_polyhedron(rng, 80)
     c = rng.standard_normal(80)
     out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq)
     assert out.status is sq.LPStatus.OPTIMAL
-    assert out.pivots == 1479
+    assert out.pivots == 1341
     assert P.max_violation(out.witness) <= 1e-9
     assert out.duality_gap <= 1e-9 * (1.0 + abs(out.value))
 
@@ -898,16 +942,16 @@ def _pinned_draw(n):
 
 
 _LP_PINS = {
-    10: ("59c13246030e9e57a7e238bc362a4f2c11718b45de4e44f12252a635854b28e6",
-         "e23cfa737764664c0f1fbebb74dc068b8fc0805fc9a47c1ba66d6c3dfab38911"),
-    20: ("2bf78e6b26b717d3eed3db7afbba9471ae66dc04f3c38162abc39b2864871625",
-         "0c27e6779045474098ea8a9cbe444a9f7f6ab5505b607f98bdbf4cdfd0797080"),
-    40: ("cbb5dfae26894283e2cf42184a0d1115e155128832a05d2c01d6f8d4beaa0d17",
-         "5089f7f6b1275592bd7e2c4735bd4ea5b92da459faa554fcb59829b9be81c368"),
-    80: ("c11f26aa832b42a5ddfb37c1caaca8bad2c10f72cd072ab3f7f5b2c5122280e4",
-         "6a9c0e18d7aff9ddb5dac4926e03e6f2472e41a587d21dcaca20de828e6d8a54"),
+    10: ("e92892993a287daea8fa18c560d67692d0e34f3b6d909f5437113100c9424396",
+         "bd5401a99030a359ea6bfd354e781bccbc72d6ebf8fa59dc8e9b4b34e99a067a"),
+    20: ("3475334d8caf621a4b4ab96f441e797e24c17547eda07a939708e32cc6688944",
+         "1be6ec5ae38724ce278a34000935452f61d0fa4c6995082f50e3c4042ee5de0d"),
+    40: ("d468027622761321f6092993daa59e3c5d021a5f3891ca9e31a8db96d5058fde",
+         "0fed05135d05cb7dce265b29e73b64d2a21f3505481ccc648f6cc1264b52ba15"),
+    80: ("ccdd6ccb8c8c20cc06662121eb0ae14526fdb602c477837b23c6199e2202780d",
+         "b645b104eb704f2781655ea16d2e3a59e534e4373c3888b4185f1522db118ed1"),
 }
-_RI_PIN = "353b86826113ca0fc2ede577ee9b14c861c0d8da56f3795a36d79e7721fcbf4c"
+_RI_PIN = "cf91444cec230596d56018c65fb548316c2ecffec59c049bf60f83772f5d856f"
 _PROJECTION_PINS = (
     "d9ddb38ef6d373038fb3c3491112c52e635253dcdd49e1631984477cef6907a9",
     "a9ff88a6bed2868652ea801ddae09180dfc9c1ff824c3bc08dc1b19e2da7733e")
@@ -947,7 +991,8 @@ def test_min_norm_weighted_on_the_n40_draw_matches_its_pin():
 
 
 # The tableau's edge shapes, each pinned with the outcome the simplex
-# gave before its reduced costs became a tableau row.
+# gave before its reduced costs became a tableau row ("bound-flip"
+# re-pinned when phase 1 began to start from the slack basis).
 _EDGE_LPS = {
     # square nonsingular A_eq on x >= 0: phase 1 makes every column
     # basic, so phase 2 starts with no nonbasic column (free variables
@@ -965,12 +1010,12 @@ _EDGE_LPS = {
                      [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
              b_ineq=[1.0, 4.0, 3.0, 2.0, 0.5, 0.5]),
         "5c3c2794d8e7810dd4c72fdc3d6e28fb6737f1fd9da82e8efe1279d029964aac"),
-    # x0 flips to its bound without a pivot
-    # (test_lp_bound_flip_wins_a_ratio_tie_by_its_index)
+    # the slack basis is feasible, so phase 1 has nothing to do; phase 2
+    # flips x1 and x2 to their bounds without a pivot
     "bound-flip": (
         dict(c=[0.0, 2.0, 1.0], lower=np.zeros(3), upper=[2.0, 1.0, 2.0],
              A_ineq=[[1.0, -2.0, -1.0]], b_ineq=[2.0]),
-        "cfda7f707cfabd96f1b429cf6ab4af1c7fac2719834dfb6bc011e269cd3a7a2b"),
+        "bb3222d3cfaf22d855802ad659eb48ba380d3b325ddfaa957b583c3f775974ec"),
     # the second equality row is twice the first: its artificial stays
     # basic after phase 1 and the row is dropped
     "redundant-row": (
