@@ -19,8 +19,9 @@ from .oracles import (check_seed, enumerate_vertices,
                       grid_min_norm_gap_bound, random_lp_instance,
                       random_nonsmooth_instance, random_orthant_instance)
 from .polyfunc import PolyhedralFunction, g_eval, g_subdiff
-from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, lp_solve,
-                        project_onto_polyhedron, vrep_ri_membership)
+from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, _qp_active_set,
+                        feasible_point, lp_solve, project_onto_polyhedron,
+                        vrep_ri_membership)
 from .reparam import lifted_residual
 from .second_order import d2_lifted_g
 
@@ -91,21 +92,29 @@ def lp_vs_enumeration(seed: int, count: int) -> CheckResult:
 
 
 def projection_idempotence(seed: int, count: int) -> CheckResult:
-    """A second, cold projection moves a projection by at most 1e-9.
+    """Projecting a projection again moves it by at most 1e-9.
 
-    Instance k projects a point drawn in turn from one generator seeded
+    Instance k projects a point x drawn in turn from one generator seeded
     seed + 77 onto random_lp_instance(seed + 5k); the projection must
-    also be feasible to 1e-8.
+    also be feasible to 1e-8 and within 1e-9 (1 + |x|) of the primal
+    active-set QP with the identity Hessian started at feasible_point,
+    so that it is the optimum, not only a fixed point.
     """
     rng = np.random.default_rng(check_seed(seed) + 77)
 
     def instance(k):
         _, P = random_lp_instance(seed + 5 * k)
-        z = project_onto_polyhedron(P, rng.standard_normal(P.n))
+        x = rng.standard_normal(P.n)
+        z = project_onto_polyhedron(P, x)
         drift = float(np.linalg.norm(project_onto_polyhedron(P, z) - z))
         broken = [] if drift <= 1e-9 else [f"projection drift {drift:.2e}"]
         if not P.max_violation(z) <= 1e-8:
             broken.append("infeasible projection")
+        ref = _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq,
+                             P.b_ineq, feasible_point(P))
+        gap = float(np.max(np.abs(z - ref)))
+        if not gap <= 1e-9 * (1.0 + float(np.linalg.norm(x))):
+            broken.append(f"projection off the primal QP by {gap:.2e}")
         return drift, broken
     return _sweep(seed, count, instance, "{} instances, worst drift {:.1e}")
 

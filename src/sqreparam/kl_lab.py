@@ -155,8 +155,7 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
     X = _project_rows(p.g.domain,
-                      (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n),
-                      start=xbar)
+                      (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n))
     signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
     value = _f_kernels(p.f)[0]
     gap = np.array([float(value(x)) + gx if gx < _INF else _INF
@@ -361,11 +360,12 @@ def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
     """Projected gradient on phi at the constant step 1/L, L = ||Q||_2,
     the Lipschitz constant of grad f for a SmoothQuadratic f, the only f
     it takes; returns the records.  One domain test of x per step
-    decides both phi(x), g being an indicator, and whether x can start
-    the next projection.  The run stops once a step moves x by at most
-    4 eps (1 + |x|), which a bitwise repeat does too: such a step is
-    lost in roundoff, and the projection's rounding would keep it
-    jittering there until the budget."""
+    decides phi(x), g being an indicator; each step projects from
+    scratch, since the dual projection starts at the point it projects.
+    The run stops once a step moves x by at most 4 eps (1 + |x|), which
+    a bitwise repeat does too: such a step is lost in roundoff, and the
+    projection's rounding could keep it jittering there until the
+    budget."""
     if p.g.n_pieces:
         raise UnsupportedProblemClass(
             "the original-variable solver needs an indicator g")
@@ -376,14 +376,13 @@ def _run_projected_gradient(p: CompositeProblem, x, steps: int) -> list:
             "quadratic's gradient")
     domain = p.g.domain
     value, grad_f = p.f._value, p.f._grad
-    x = _project_rows(domain, x[None], None)[0]
+    x = _project_rows(domain, x[None])[0]
     L = float(np.linalg.norm(p.f.Q, 2))
     step = 1.0 / L if L > 1e-12 else 1.0
     records = []
     for k in range(steps):
         inside = domain._violations(x[None])[0] <= DEFAULT_TOL
-        x_next = _project_rows(domain, (x - step * grad_f(x))[None],
-                               x if inside else None)[0]
+        x_next = _project_rows(domain, (x - step * grad_f(x))[None])[0]
         d = x - x_next
         # phi_value's sum: f(x) plus the indicator's 0.0
         phi = float(value(x)) + 0.0 if inside else _INF

@@ -339,8 +339,8 @@ def random_nonsmooth_instance(seed: int):
         b = A @ anchor + rng.uniform(0.1, 1.0, m)
         g = PolyhedralFunction(n, rng.standard_normal((k, n)),
                                rng.standard_normal(k), Polyhedron(n, A, b))
-        x = project_onto_polyhedron(
-            g.domain, anchor + 0.4 * rng.standard_normal(n), start=anchor)
+        x = project_onto_polyhedron(g.domain,
+                                    anchor + 0.4 * rng.standard_normal(n))
         S = g_subdiff(g, x)
         if S.n_points <= 4 and S.n_rays <= 3 and S.n_lines <= 2:
             signs = rng.integers(0, 2, n) * 2.0 - 1.0

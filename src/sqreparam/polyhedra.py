@@ -15,10 +15,14 @@ nonbasic columns, each mapped to its variable, and the reduced costs
 as its last row, so one rank-1 update per pivot moves both; Bland's
 rule compares variable indices, one argmin per choice.  Phase 1 starts
 from the slack basis, with artificials only on the rows that need one.
-The QP solver
-is a primal active-set method with smallest-index tie breaking that
-solves each working-set KKT system by LU, and by least squares only
-when that system is singular.
+Projection onto a general polyhedron is the dual active-set method of
+Goldfarb & Idnani (1983) with the identity Hessian: it starts at the
+point itself, adds the most violated row and drops a row whose
+multiplier reaches 0, on an orthonormal factor of its working rows, so
+it needs no feasible start.  The weighted min-norm over a generator set
+is a primal active-set QP with smallest-index tie breaking that solves
+each working-set KKT system by LU, and by least squares only when that
+system is singular.
 On a box or simplex, projection and the weighted min-norm over a normal
 cone are closed forms instead (clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
@@ -42,6 +46,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+
+# a difference this small relative to its scale is roundoff: steps tied
+# in the primal QP's ratio test, and violations the dual projection leaves
+_ROUNDOFF = 1e-13
 
 _INF = float("inf")
 
@@ -212,6 +220,20 @@ class Polyhedron:
             if total > 0.0:
                 return Shape("simplex", total=total)
         return Shape("general")
+
+    @cached_property
+    def _unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b): the equality rows, then the inequality rows, each row
+        and its right-hand side divided by the row's length (a zero row
+        is kept as it is); the rows the dual projection works on."""
+        A = np.concatenate([self.A_eq, self.A_ineq])
+        norms = np.linalg.norm(A, axis=1)
+        norms[norms == 0.0] = 1.0
+        A /= norms[:, None]
+        b = np.concatenate([self.b_eq, self.b_ineq]) / norms
+        A.setflags(write=False)
+        b.setflags(write=False)
+        return A, b
 
     @staticmethod
     def nonneg_orthant(n: int) -> "Polyhedron":
@@ -601,43 +623,29 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 
 
 # ---------------------------------------------------------------------------
-# Quadratic programming: primal active-set method
+# Quadratic programming: primal active-set method, and the dual one for
+# projections
 # ---------------------------------------------------------------------------
 
 
 def _kkt_solve(H, c, act, b_act) -> np.ndarray:
     """Solve [[H, act'], [act, 0]] [x; eta] = [-c; b_act] for (x, eta).
 
-    H None stands for the identity, the Hessian of a projection: the
-    range-space method (Nocedal & Wright 2006, sec. 16.2) solves the
-    k x k system (act act') eta = -act c - b_act and sets x = -c - act'
-    eta, which zeroes the first block of the residual, so the solution
-    stands when |act x - b_act| <= 1e-9 (1 + max|rhs|).  Otherwise, as
-    with dependent rows in act, and for any other H, the full system is
-    solved by LU, and by least squares when LU raises or misses the
-    right-hand side by more than that bound.  Every caller's system is
-    consistent, so any solution that passes serves, also for a Gram H
-    singular on the null space of act.
+    The system is solved by LU, and by least squares when LU raises or
+    misses the right-hand side by more than 1e-9 (1 + max|rhs|), as with
+    dependent rows in act.  Every caller's system is consistent, so any
+    solution that passes serves, also for a Gram H singular on the null
+    space of act.
     """
     n, k = c.size, act.shape[0]
     rhs = np.concatenate([-c, b_act])
-    bound = 1e-9 * (1.0 + abs(rhs).max())
-    if H is None:
-        try:
-            eta = np.linalg.solve(act @ act.T, -(act @ c) - b_act)
-            x = -c - eta @ act
-            if abs(act @ x - b_act).max(initial=0.0) <= bound:
-                return np.concatenate([x, eta])
-        except np.linalg.LinAlgError:
-            pass
-        H = np.eye(n)
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = H
     kkt[:n, n:] = act.T
     kkt[n:, :n] = act
     try:
         sol = np.linalg.solve(kkt, rhs)
-        if abs(kkt @ sol - rhs).max() <= bound:
+        if abs(kkt @ sol - rhs).max() <= 1e-9 * (1.0 + abs(rhs).max()):
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -645,16 +653,16 @@ def _kkt_solve(H, c, act, b_act) -> np.ndarray:
 
 
 def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
-    """Minimize 0.5 x'Hx + c'x with H PSD, or the identity when H is
-    None, from a feasible start.
+    """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
 
     Primal active-set method (Nocedal & Wright 2006, ch. 16); equality
     rows stay in every working set.  Each iteration solves the working
-    set's KKT system (by _kkt_solve, k x k in the working rows for the
-    identity), then drops the smallest-index row whose multiplier
-    is below -1e-9 (1 + max|c|), or steps toward the subproblem minimizer
-    until a row blocks, the smallest index among steps tied within 1e-13.
-    An unblocked step keeps the working set, and its solve with it.
+    set's KKT system by _kkt_solve, then drops the smallest-index row
+    whose multiplier is below -1e-9 (1 + max|c|), or steps toward the
+    subproblem minimizer until a row blocks, the smallest index among
+    steps tied within _ROUNDOFF.  An unblocked step keeps the working
+    set, and its solve with it.  It serves min_norm_weighted, whose Gram
+    H may be singular; a projection takes _dual_projection instead.
     """
     n, m, m_eq = c.size, A_ineq.shape[0], A_eq.shape[0]
     x = np.asarray(x0, dtype=float).copy()
@@ -664,7 +672,7 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
         raise NumericalFailure("active-set QP needs a feasible start")
     working = np.flatnonzero(slack0 <= 1e-11).tolist()
     floor = -1e-9 * (1.0 + float(abs(c).max(initial=0.0)))
-    row_floor = 1e-13 * (1.0 + abs(A_ineq).max(axis=1, initial=0.0))
+    row_floor = _ROUNDOFF * (1.0 + abs(A_ineq).max(axis=1, initial=0.0))
     unbounded = np.full(m, _INF)
 
     sol = None
@@ -693,8 +701,8 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
                           where=candidate)
         alpha, blocking = 1.0, -1
         # a row blocks only with a step short of alpha = 1
-        for i in np.flatnonzero(steps < 1.0 - 1e-13).tolist():
-            if steps[i] < alpha - 1e-13:
+        for i in np.flatnonzero(steps < 1.0 - _ROUNDOFF).tolist():
+            if steps[i] < alpha - _ROUNDOFF:
                 alpha, blocking = steps[i], i
         if blocking < 0:
             x = target          # the working set stands, and so does sol
@@ -703,6 +711,117 @@ def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
             working = sorted(working + [blocking])
             sol = None
     raise NumericalFailure("active-set QP iteration budget exceeded")
+
+
+def _orthogonal_part(Q: np.ndarray, Rinv: np.ndarray,
+                     a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, r) for a row a and the working rows N' = Q R: d, the part of a
+    orthogonal to the columns of Q (Gram-Schmidt run twice, so d stays
+    orthogonal to them in floating point), and r = Rinv Q'a, the
+    coefficients of the rest of a on the working rows."""
+    if not Q.shape[1]:
+        return a, np.empty(0)
+    w = Q.T @ a
+    d = a - Q @ w
+    again = Q.T @ d
+    return d - Q @ again, Rinv @ (w + again)
+
+
+def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
+                     x: np.ndarray) -> np.ndarray:
+    """Projection of x onto {A[:m_eq] z = b[:m_eq], A[m_eq:] z <= b[m_eq:]},
+    every row of A of unit length or zero, by the dual active-set method
+    of Goldfarb & Idnani (1983) with the identity Hessian.
+
+    It starts at z = x, the unconstrained minimizer, so it needs no
+    feasible start, and keeps the working rows N as N' = Q R by Q and
+    Rinv, the inverse of R.  The equality rows enter first: z moves onto
+    each along the part of it orthogonal to the rows before it, unless
+    the row already holds to _ROUNDOFF (1 + |z|); a row that depends on
+    the rows before it (that part no longer than DEFAULT_TOL) is only
+    checked.  Then, while an inequality row outside the working set is
+    violated by more than _ROUNDOFF (1 + |z|), the most violated one, p,
+    the smallest index among ties, is added.  With (d, r) =
+    _orthogonal_part of a_p, the step z - t d keeps every working row
+    tight and moves each working multiplier u_j to u_j - t r_j, while p
+    gathers t.  t is the full step that makes p tight, unless the
+    multiplier of some working inequality row with r_j > DEFAULT_TOL
+    would cross 0 first: that row (the smallest index among ties) leaves
+    at that t and p is tried again.  A p that depends on the working
+    rows moves multipliers only, and when no working row can leave, the
+    polyhedron is empty.  Each added row extends the factors by one
+    column; each dropped one refactors them by QR.
+    """
+    n, m = x.size, A.shape[0]
+    z = x.copy()
+    Q, Rinv, u = np.empty((n, n)), np.zeros((n, n)), np.zeros(n)
+    working = []        # rows of A in factor order, the equality rows first
+
+    def add(row, d, r, gathered):
+        k, rho = len(working), math.sqrt(d @ d)
+        Q[:, k] = d / rho
+        Rinv[:k, k] = -r / rho
+        Rinv[k, :k] = 0.0
+        Rinv[k, k] = 1.0 / rho
+        u[k] = gathered
+        working.append(row)
+
+    for e in range(m_eq):
+        k = len(working)
+        d, r = _orthogonal_part(Q[:, :k], Rinv[:k, :k], A[e])
+        gap, dd = A[e] @ z - b[e], d @ d
+        off = abs(gap) > _ROUNDOFF * (1.0 + math.sqrt(z @ z))
+        if dd <= DEFAULT_TOL ** 2:
+            if off:
+                raise InfeasiblePolyhedron("polyhedron has no feasible point")
+            continue
+        if off:
+            z -= gap / dd * d
+        add(e, d, r, 0.0)
+
+    k_eq = len(working)
+    outside = np.ones(m, dtype=bool)
+    outside[:m_eq] = False
+    p, gathered = -1, 0.0
+    for _ in range(100 + 20 * (n + m)):
+        k = len(working)
+        if p < 0:
+            viol = np.where(outside, A @ z - b, -_INF)
+            p = int(viol.argmax())
+            if viol[p] <= _ROUNDOFF * (1.0 + math.sqrt(z @ z)):
+                return z
+            gathered = 0.0
+        d, r = _orthogonal_part(Q[:, :k], Rinv[:k, :k], A[p])
+        dd = d @ d
+        # the full step, none for a p that depends on the working rows
+        t = full = (A[p] @ z - b[p]) / dd if dd > DEFAULT_TOL ** 2 else _INF
+        if k > k_eq:
+            r_in = r[k_eq:]
+            ratios = np.full(k - k_eq, _INF)
+            np.divide(np.maximum(u[k_eq:k], 0.0), r_in, out=ratios,
+                      where=r_in > DEFAULT_TOL)
+            t = min(ratios.min(), full)
+        if t == _INF:
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+        if full < _INF:
+            z -= t * d
+        u[:k] -= t * r
+        gathered += t
+        if t == full:
+            add(p, d, r, gathered)
+            outside[p] = False
+            p = -1
+            continue
+        # the working inequality row whose multiplier reached 0 leaves
+        ties = k_eq + np.flatnonzero(ratios == t)
+        j = int(ties[np.argmin([working[i] for i in ties])])
+        outside[working.pop(j)] = True
+        u[j:k - 1] = u[j + 1:k]
+        if k > 1:
+            q, R = np.linalg.qr(A[working].T)
+            Q[:, :k - 1] = q
+            Rinv[:k - 1, :k - 1] = np.linalg.inv(R)
+    raise NumericalFailure("dual projection iteration budget exceeded")
 
 
 def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
@@ -898,10 +1017,10 @@ def _min_norm_normal_cone(P: Polyhedron, active, shift,
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0]), Z
 
 
-def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
+def _project_rows(P: Polyhedron, X: np.ndarray) -> np.ndarray:
     """project_onto_polyhedron at each row of the unvalidated (N, n) array
-    X: a closed form over the whole stack, or the QP row by row, started
-    at start, a point of P, or at feasible_point(P) when start is None."""
+    X: a closed form over the whole stack, or the dual projection row by
+    row on P._unit_rows."""
     shape = P.shape
     if shape.kind == "box":
         if (shape.lower > shape.upper).any():
@@ -909,9 +1028,8 @@ def _project_rows(P: Polyhedron, X: np.ndarray, start) -> np.ndarray:
         return np.minimum(np.maximum(X, shape.lower), shape.upper)
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)
-    z0 = feasible_point(P) if start is None else start
-    return np.array([_qp_active_set(None, -x, P.A_eq, P.b_eq, P.A_ineq,
-                                    P.b_ineq, z0) for x in X])
+    A, b = P._unit_rows
+    return np.array([_dual_projection(A, b, P.m_eq, x) for x in X])
 
 
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
@@ -919,16 +1037,13 @@ def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:
 
     Boxes (the orthant included) and simplices, as P.shape reads them
     off the rows, are projected in closed form: clipping, and the
-    sort/threshold rule.  Any other polyhedron goes through the
-    active-set QP with the identity Hessian, whose working-set systems
-    are solved in the range space of the working rows (k x k, not
-    (n + k) x (n + k)); it is started at ``start`` when that is feasible,
-    which skips the feasibility LP (useful when projecting many
-    perturbations of one point).
+    sort/threshold rule.  Any other polyhedron goes through the dual
+    active-set method (_dual_projection), which starts at x itself and
+    adds only the rows that bind, so it needs no feasible start; an
+    empty P raises InfeasiblePolyhedron.  ``start`` is checked for its
+    length and otherwise unused.
     """
     x = _as_vector(x, P.n, "x")
     if start is not None:
-        start = _as_vector(start, P.n, "start")
-        if not P.contains(start):
-            start = None
-    return _project_rows(P, x[None], start)[0]
+        _as_vector(start, P.n, "start")
+    return _project_rows(P, x[None])[0]

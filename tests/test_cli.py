@@ -560,11 +560,12 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
 def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,
                                                          capsys):
     # the 2,048 perturbed points are projected by max(x, 0), not by the
-    # active-set QP
+    # dual projection or the active-set QP
+    duals = _count_calls(monkeypatch, sq.polyhedra._dual_projection)
     qps = _count_calls(monkeypatch, sq.polyhedra._qp_active_set)
     assert main(["kl-fit", QUARTIC1, "--y", "0"]) == 0
     assert "alpha_hat = 0.75" in capsys.readouterr().out
-    assert len(qps) == 0
+    assert len(duals) == len(qps) == 0
 
 
 def test_kl_fit_on_box_and_simplex_runs_no_min_norm_qp(monkeypatch, capsys,

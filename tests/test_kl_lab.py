@@ -183,8 +183,7 @@ def _reference_samples(p, xbar, base, config):
     for delta in np.geomspace(config.delta_min, config.delta_max,
                               config.n_radii):
         for u in dirs:
-            x = sq.project_onto_polyhedron(p.g.domain, xbar + delta * u,
-                                           start=xbar)
+            x = sq.project_onto_polyhedron(p.g.domain, xbar + delta * u)
             gap = sq.phi_value(p, x) - base
             if gap > floor:
                 yield x, gap
@@ -560,8 +559,8 @@ _PINNED_FITS = {
             "fc38abd1da0f3d71c3640651e7e0b526", 15.861241090065722),
     "simplex": ("bc669382fed3bc8f231b3cc073cb0632"
                 "b4a54f5a6af2ae2e4f03f71098ed5799", 434.61618990606985),
-    "polyhedron": ("e899167ef749757e3de90e8879464762"
-                   "94d7823244ee78f6400a0873be2f374d", 441.7621322643029),
+    "polyhedron": ("8b35bcda4b45566e0d4d0d3f340ed3f7"
+                   "2e77417429dcd506492eca342b5c6828", 441.7621322643029),
 }
 
 
@@ -654,7 +653,7 @@ def _jittering_polyhedron_run():
     polyhedron in R^3, minimized where one of its rows is active (the
     design of perfbench's kl-lab polyhedron runs, rng seed 25).  Stopped
     only on a bitwise repeat, its projected gradient runs its 150 steps,
-    the last ones moving x by about 1e-15 to and fro."""
+    the last ones moving x by about 2.5e-16 to and fro."""
     rng = np.random.default_rng(25)
     n = 3
     k = int(rng.integers(1, n))
@@ -681,21 +680,14 @@ def test_projected_gradient_stops_once_its_step_is_lost_in_roundoff(
         m.setattr(kl_lab, "_STEP_ROUNDOFF", 0.0)
         budget = sq.run_first_order(p, "original", start, steps=150,
                                     f_star=f_star)
-        # and with the augmented KKT solve of the identity Hessian
-        qp = sq.polyhedra._qp_active_set
-        m.setattr(sq.polyhedra, "_qp_active_set",
-                  lambda H, c, *rows: qp(np.eye(c.size), c, *rows))
-        augmented = sq.run_first_order(p, "original", start, steps=150,
-                                       f_star=f_star)
-    for run in (budget, augmented):
-        assert len(run.iterates) == 150
-        assert all(0.0 < rec[2] * rec[3] <= 1e-14
-                   for rec in run.iterates[-20:])
+    assert len(budget.iterates) == 150
+    assert all(0.0 < rec[2] * rec[3] <= 1e-14
+               for rec in budget.iterates[-20:])
     assert len(tr.iterates) < 100
     assert tr.iterates == budget.iterates[:len(tr.iterates)]
     fit = sq.fit_rate(tr)
     assert fit == sq.fit_rate(budget)
-    assert fit.kind == sq.fit_rate(augmented).kind == "linear"
+    assert fit.kind == "linear"
 
 
 def test_lifted_descent_sublinear_on_quartic():

@@ -565,44 +565,129 @@ def _simplex_missing_a_row(rng, n):
 
 @pytest.mark.parametrize("make", [_h_polyhedron, _simplex_missing_a_row])
 def test_general_polyhedra_use_the_qp(monkeypatch, make):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _qp_active_set(*args)
-
-    monkeypatch.setattr(polyhedra, "_qp_active_set", counted)
+    # the dual active-set projection, started at x: no feasibility LP and
+    # no primal QP
+    calls = _counted(monkeypatch, "_dual_projection")
+    lps = _recorded_lps(monkeypatch)
+    primal = _counted(monkeypatch, "_qp_active_set")
     rng = np.random.default_rng(5)
     P = make(rng, 10)
     assert P.shape.kind == "general"
     x = 4.0 * rng.standard_normal(10)
     z = sq.project_onto_polyhedron(P, x)
-    assert len(calls) == 1
+    assert (len(calls), len(lps), len(primal)) == (1, 0, 0)
     assert P.max_violation(z) <= 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
+def _primal_projection(P, x):
+    """The primal active-set QP with the identity Hessian, as a matrix,
+    started at feasible_point(P): the reference of the dual projection."""
+    return _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq,
+                          P.b_ineq, sq.feasible_point(P))
+
+
+def _assert_projection(P, x, z, ref):
+    """z within 1e-9 (1 + |x|) of ref, feasible to 1e-12 of that scale,
+    and x - z in the cone of the rows active at z: nonnegative
+    multipliers on the inequality rows, free ones on the equalities."""
+    scale = 1.0 + np.linalg.norm(x)
+    assert np.max(np.abs(z - ref)) <= 1e-9 * scale
+    assert P.max_violation(z) <= 1e-12 * scale
+    act = P.A_ineq[P.b_ineq - P.A_ineq @ z <= 1e-9 * scale]
+    rows = np.vstack([act, P.A_eq])
+    mult = np.linalg.lstsq(rows.T, x - z, rcond=None)[0]
+    assert np.max(np.abs(rows.T @ mult - (x - z))) <= 1e-9 * scale
+    assert mult[:len(act)].min(initial=0.0) >= -1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20, 40, 80])
 @pytest.mark.parametrize("make", [_h_polyhedron, _simplex_missing_a_row])
 def test_range_space_projection_matches_the_augmented_kkt_path(make, n):
-    # H None solves k x k systems in the working rows; the identity given
-    # as a matrix takes the augmented (n + k) x (n + k) LU path
+    # the dual projection factors its working rows (their range space);
+    # the primal QP, given the identity as a matrix, solves augmented
+    # (n + k) x (n + k) KKT systems from feasible_point
     rng = np.random.default_rng(2000 + n)
     for _ in range(3):
         P = make(rng, n)
         x = 4.0 * rng.standard_normal(n)
-        args = (-x, P.A_eq, P.b_eq, P.A_ineq, P.b_ineq, sq.feasible_point(P))
-        z = _qp_active_set(None, *args)
-        scale = 1.0 + np.linalg.norm(x)
-        assert np.max(np.abs(z - _qp_active_set(np.eye(n), *args))) \
-            <= 1e-9 * scale
-        assert P.max_violation(z) <= 1e-12 * scale
-        # x - z lies in the cone of the rows active at z: nonnegative
-        # multipliers on the inequality rows, free ones on the equalities
-        act = P.A_ineq[P.b_ineq - P.A_ineq @ z <= 1e-9 * scale]
-        rows = np.vstack([act, P.A_eq])
-        mult = np.linalg.lstsq(rows.T, x - z, rcond=None)[0]
-        assert np.max(np.abs(rows.T @ mult - (x - z))) <= 1e-9 * scale
-        assert mult[:len(act)].min(initial=0.0) >= -1e-9 * scale
+        _assert_projection(P, x, sq.project_onto_polyhedron(P, x),
+                           _primal_projection(P, x))
+
+
+def test_projection_onto_duplicated_rescaled_rows(monkeypatch):
+    # 60 of the 120 rows written again, scaled by 1e-3 to 1e3: started at
+    # feasible_point's vertex, the primal QP with the identity solved in
+    # the range space of its working rows ran out of its iteration budget
+    # in about 0.5 s.  The copies leave the set as it was, so the primal
+    # QP on the rows without them is the reference, and the dual
+    # projection, which never adds a copy, takes as many iterations on
+    # either.
+    rng = np.random.default_rng(7040)
+    n = 40
+    P = _h_polyhedron(rng, n)
+    x = 4.0 * rng.standard_normal(n)
+    idx = rng.choice(3 * n, 60, replace=False)
+    c = 10.0 ** rng.uniform(-3.0, 3.0, 60)
+    doubled = sq.Polyhedron(n, np.vstack([P.A_ineq, c[:, None] * P.A_ineq[idx]]),
+                            np.concatenate([P.b_ineq, c * P.b_ineq[idx]]))
+    steps = _counted(monkeypatch, "_orthogonal_part")
+    z = sq.project_onto_polyhedron(doubled, x)
+    assert len(steps) == 41
+    sq.project_onto_polyhedron(P, x)
+    assert len(steps) == 2 * 41
+    _assert_projection(doubled, x, z, _primal_projection(P, x))
+
+
+def test_projection_with_a_redundant_equality_row():
+    # the third equality row is the sum of the first two: it is checked,
+    # not added, and the projection matches the primal QP on all three
+    rng = np.random.default_rng(41)
+    n = 8
+    P = _h_polyhedron(rng, n)
+    E = rng.standard_normal((2, n))
+    z0 = rng.uniform(-0.3, 0.3, n)
+    E = np.vstack([E, E[0] + E[1]])
+    P = sq.Polyhedron(n, P.A_ineq, P.b_ineq, E, E @ z0)
+    for _ in range(5):
+        x = 4.0 * rng.standard_normal(n)
+        z = sq.project_onto_polyhedron(P, x)
+        _assert_projection(P, x, z, _primal_projection(P, x))
+        assert np.max(np.abs(E @ z - E @ z0)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("P", [
+    # x1 + x2 <= -1 against x1, x2 >= 0
+    sq.Polyhedron(2, [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [-1.0, 0.0, 0.0]),
+    # two parallel equality rows, 0 and 1 apart
+    sq.Polyhedron(2, [[1.0, 1.0]], [5.0], [[1.0, -1.0], [2.0, -2.0]],
+                  [0.0, 2.0]),
+    # a zero row with a negative right-hand side
+    sq.Polyhedron(2, [[1.0, 1.0], [0.0, 0.0]], [1.0, -1.0]),
+    # a general polyhedron in R^3 cut off by a row of the opposite sign
+    sq.Polyhedron(3, [[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0], [1.0, -1.0, 0.0]],
+                  [1.0, -3.0, 4.0]),
+], ids=["orthant-cut", "parallel-equalities", "zero-row", "opposite-rows"])
+def test_projection_onto_an_empty_polyhedron_raises(P):
+    assert P.shape.kind == "general"
+    with pytest.raises(sq.InfeasiblePolyhedron,
+                       match="^polyhedron has no feasible point$"):
+        sq.project_onto_polyhedron(P, np.ones(P.n))
+
+
+@pytest.mark.parametrize("P, x", [
+    (sq.Polyhedron(3, [[1.0, 2.0, -1.0], [-1.0, 0.0, 0.0]], [4.0, 0.0]),
+     [0.3, 1.1, 2.0]),
+    # on the simplex missing a row, its equality row holds to roundoff
+    (_simplex_missing_a_row(None, 3), [0.5, 0.25, 0.25]),
+    # the orthant made general by one redundant dense row: the primal
+    # QP's multiplier band, 1e-9 (1 + max|x|), held x_2 = 1.3e-9 at 0
+    (sq.Polyhedron(2, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 10.0]),
+     [1.0, 1.3e-9]),
+])
+def test_projection_returns_a_feasible_x_bit_for_bit(P, x):
+    assert P.shape.kind == "general"
+    x = np.array(x)
+    assert np.array_equal(sq.project_onto_polyhedron(P, x), x)
 
 
 @pytest.mark.parametrize("P", [sq.Polyhedron.nonneg_orthant(3),
@@ -614,8 +699,22 @@ def test_projection_rejects_a_wrong_length_start(P):
         sq.project_onto_polyhedron(P, np.zeros(3), start=np.zeros(2))
 
 
-# The active-set QP: one KKT solve per iteration, by LU unless the
-# working-set system is singular.
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of polyhedra.<name>."""
+    calls = []
+    kernel = getattr(polyhedra, name)
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(polyhedra, name, counted)
+    return calls
+
+
+# The primal active-set QP: one KKT solve per iteration, by LU unless the
+# working-set system is singular.  The dual projection: one
+# _orthogonal_part per iteration.
 
 def _counted_kkt_solves(monkeypatch):
     calls = []
@@ -630,16 +729,16 @@ def _counted_kkt_solves(monkeypatch):
 
 
 def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
-    # one solve per working set: an unblocked step keeps the working set,
-    # and its solve serves the next multiplier test
-    calls = _counted_kkt_solves(monkeypatch)
+    # the dual projection's iterations, cold and on a nearby point (the
+    # start it is given has no effect), and no KKT solve
+    steps = _counted(monkeypatch, "_orthogonal_part")
+    kkt = _counted(monkeypatch, "_kkt_solve")
     P, v, rng = _pinned_draw(40)
     z = sq.project_onto_polyhedron(P, 4.0 * v)
-    assert len(calls) == 144
-    del calls[:]
+    cold = len(steps)
     z_warm = sq.project_onto_polyhedron(
         P, 4.0 * v + 0.1 * rng.standard_normal(40), start=z)
-    assert len(calls) == 1
+    assert (cold, len(steps) - cold, len(kkt)) == _PROJECTION_STEPS
     assert (_digest(z.tobytes()), _digest(z_warm.tobytes())) \
         == _PROJECTION_PINS
     assert P.max_violation(z) <= 1e-9 and P.max_violation(z_warm) <= 1e-9
@@ -647,12 +746,11 @@ def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
 
 def test_qp_with_dependent_active_rows_matches_the_closed_form(monkeypatch):
     # the rotated box Q [-1, 1]^3 with every upper row written twice (once
-    # scaled) and a redundant row; started at the corner Q (1, 1, 1), the
-    # first working set holds each pair of duplicates.  Its Gram act act'
-    # and its KKT matrix are singular: the range-space solve and then LU
-    # raise or return a solution whose residual gives it away (without
-    # that check some of these draws exhaust the budget), and least
-    # squares takes over.
+    # scaled) and a redundant row.  The primal QP started at the corner
+    # Q (1, 1, 1) put each pair of duplicates in its first working set
+    # and needed least squares for the singular KKT systems; the dual
+    # projection adds a copy only when it is violated beyond roundoff,
+    # which its twin, once added, rules out, so it calls no lstsq.
     lstsq_calls = []
     lstsq = np.linalg.lstsq
 
@@ -672,7 +770,7 @@ def test_qp_with_dependent_active_rows_matches_the_closed_form(monkeypatch):
         x = 3.0 * rng.standard_normal(3)
         z = sq.project_onto_polyhedron(P, x, start=Q @ np.ones(3))
         assert np.max(np.abs(z - Q @ np.clip(Q.T @ x, -1.0, 1.0))) <= 1e-12
-    assert lstsq_calls
+    assert not lstsq_calls
 
 
 def test_qp_ratio_test_blocks_at_the_smallest_tied_index(monkeypatch):
@@ -952,9 +1050,12 @@ _LP_PINS = {
          "b645b104eb704f2781655ea16d2e3a59e534e4373c3888b4185f1522db118ed1"),
 }
 _RI_PIN = "cf91444cec230596d56018c65fb548316c2ecffec59c049bf60f83772f5d856f"
+# the dual projection's iterations, cold and on a nearby point, and the
+# KKT solves (the primal QP took 144 and 1, the second from its start)
+_PROJECTION_STEPS = (33, 33, 0)
 _PROJECTION_PINS = (
-    "d9ddb38ef6d373038fb3c3491112c52e635253dcdd49e1631984477cef6907a9",
-    "a9ff88a6bed2868652ea801ddae09180dfc9c1ff824c3bc08dc1b19e2da7733e")
+    "10f5973ff6795bb95fdd3893f72bac5f1408e2ee40a87639cd10da46111663ed",
+    "86392d1564f7461109ff30753c7eb039f8546f96e53b5799b666810c652d0ab0")
 _MIN_NORM_PIN = \
     "bc986e3b4b29a71802b056a8ba2efd2c5c9a00f8df2ba19c67c9d023aab71043"
 

@@ -14,12 +14,12 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   first of its polyhedron problems, written to the pool's directory:
   their stationary points put coordinates at upper bounds and on simplex
   faces, which no shipped problem does, and the polyhedron's samples
-  take the QP projection and the per-sample local models;
+  take the dual projection and the per-sample local models;
 * `solve FILE --variant lifted --steps 2000 --y0 START` on the lifted
   solver runs of `gen.kl_plan(101)` cycle 0 whose domain is a simplex or
   whose orthant instance is degenerate, and `solve FILE --variant
   original --steps 150 --x0 START` on its projected-gradient runs, whose
-  domain is a general polyhedron, so their steps take the QP
+  domain is a general polyhedron, so their steps take the dual
   projection; each with its xbar as `meta.known_minimizer`, so the gaps
   and the (sublinear on the degenerate orthant) rate fit are printed;
 * a fixed list of `certify`, `kl-fit` and `solve` runs on `problems/`
