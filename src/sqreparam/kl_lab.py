@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InsufficientSamples,
     InsufficientTrace,
     InvalidRange,
@@ -38,10 +39,13 @@ from .errors import (
     UnsupportedProblemClass,
 )
 from .polyfunc import (CompositeProblem, LocalModel, SmoothQuadratic,
-                       phi_value, _f_kernels, _g_rows, _min_norm_rows)
+                       phi_value, _f_kernels, _f_stack_kernels, _g_rows,
+                       _min_norm_rows)
 from .polyhedra import (
     DEFAULT_TOL,
+    check_int,
     vrep_ri_membership,
+    _as_matrix,
     _as_vector,
     _project_rows,
 )
@@ -133,10 +137,9 @@ class ScatterConfig:
             raise InvalidRange("need 0 < delta_min < delta_max")
         if not math.isfinite(self.delta_max):
             raise InvalidRange("delta_max must be finite")
-        if self.n_radii < 2 or self.n_dirs < 1:
-            raise InvalidRange("need at least 2 radii and 1 direction")
-        if self.seed < 0:
-            raise InvalidRange(f"seed must be nonnegative, got {self.seed}")
+        check_int(self.n_radii, "n_radii", 2)
+        check_int(self.n_dirs, "n_dirs", 1)
+        check_int(self.seed, "seed")
 
 
 def _perturbations(p: CompositeProblem, xbar, base: float,
@@ -147,8 +150,10 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
     plan's order: every radius with every seeded unit direction, radius
     by radius, the perturbed point projected back onto the domain of g.
     signs holds random sign vectors, one per candidate, drawn in one call
-    after the directions from the same generator.  Raises
-    InsufficientSamples when no candidate clears the floor.
+    after the directions from the same generator.  f is evaluated in one
+    call of its stack kernel (polyfunc._f_stack_kernels) over the rows
+    inside the domain.  Raises InsufficientSamples when no candidate
+    clears the floor.
     """
     rng = np.random.default_rng(config.seed)
     dirs = rng.standard_normal((config.n_dirs, p.n))
@@ -157,9 +162,12 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
     X = _project_rows(p.g.domain,
                       (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n))
     signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
-    value = _f_kernels(p.f)[0]
-    gap = np.array([float(value(x)) + gx if gx < _INF else _INF
-                    for x, gx in zip(X, _g_rows(p.g, X))]) - base
+    # phi = f + g, with f evaluated only where g is finite
+    g = _g_rows(p.g, X)
+    inside = g < _INF
+    gap = np.full(g.shape, _INF)
+    gap[inside] = _f_stack_kernels(p.f)[0](X[inside]) + g[inside]
+    gap -= base
     keep = gap > 10.0 * np.finfo(float).eps * (1.0 + abs(base))
     if not keep.any():
         raise InsufficientSamples("no sample cleared the gap floor")
@@ -230,10 +238,20 @@ def estimate_exponent(p: CompositeProblem, ybar,
     from below, so the lower envelope carries the exponent).  A least
     squares line through the envelope gives alpha_hat.  Pass samples to
     reuse a precomputed sample_scatter array for the same point and
-    config.
+    config: a finite (N, 2) array of gaps and residuals, each gap
+    positive (DimensionMismatch or InvalidRange otherwise).
     """
     if samples is None:
         samples = sample_scatter(p, ybar, config)
+    else:
+        if not (isinstance(samples, np.ndarray) and samples.ndim == 2):
+            got = (samples.shape if isinstance(samples, np.ndarray)
+                   else type(samples).__name__)
+            raise DimensionMismatch(
+                f"samples: expected an (N, 2) array, got {got}")
+        samples = _as_matrix(samples, 2, "samples")
+        if not (samples[:, 0] > 0.0).all():
+            raise InvalidRange("samples: gaps must be positive")
     gaps = samples[:, 0]
     residuals = samples[:, 1]
     keep = residuals > 0.0

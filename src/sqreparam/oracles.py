@@ -34,6 +34,7 @@ from .polyhedra import (
     GeneratorSet,
     LPStatus,
     Polyhedron,
+    check_int,
     lp_solve,
     project_onto_polyhedron,
     _as_vector,
@@ -295,10 +296,7 @@ def d2_smooth_orthant_lift(p, y, w) -> float:
 
 def check_seed(seed: int) -> int:
     """Return seed; raise InvalidRange unless it is a nonnegative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
-        raise InvalidRange(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+    return check_int(seed, "seed")
 
 
 def random_orthant_instance(seed: int):

@@ -83,18 +83,45 @@ class SmoothQuadratic:
         """grad at a float vector x of length n, without grad's check."""
         return self.Q @ x + self.q
 
+    def _values(self, X) -> np.ndarray:
+        """_value at each row of a float (N, n) array X, bit for bit: each
+        row goes through the same 1 x n matmuls as _value's vector (the
+        X @ Q, einsum and row-sum forms round differently).  A non-finite
+        value runs _value's check on its row."""
+        values = ((0.5 * X)[:, None, :] @ self.Q @ X[:, :, None]
+                  + X[:, None, :] @ self.q[:, None])[:, 0, 0] + self.r
+        for x in X[~np.isfinite(values)]:
+            _as_vector(x, self.n, "x")
+        return values
+
+    def _grads(self, X) -> np.ndarray:
+        """_grad at each row of a float (N, n) array X, bit for bit."""
+        return (self.Q @ X[:, :, None])[:, :, 0] + self.q
+
     def hess(self, x) -> np.ndarray:
         _as_vector(x, self.n, "x")
         return self.Q
 
 
 def _f_kernels(f):
-    """(value, grad) of f for the loops that evaluate it per sample or
-    per step: the unchecked kernels of a SmoothQuadratic, the public
-    methods of any other f."""
+    """(value, grad) of f for the loops that evaluate it per step: the
+    unchecked kernels of a SmoothQuadratic, the public methods of any
+    other f."""
     if type(f) is SmoothQuadratic:
         return f._value, f._grad
     return f.value, f.grad
+
+
+def _f_stack_kernels(f):
+    """(values, grads) of f over the rows of a float (N, n) array, for a
+    scatter's sample stack: the stack kernels of a SmoothQuadratic, which
+    return what its unchecked kernels return row by row, and a loop over
+    the public methods of any other f (values as floats, grads as a list
+    for the caller to validate)."""
+    if type(f) is SmoothQuadratic:
+        return f._values, f._grads
+    return (lambda X: np.array([float(f.value(x)) for x in X], dtype=float),
+            lambda X: [f.grad(x) for x in X])
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +343,8 @@ def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     """grad f and LocalModel._min_norm at each row of the unvalidated
     (N, n) array X, whose rows the caller has tested for the domain of g.
     When p.g.kind is not "general": the activity test of activity_pattern
-    over the stack, grad f row by row, and the closed form over the stack;
+    over the stack, grad f by _f_stack_kernels in one call, and the closed
+    form over the stack;
     one LocalModel per row otherwise.  Returns (grads, values, minimizers)."""
     if p.g.kind == "general":
         models = [LocalModel(p.g, p.f, x) for x in X]
@@ -326,8 +354,7 @@ def _min_norm_rows(p: CompositeProblem, X: np.ndarray, weights):
     dom = p.g.domain
     active = dom.b_ineq - (dom.A_ineq @ X[:, :, None])[:, :, 0] \
         <= DEFAULT_TOL_ACTIVE
-    grad = _f_kernels(p.f)[1]
-    grads = _as_matrix([grad(x) for x in X], p.n, "shift")
+    grads = _as_matrix(_f_stack_kernels(p.f)[1](X), p.n, "shift")
     return (grads,) + _min_norm_normal_cone(dom, active, grads, weights)
 
 

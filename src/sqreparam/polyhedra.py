@@ -89,6 +89,17 @@ def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
     return a
 
 
+def check_int(value, name: str, least: int = 0) -> int:
+    """Return value; raise InvalidRange unless it is an integer (a bool is
+    not one) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidRange(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise InvalidRange(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
 def check_tol(value, name: str = "tol") -> None:
     """Raise InvalidRange unless value is a finite, nonnegative tolerance."""
     if not (math.isfinite(value) and value >= 0.0):

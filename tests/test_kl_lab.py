@@ -75,6 +75,16 @@ def test_scatter_config_validation():
         sq.ScatterConfig(delta_min=1e-2, delta_max=1e-6)
     with pytest.raises(sq.InvalidRange):
         sq.ScatterConfig(n_radii=0)
+    # seeds follow oracles.check_seed, counts are integers as well
+    for bad in (dict(seed=1.5), dict(seed=True), dict(seed=-1),
+                dict(n_radii=2.5), dict(n_dirs=3.0), dict(n_dirs=True),
+                dict(n_dirs=0)):
+        with pytest.raises(sq.InvalidRange):
+            sq.ScatterConfig(**bad)
+    for bad in (1.5, True, -1):
+        with pytest.raises(sq.InvalidRange):
+            sq.oracles.check_seed(bad)
+    assert sq.ScatterConfig(n_radii=np.int64(2), seed=np.int64(7)).seed == 7
 
 
 def test_sample_scatter_shape_and_order():
@@ -130,7 +140,26 @@ def test_estimate_exponent_deterministic_and_accepts_samples():
     assert a.alpha_hat == b.alpha_hat
     sc = sq.sample_scatter(p, y)
     c = sq.estimate_exponent(p, y, samples=sc)
-    assert c.alpha_hat == a.alpha_hat
+    assert c == a
+
+
+def test_estimate_exponent_rejects_malformed_samples():
+    p, y = quartic(), np.array([0.0])
+    sc = sq.sample_scatter(p, y)
+    for bad in (sc[:, 0], sc.tolist(), np.column_stack([sc, sc[:, :1]]),
+                sc[:, :, None]):
+        with pytest.raises(sq.DimensionMismatch):
+            sq.estimate_exponent(p, y, samples=bad)
+    for entry in (np.inf, np.nan):
+        bad = sc.copy()
+        bad[3, 1] = entry
+        with pytest.raises(sq.DimensionMismatch):
+            sq.estimate_exponent(p, y, samples=bad)
+    for gap in (0.0, -1e-9):
+        bad = sc.copy()
+        bad[0, 0] = gap
+        with pytest.raises(sq.InvalidRange):
+            sq.estimate_exponent(p, y, samples=bad)
 
 
 def test_lemma61_probe_orders():
@@ -147,26 +176,32 @@ def test_lemma61_probe_orders():
 
 def test_lemma61_probe_one_gradient_per_model(monkeypatch):
     # one model, at the centre, and one grad f evaluation there and per
-    # kept sample: 1 + 32 * 4 on the strict instance, where every sample
-    # clears the gap floor; on the orthant the samples are scored as one
-    # stack, with no model each; grad f is counted at the unchecked
-    # kernel, which the public grad calls and the stack calls directly
+    # kept sample: on the strict instance every one of the 32 * 4 samples
+    # clears the gap floor, and on the orthant they are scored as one
+    # stack, with no model each and one call of the stack kernel; grad f
+    # is counted at the unchecked kernels, which the public grad calls
     builds, grads = [], []
-    init, grad = sq.LocalModel.__init__, sq.SmoothQuadratic._grad
+    init = sq.LocalModel.__init__
+    grad, stack = sq.SmoothQuadratic._grad, sq.SmoothQuadratic._grads
 
     def counted_init(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
     def counted_grad(self, x):
-        grads.append(x)
+        grads.append(x.shape)
         return grad(self, x)
+
+    def counted_stack(self, X):
+        grads.append(X.shape)
+        return stack(self, X)
 
     monkeypatch.setattr(sq.LocalModel, "__init__", counted_init)
     monkeypatch.setattr(sq.SmoothQuadratic, "_grad", counted_grad)
+    monkeypatch.setattr(sq.SmoothQuadratic, "_grads", counted_stack)
     config = sq.ScatterConfig(n_radii=32, n_dirs=4)
     sq.lemma61_probe(strict1(), np.array([1.0]), 0.0, config)
-    assert len(builds) == 1 and len(grads) == 129
+    assert len(builds) == 1 and grads == [(1,), (128, 1)]
 
 
 # sample_scatter and lemma61_probe score every sample of a stack at once
@@ -580,7 +615,9 @@ def test_lifted_descent_checks_an_overflowing_candidate():
     # the kernel's non-finite value runs the public check on x
     f = sq.SmoothQuadratic(np.eye(1), np.array([1e200]))
     p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(1))
-    with pytest.raises(sq.DimensionMismatch, match="x: entries must be finite"):
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(sq.DimensionMismatch,
+                          match="x: entries must be finite"):
         sq.run_first_order(p, "lifted", np.array([1.0]), steps=10)
 
 
@@ -589,7 +626,8 @@ def test_lifted_descent_on_the_sphere_stops_on_an_overflowing_gradient():
     # origin (its norm overflows too), and no step is accepted
     f = sq.SmoothQuadratic(np.eye(2), np.array([1e200, 0.0]))
     p = sq.CompositeProblem(f, sq.PolyhedralFunction.simplex_indicator(2))
-    tr = sq.run_first_order(p, "lifted", np.array([0.6, 0.8]), steps=10)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        tr = sq.run_first_order(p, "lifted", np.array([0.6, 0.8]), steps=10)
     assert tr.iterates == [(0, 0.0, math.inf, 0.0)]
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the composite problem data model and subdifferentials."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -36,49 +38,84 @@ def test_smooth_quadratic_grad_matches_fd():
         assert fd == pytest.approx(f.grad(x)[i], abs=1e-6)
 
 
-def _quadratic_draws():
-    """(f, x) on seeded Q, q, r for n = 1..8, with tiny, unit, huge and
-    mixed-scale x; the huge ones overflow the value to inf."""
+def _quadratic_draws(dims=range(1, 9), rounds=1):
+    """(f, X) on seeded Q, q, r for each n in dims: X stacks rounds of
+    tiny, unit, huge and mixed-scale rows; the huge ones overflow the
+    value to inf."""
     rng = np.random.default_rng(11)
-    for n in range(1, 9):
+    for n in dims:
         f = sq.SmoothQuadratic(rng.standard_normal((n, n)),
                                rng.standard_normal(n), rng.standard_normal())
-        for scale in (1e-150, 1.0, 1e160):
-            yield f, scale * rng.standard_normal(n)
-        yield f, rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+        X = []
+        for _ in range(rounds):
+            for scale in (1e-150, 1.0, 1e160):
+                X.append(scale * rng.standard_normal(n))
+            X.append(rng.standard_normal(n)
+                     * 10.0 ** rng.uniform(-100, 100, n))
+        yield f, np.array(X)
 
 
 def test_smooth_quadratic_kernels_match_the_checked_methods():
-    for f, x in _quadratic_draws():
-        # the expression value and grad evaluated before they had kernels
-        value = float(0.5 * x @ f.Q @ x + f.q @ x + f.r)
-        for got in (f._value(x), f.value(x), f.value(list(x))):
-            assert got == value or (np.isnan(got) and np.isnan(value))
-        grad = f.Q @ x + f.q
-        for got in (f._grad(x), f.grad(x), f.grad(list(x))):
-            assert np.array_equal(got, grad, equal_nan=True)
+    with pytest.warns(RuntimeWarning):
+        for f, X in _quadratic_draws():
+            for x in X:
+                # the expression value and grad evaluated before they had
+                # kernels
+                value = float(0.5 * x @ f.Q @ x + f.q @ x + f.r)
+                for got in (f._value(x), f.value(x), f.value(list(x))):
+                    assert got == value or (np.isnan(got) and np.isnan(value))
+                grad = f.Q @ x + f.q
+                for got in (f._grad(x), f.grad(x), f.grad(list(x))):
+                    assert np.array_equal(got, grad, equal_nan=True)
+
+
+def test_smooth_quadratic_stack_kernels_match_the_row_kernels():
+    # 128 rows of each f up to n = 80; the huge quarter overflows to inf,
+    # or to NaN where an inf and a -inf meet in the sum
+    with pytest.warns(RuntimeWarning):
+        for f, X in _quadratic_draws((*range(1, 9), 13, 32, 57, 80), 32):
+            assert X.shape == (128, f.n)
+            assert not np.isfinite(f._values(X)).all()
+            # one row of each scale alone, then all 128
+            for stack in (X[0:1], X[1:2], X[2:3], X[3:4], X):
+                assert np.array_equal(f._values(stack),
+                                      [f._value(x) for x in stack],
+                                      equal_nan=True)
+                assert np.array_equal(f._grads(stack),
+                                      [f._grad(x) for x in stack],
+                                      equal_nan=True)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_smooth_quadratic_value_kernel_rejects_nonfinite_x(bad):
     # an inf or NaN entry makes the value non-finite even where Q and q
-    # vanish (inf * 0 is NaN), so the kernel raises as value does
+    # vanish (inf * 0 is NaN), so the kernel raises as value does, and so
+    # does the stack kernel on a stack with x as one of its rows; numpy
+    # reports the invalid operations of an inf, a NaN passes quietly
     rng = np.random.default_rng(3)
-    for f in (sq.SmoothQuadratic(rng.standard_normal((3, 3)),
-                                 rng.standard_normal(3)),
-              sq.SmoothQuadratic(np.zeros((3, 3)), np.zeros(3))):
-        for i in range(3):
-            x = np.abs(rng.standard_normal(3))
-            x[i] = bad
-            for method in (f.value, f._value):
-                with pytest.raises(sq.DimensionMismatch,
-                                   match="^x: entries must be finite$"):
-                    method(x)
+    warns = (pytest.warns(RuntimeWarning)
+             if np.isinf(bad) else contextlib.nullcontext())
+    with warns:
+        for f in (sq.SmoothQuadratic(rng.standard_normal((3, 3)),
+                                     rng.standard_normal(3)),
+                  sq.SmoothQuadratic(np.zeros((3, 3)), np.zeros(3))):
+            for i in range(3):
+                x = np.abs(rng.standard_normal(3))
+                x[i] = bad
+                X = np.abs(rng.standard_normal((10, 3)))
+                X[4 * i] = x
+                for method, arg in ((f.value, x), (f._value, x),
+                                    (f._values, X)):
+                    with pytest.raises(sq.DimensionMismatch,
+                                       match="^x: entries must be finite$"):
+                        method(arg)
 
 
 def test_f_kernels_bind_the_checked_methods_of_other_f():
+    # the stack kernels of any other f loop over its public methods
     f = sq.SmoothQuadratic(np.eye(2), np.ones(2))
     assert sq.polyfunc._f_kernels(f) == (f._value, f._grad)
+    assert sq.polyfunc._f_stack_kernels(f) == (f._values, f._grads)
 
     class Shifted(sq.SmoothQuadratic):
         def value(self, x):
@@ -91,8 +128,13 @@ def test_f_kernels_bind_the_checked_methods_of_other_f():
         def grad(self, x):
             return np.zeros(2)
 
+    X = np.arange(6.0).reshape(3, 2)
     for other in (Shifted(np.eye(2), np.ones(2)), Duck()):
         assert sq.polyfunc._f_kernels(other) == (other.value, other.grad)
+        values, grads = sq.polyfunc._f_stack_kernels(other)
+        assert np.array_equal(values(X), [other.value(x) for x in X])
+        assert np.array_equal(grads(X), [other.grad(x) for x in X])
+        assert values(X[:0]).shape == (0,)
 
 
 def test_orthant_indicator_rows():
