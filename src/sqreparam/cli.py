@@ -48,11 +48,11 @@ from .errors import (
 from .kl_lab import (
     ExponentInputs,
     ScatterConfig,
-    estimate_exponent,
     fit_rate,
     run_first_order,
     sample_scatter,
     strict_complementarity,
+    _fit_envelope,
 )
 from .polyfunc import (
     CompositeProblem,
@@ -366,8 +366,9 @@ def _cmd_kl_fit(args) -> int:
     _kv("seed", args.seed)
     _kv("delta_min", config.delta_min)
     _kv("delta_max", config.delta_max)
+    # estimate_exponent, with the scatter kept for --out
     samples = sample_scatter(p, y, config)
-    report = estimate_exponent(p, y, config, inputs, samples=samples)
+    report = _fit_envelope(samples, inputs)
     _kv("n_samples", report.n_samples)
     _kv("n_bins_used", report.n_bins_used)
     _kv("gap_range", report.gap_range)

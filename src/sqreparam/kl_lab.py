@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InsufficientSamples,
     InsufficientTrace,
     InvalidRange,
@@ -44,8 +43,8 @@ from .polyfunc import (CompositeProblem, LocalModel, SmoothQuadratic,
 from .polyhedra import (
     DEFAULT_TOL,
     check_int,
+    check_real,
     vrep_ri_membership,
-    _as_matrix,
     _as_vector,
     _project_rows,
 )
@@ -68,7 +67,9 @@ class ExponentInputs:
     strict: whether strict complementarity holds there.
     gamma: order in (0, 1] at which the nonstrict inequality is
         certified; only consulted when strict is False.
-    An alpha or a needed gamma out of range raises InvalidRange.
+    An alpha or a given gamma that is not a real number, a strict that is
+    not a bool, and an alpha or a needed gamma out of range raise
+    InvalidRange.
     """
 
     alpha: float
@@ -76,8 +77,12 @@ class ExponentInputs:
     gamma: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
+        if not isinstance(self.strict, bool):
+            raise InvalidRange(f"strict must be a bool, got {self.strict!r}")
+        if not (0.0 < check_real(self.alpha, "alpha") < 1.0):
             raise InvalidRange(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.gamma is not None:
+            check_real(self.gamma, "gamma")
         if not self.strict and (self.gamma is None
                                 or not (0.0 < self.gamma <= 1.0)):
             raise InvalidRange(
@@ -133,6 +138,8 @@ class ScatterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_real(self.delta_min, "delta_min")
+        check_real(self.delta_max, "delta_max")
         if not (0.0 < self.delta_min < self.delta_max):
             raise InvalidRange("need 0 < delta_min < delta_max")
         if not math.isfinite(self.delta_max):
@@ -229,29 +236,20 @@ class KLFitReport:
 
 def estimate_exponent(p: CompositeProblem, ybar,
                       config: ScatterConfig = ScatterConfig(),
-                      inputs: ExponentInputs | None = None,
-                      samples: np.ndarray | None = None) -> KLFitReport:
-    """Estimate the lifted exponent from scatter data.
+                      inputs: ExponentInputs | None = None) -> KLFitReport:
+    """Estimate the lifted exponent from the sample_scatter of ybar.
 
     Gaps are split into log-spaced bins; within each bin only the
     minimum-residual sample matters (the inequality bounds the residual
     from below, so the lower envelope carries the exponent).  A least
-    squares line through the envelope gives alpha_hat.  Pass samples to
-    reuse a precomputed sample_scatter array for the same point and
-    config: a finite (N, 2) array of gaps and residuals, each gap
-    positive (DimensionMismatch or InvalidRange otherwise).
+    squares line through the envelope gives alpha_hat.
     """
-    if samples is None:
-        samples = sample_scatter(p, ybar, config)
-    else:
-        if not (isinstance(samples, np.ndarray) and samples.ndim == 2):
-            got = (samples.shape if isinstance(samples, np.ndarray)
-                   else type(samples).__name__)
-            raise DimensionMismatch(
-                f"samples: expected an (N, 2) array, got {got}")
-        samples = _as_matrix(samples, 2, "samples")
-        if not (samples[:, 0] > 0.0).all():
-            raise InvalidRange("samples: gaps must be positive")
+    return _fit_envelope(sample_scatter(p, ybar, config), inputs)
+
+
+def _fit_envelope(samples: np.ndarray,
+                  inputs: ExponentInputs | None) -> KLFitReport:
+    """estimate_exponent's fit of a sample_scatter array."""
     gaps = samples[:, 0]
     residuals = samples[:, 1]
     keep = residuals > 0.0
@@ -301,7 +299,7 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
     holds at this order.  Requires a convex problem and a global
     minimizer.
     """
-    if not (0.0 <= beta < 1.0):
+    if not (0.0 <= check_real(beta, "beta") < 1.0):
         raise InvalidRange(f"beta must lie in [0, 1), got {beta}")
     xbar = _as_vector(xbar, p.n, "xbar")
     centre = LocalModel(p.g, p.f, xbar)
@@ -513,12 +511,12 @@ def run_first_order(p: CompositeProblem, variant: str, start,
     by at most 4 eps (1 + |x|), lost in roundoff.  variant "lifted":
     descent on f(y*y), plain Armijo backtracking when g is the orthant
     indicator and sphere-retracted backtracking when g is a simplex
-    indicator.  A given f_star must be finite (InvalidRange otherwise).
+    indicator.  steps must be an integer of at least 1 and a given
+    f_star a finite real number (InvalidRange otherwise).
     """
     start = _as_vector(start, p.n, "start")
-    if steps < 1:
-        raise InvalidRange("steps must be positive")
-    if f_star is not None and not math.isfinite(f_star):
+    check_int(steps, "steps", 1)
+    if f_star is not None and not math.isfinite(check_real(f_star, "f_star")):
         raise InvalidRange(f"f_star must be finite, got {f_star!r}")
     if variant == "original":
         records = _run_projected_gradient(p, start, steps)

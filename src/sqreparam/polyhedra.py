@@ -100,9 +100,18 @@ def check_int(value, name: str, least: int = 0) -> int:
     return value
 
 
+def check_real(value, name: str):
+    """Return value; raise InvalidRange unless it is a real number (a bool
+    is not one)."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise InvalidRange(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_tol(value, name: str = "tol") -> None:
     """Raise InvalidRange unless value is a finite, nonnegative tolerance."""
-    if not (math.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(check_real(value, name)) and value >= 0.0):
         raise InvalidRange(
             f"{name}: must be finite and nonnegative, got {value!r}")
 
@@ -759,9 +768,15 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
     multiplier of some working inequality row with r_j > DEFAULT_TOL
     would cross 0 first: that row (the smallest index among ties) leaves
     at that t and p is tried again.  A p that depends on the working
-    rows moves multipliers only, and when no working row can leave, the
-    polyhedron is empty.  Each added row extends the factors by one
-    column; each dropped one refactors them by QR.
+    rows moves multipliers only.  Each added row extends the factors by
+    one column; each dropped one refactors them by QR.
+
+    A dependent row that no step can make tight (an equality row, or a p
+    for which no working row can leave) is checked against the rounding
+    that z carries from its steps off x, _ROUNDOFF (1 + max(|x|, |z|)).
+    Violated by more, it shows the polyhedron empty (InfeasiblePolyhedron);
+    otherwise it is met, and a met p stays out of the stop test until a
+    working row leaves.
     """
     n, m = x.size, A.shape[0]
     z = x.copy()
@@ -777,16 +792,18 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
         u[k] = gathered
         working.append(row)
 
+    def check_dependent(violation):
+        if violation > _ROUNDOFF * (1.0 + math.sqrt(max(x @ x, z @ z))):
+            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+
     for e in range(m_eq):
         k = len(working)
         d, r = _orthogonal_part(Q[:, :k], Rinv[:k, :k], A[e])
         gap, dd = A[e] @ z - b[e], d @ d
-        off = abs(gap) > _ROUNDOFF * (1.0 + math.sqrt(z @ z))
         if dd <= DEFAULT_TOL ** 2:
-            if off:
-                raise InfeasiblePolyhedron("polyhedron has no feasible point")
+            check_dependent(abs(gap))
             continue
-        if off:
+        if abs(gap) > _ROUNDOFF * (1.0 + math.sqrt(z @ z)):
             z -= gap / dd * d
         add(e, d, r, 0.0)
 
@@ -794,6 +811,7 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
     outside = np.ones(m, dtype=bool)
     outside[:m_eq] = False
     p, gathered = -1, 0.0
+    met = []            # dependent rows met as they stand, out of the test
     for _ in range(100 + 20 * (n + m)):
         k = len(working)
         if p < 0:
@@ -813,7 +831,11 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
                       where=r_in > DEFAULT_TOL)
             t = min(ratios.min(), full)
         if t == _INF:
-            raise InfeasiblePolyhedron("polyhedron has no feasible point")
+            check_dependent(A[p] @ z - b[p])
+            outside[p] = False
+            met.append(p)
+            p = -1
+            continue
         if full < _INF:
             z -= t * d
         u[:k] -= t * r
@@ -827,6 +849,8 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
         ties = k_eq + np.flatnonzero(ratios == t)
         j = int(ties[np.argmin([working[i] for i in ties])])
         outside[working.pop(j)] = True
+        outside[met] = True
+        met.clear()
         u[j:k - 1] = u[j + 1:k]
         if k > 1:
             q, R = np.linalg.qr(A[working].T)

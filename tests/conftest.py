@@ -1,8 +1,14 @@
 """Shared pytest wiring: collects acceptance-criterion verdict lines."""
 
+import sys
 import time
 
 import pytest
+
+# set before any test module imports sqreparam: the suite leaves no
+# __pycache__ in src/, whose bytecode would make later imports of this
+# checkout faster than a fresh one
+sys.dont_write_bytecode = True
 
 _T0 = time.perf_counter()
 

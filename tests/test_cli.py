@@ -101,6 +101,7 @@ MALFORMED = [
     ("ragged-rows", '{"n": 2, "f": {"Q": [[1, 0], [0]]}}', "0,0", 3),
     ("nan-in-Q", '{"n": 1, "f": {"Q": [[NaN]]}}', "0", 3),
     ("y-not-numeric", '{"n": 2}', "a,b", 2),
+    ("A_ineq-not-rows", '{"n": 1, "g": {"domain": {"A_ineq": 5}}}', "0", 2),
 ]
 
 
@@ -195,6 +196,28 @@ def test_certify_stationary_fixture(capsys):
     assert "stationary_for_phi = True" in out
     assert "consistent = True" in out
     assert "lifted_residual = 0" in out
+
+
+def test_the_documented_problem_file_parses_and_certifies(tmp_path, capsys):
+    # the example in cli's docstring, whose empty equality block takes the
+    # parser's empty-matrix branch
+    doc = cli.__doc__
+    text = doc[doc.index("    {\n"):doc.index("\n    }\n") + 6]
+    data = json.loads(text)
+    assert data["g"]["domain"]["A_eq"] == []
+    pf = parse_problem_dict(data)
+    assert pf.meta == {"name": "demo"}
+    domain = pf.problem.g.domain
+    assert (domain.m_eq, domain.A_eq.shape) == (0, (0, 2))
+    path = tmp_path / "demo.json"
+    path.write_text(text)
+    # phi = |x|^2 / 2 + x_2 + 1 on the orthant cut by x_1 + x_2 <= 2: the
+    # origin is its minimizer
+    assert main(["certify", str(path), "--y", "0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "stationary_for_Phi = True" in out
+    assert "stationary_for_phi = True" in out
+    assert "consistent = True" in out
 
 
 def test_certify_spurious_origin(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for exponent prediction, scatter estimation, and solver rates."""
 
 import hashlib
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -57,6 +58,11 @@ def test_predict_exponent_range_errors():
         sq.predict_exponent(sq.ExponentInputs(0.5, False, 1.5))
     with pytest.raises(sq.InvalidRange):
         sq.predict_exponent(sq.ExponentInputs(0.5, False, 0.0))
+    # alpha and gamma are real numbers, strict a bool
+    for args in ((None, True), (0.5, False, "1"), (0.5, True, "1"),
+                 (True, True), (0.5, "no"), (0.5, 1, 1.0)):
+        with pytest.raises(sq.InvalidRange):
+            sq.ExponentInputs(*args)
 
 
 def test_strict_complementarity_designed():
@@ -75,6 +81,10 @@ def test_scatter_config_validation():
         sq.ScatterConfig(delta_min=1e-2, delta_max=1e-6)
     with pytest.raises(sq.InvalidRange):
         sq.ScatterConfig(n_radii=0)
+    for bad in (dict(delta_min=None), dict(delta_max="1"),
+                dict(delta_min=False), dict(delta_max=np.nan)):
+        with pytest.raises(sq.InvalidRange):
+            sq.ScatterConfig(**bad)
     # seeds follow oracles.check_seed, counts are integers as well
     for bad in (dict(seed=1.5), dict(seed=True), dict(seed=-1),
                 dict(n_radii=2.5), dict(n_dirs=3.0), dict(n_dirs=True),
@@ -132,34 +142,30 @@ def test_estimate_exponent_strict_pair():
     assert rep2.predicted is None and rep2.verdict is None
 
 
-def test_estimate_exponent_deterministic_and_accepts_samples():
+def test_estimate_exponent_is_deterministic_and_fits_its_scatter():
     p = quartic()
     y = np.array([0.0])
     a = sq.estimate_exponent(p, y)
     b = sq.estimate_exponent(p, y)
     assert a.alpha_hat == b.alpha_hat
-    sc = sq.sample_scatter(p, y)
-    c = sq.estimate_exponent(p, y, samples=sc)
-    assert c == a
+    # kl-fit fits the scatter it writes through the same private fit
+    c = sq.ScatterConfig(seed=3)
+    i = sq.ExponentInputs(0.5, False, 1.0)
+    assert kl_lab._fit_envelope(sq.sample_scatter(p, y, c), i) == \
+        sq.estimate_exponent(p, y, c, i)
+    assert kl_lab._fit_envelope(sq.sample_scatter(p, y), None) == a
+    # it draws its own scatter: no samples can be passed in
+    assert list(inspect.signature(sq.estimate_exponent).parameters) == \
+        ["p", "ybar", "config", "inputs"]
 
 
-def test_estimate_exponent_rejects_malformed_samples():
-    p, y = quartic(), np.array([0.0])
-    sc = sq.sample_scatter(p, y)
-    for bad in (sc[:, 0], sc.tolist(), np.column_stack([sc, sc[:, :1]]),
-                sc[:, :, None]):
-        with pytest.raises(sq.DimensionMismatch):
-            sq.estimate_exponent(p, y, samples=bad)
-    for entry in (np.inf, np.nan):
-        bad = sc.copy()
-        bad[3, 1] = entry
-        with pytest.raises(sq.DimensionMismatch):
-            sq.estimate_exponent(p, y, samples=bad)
-    for gap in (0.0, -1e-9):
-        bad = sc.copy()
-        bad[0, 0] = gap
-        with pytest.raises(sq.InvalidRange):
-            sq.estimate_exponent(p, y, samples=bad)
+@pytest.mark.parametrize("config, message", [
+    (sq.ScatterConfig(n_radii=2, n_dirs=1), "too few positive-residual"),
+    (sq.ScatterConfig(n_radii=3, n_dirs=8), "only 3 nonempty bins"),
+], ids=["too-few-samples", "too-few-bins"])
+def test_estimate_exponent_needs_eight_bins(config, message):
+    with pytest.raises(sq.InsufficientSamples, match=message):
+        sq.estimate_exponent(quartic(), np.array([0.0]), config)
 
 
 def test_lemma61_probe_orders():
@@ -322,13 +328,20 @@ def test_scatter_and_probe_errors_on_the_stack():
         sq.sample_scatter(flat, np.zeros(2))
     with pytest.raises(sq.InsufficientSamples):
         sq.lemma61_probe(flat, np.zeros(2), 0.5)
+    # a centre outside a box domain
+    box = sq.CompositeProblem(
+        sq.SmoothQuadratic(np.eye(1), np.zeros(1)),
+        sq.PolyhedralFunction.indicator(sq.Polyhedron.box([0.0], [1.0])))
+    with pytest.raises(sq.OutOfDomain):
+        sq.sample_scatter(box, np.array([2.0]))
+    with pytest.raises(sq.OutOfDomain):
+        sq.lemma61_probe(box, np.array([2.0]), 0.5)
 
 
 def test_lemma61_probe_errors():
-    with pytest.raises(sq.InvalidRange):
-        sq.lemma61_probe(quartic(), np.array([0.0]), 1.0)
-    with pytest.raises(sq.InvalidRange):
-        sq.lemma61_probe(quartic(), np.array([0.0]), -0.1)
+    for beta in (1.0, -0.1, None, "0.5", False):
+        with pytest.raises(sq.InvalidRange):
+            sq.lemma61_probe(quartic(), np.array([0.0]), beta)
     indefinite = sq.CompositeProblem(
         sq.SmoothQuadratic(-np.eye(1), np.zeros(1)),
         sq.PolyhedralFunction.orthant_indicator(1))
@@ -342,10 +355,15 @@ def test_run_first_order_rejects_unknown_variant():
     with pytest.raises(sq.UnsupportedProblemClass):
         sq.run_first_order(quartic(), "bogus", np.array([1.0]), steps=5)
     # a non-finite f_star would clip every gap to 0
-    for f_star in (math.inf, math.nan):
+    for f_star in (math.inf, math.nan, "0", True):
         with pytest.raises(sq.InvalidRange):
             sq.run_first_order(quartic(), "lifted", np.array([1.0]), steps=5,
                                f_star=f_star)
+    # steps is an integer of at least 1; True is not one step
+    for steps in (0, -1, 2.5, True, "5"):
+        with pytest.raises(sq.InvalidRange):
+            sq.run_first_order(quartic(), "lifted", np.array([1.0]),
+                               steps=steps)
 
 
 def test_run_first_order_rejects_nonindicator_original():
@@ -772,3 +790,7 @@ def test_fit_rate_insufficient_trace():
                             f_star=0.0)
     with pytest.raises(sq.InsufficientTrace):
         sq.fit_rate(tr)
+    flat = sq.SolverTrace("lifted", [(k, 1.0, 1.0, 1.0) for k in range(40)],
+                          0.0)
+    with pytest.raises(sq.InsufficientTrace, match="gap tail shows no decay"):
+        sq.fit_rate(flat)

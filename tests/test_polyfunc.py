@@ -314,6 +314,34 @@ def test_composite_problem_dimension_guard():
         sq.CompositeProblem(f, g)
 
 
+class _NoHessian:
+    """A duck-typed f with a value and a gradient but no Hessian."""
+
+    def value(self, x):
+        return 0.0
+
+    def grad(self, x):
+        return np.zeros(1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sq.SmoothQuadratic(np.ones((2, 3)), np.zeros(2)),
+     "Q must be square"),
+    (lambda: sq.SmoothQuadratic(np.eye(2), np.zeros(2), np.inf),
+     "r must be finite"),
+    (lambda: sq.PolyhedralFunction(0), "n must be a positive integer"),
+    (lambda: sq.PolyhedralFunction(2, domain=sq.Polyhedron.nonneg_orthant(3)),
+     "domain dimension does not match n"),
+    (lambda: sq.CompositeProblem(_NoHessian(),
+                                 sq.PolyhedralFunction.orthant_indicator(1)),
+     "f must provide a callable hess"),
+], ids=["Q-not-square", "r-infinite", "g-without-coordinates",
+        "domain-dimension", "f-without-hess"])
+def test_problem_parts_refuse_bad_shapes(build, message):
+    with pytest.raises(sq.DimensionMismatch, match=message):
+        build()
+
+
 def _shaped_problem(kind):
     """A quadratic on an orthant, a box or a scaled simplex, and a lifted
     point with coordinates at zero, inside and (box) at upper bounds."""

@@ -53,6 +53,22 @@ def test_lp_solve_equality_row():
     assert out.value == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: sq.Polyhedron(0), "n must be a positive integer"),
+    (lambda: sq.GeneratorSet(0, np.zeros((1, 0))),
+     "n must be a positive integer"),
+    (lambda: sq.lp_solve([]), "objective must be a nonempty finite vector"),
+    (lambda: sq.lp_solve([np.nan]),
+     "objective must be a nonempty finite vector"),
+    (lambda: sq.lp_solve([1.0], lower=[np.nan]),
+     "lower: NaN entries are not allowed"),
+], ids=["polyhedron-n-0", "generator-set-n-0", "lp-empty-objective",
+        "lp-nan-objective", "lp-nan-bound"])
+def test_kernels_refuse_bad_shapes(build, message):
+    with pytest.raises(sq.DimensionMismatch, match=message):
+        build()
+
+
 def test_lp_solve_infeasible():
     out = sq.lp_solve(np.ones(1), A_ineq=np.array([[1.0], [-1.0]]),
                       b_ineq=np.array([0.0, -1.0]))
@@ -666,12 +682,60 @@ def test_projection_with_a_redundant_equality_row():
     # a general polyhedron in R^3 cut off by a row of the opposite sign
     sq.Polyhedron(3, [[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0], [1.0, -1.0, 0.0]],
                   [1.0, -3.0, 4.0]),
-], ids=["orthant-cut", "parallel-equalities", "zero-row", "opposite-rows"])
+    # the same two cases 1e-9 apart: far more than the rounding off x
+    sq.Polyhedron(2, [[1.0, 1.0]], [5.0], [[1.0, -1.0], [2.0, -2.0]],
+                  [0.0, 2e-9]),
+    sq.Polyhedron(3, [[1.0, 2.0, 3.0], [-2.0, -4.0, -6.0], [1.0, -1.0, 0.0]],
+                  [1.0, -2.0 - 2e-9, 4.0]),
+], ids=["orthant-cut", "parallel-equalities", "zero-row", "opposite-rows",
+        "parallel-equalities-1e-9-apart", "opposite-rows-1e-9-apart"])
 def test_projection_onto_an_empty_polyhedron_raises(P):
     assert P.shape.kind == "general"
     with pytest.raises(sq.InfeasiblePolyhedron,
                        match="^polyhedron has no feasible point$"):
         sq.project_onto_polyhedron(P, np.ones(P.n))
+
+
+def _degenerate_vertices(count, seed=7):
+    """(P, x, v): P has n + 1 to n + 3 random rows, every one tight at v,
+    and x = v + s A' lam with lam >= 0, so v is the projection of x.  s
+    ranges over 1 to 1e4: the steps off x leave rounding of order
+    1e-16 |x| on the dependent rows at v."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        v = rng.standard_normal(n)
+        A = rng.standard_normal((n + int(rng.integers(1, 4)), n))
+        lam = rng.uniform(0.0, 1.0, A.shape[0])
+        s = 10.0 ** int(rng.integers(0, 5))
+        yield sq.Polyhedron(n, A, A @ v), v + s * (A.T @ lam), v
+
+
+def _duplicated_equality_rows(count, seed=5):
+    """(P, x, v): P is {a z = a v} in R^3, its row given twice, once
+    rescaled, and x = v + s a for s from 1 to 1e6, so v is the
+    projection of x."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = rng.standard_normal(3)
+        a = rng.standard_normal(3)
+        E = np.array([a, rng.uniform(0.1, 10.0) * a])
+        s = 10.0 ** int(rng.integers(0, 7))
+        yield sq.Polyhedron(3, A_eq=E, b_eq=E @ v), v + s * a, v
+
+
+@pytest.mark.parametrize("draws", [
+    lambda: _degenerate_vertices(500),
+    lambda: _duplicated_equality_rows(200),
+], ids=["degenerate-vertex", "duplicated-equality-row"])
+def test_projection_meets_dependent_rows_up_to_the_rounding_off_x(draws):
+    # a row that depends on the working rows is left violated by the
+    # rounding of the steps off x, far above eps |v|: it is met, not a
+    # proof that P is empty
+    for P, x, v in draws():
+        assert P.shape.kind == "general"
+        z = sq.project_onto_polyhedron(P, x)
+        assert np.max(np.abs(z - v)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
 
 @pytest.mark.parametrize("P, x", [

@@ -132,7 +132,7 @@ ORTHANT2 = sq.CompositeProblem(
     sq.PolyhedralFunction.orthant_indicator(2))
 
 
-@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, None, "x", True])
 @pytest.mark.parametrize("call", [
     lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol=t),
     lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol_support=t),
@@ -144,7 +144,8 @@ ORTHANT2 = sq.CompositeProblem(
     lambda t: sq.strict_complementarity(ORTHANT2, [1.0, 0.0], tol=t),
 ])
 def test_tolerances_must_be_finite_and_nonnegative(call, bad):
-    # every place a tolerance can be set: the models and strict_complementarity
+    # every place a tolerance can be set: the models and strict_complementarity;
+    # a tolerance is a real number, not a bool
     with pytest.raises(sq.InvalidRange):
         call(bad)
 

@@ -255,6 +255,7 @@ def _kl_plan_solver_runs(gen):
 
 def record(repo: str, out_path: str) -> int:
     repo = os.path.abspath(repo)
+    sys.dont_write_bytecode = True      # no __pycache__ under DIR
     sys.path.insert(0, os.path.join(repo, "src"))
     from sqreparam.cli import main
 
