@@ -26,6 +26,7 @@ from .polyhedra import (
     min_norm_weighted,
     _as_matrix,
     _as_vector,
+    _check_dimension,
     _min_norm_normal_cone,
     _orthant_rows,
     _owned,
@@ -52,6 +53,8 @@ class SmoothQuadratic:
             raise DimensionMismatch("Q must be finite")
         Q = 0.5 * (Q + Q.T)
         q = _as_vector(self.q, Q.shape[0], "q").copy()
+        if isinstance(self.r, (bool, np.bool_)):
+            raise DimensionMismatch(f"r must be a real number, got {self.r!r}")
         if not np.isfinite(self.r):
             raise DimensionMismatch("r must be finite")
         object.__setattr__(self, "Q", Q)
@@ -144,8 +147,7 @@ class PolyhedralFunction:
     domain: Polyhedron = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         A = _owned(_as_matrix(self.pieces_A, self.n, "pieces_A"))
         b = _as_vector(self.pieces_b, A.shape[0], "pieces_b").copy()
         dom = self.domain if self.domain is not None else Polyhedron(self.n)

@@ -6,14 +6,15 @@ Two representations are used throughout the package:
 * ``GeneratorSet``: generator form ``conv(points) + cone(rays) + span(lines)``.
 
 Everything here is deterministic.  The LP solver is a dense two-phase
-bounded-variable simplex with Bland's smallest-index rule (identical
-input gives an identical optimal witness): inequality rows with one
-nonzero are read as bounds, and a variable with two finite bounds
-reaches its upper one by a bound flip, not through an extra row
+bounded-variable simplex that prices by the most negative reduced cost
+and falls back on Bland's smallest-index rule during a run of degenerate
+steps (identical input gives an identical optimal witness): inequality
+rows with one nonzero are read as bounds, and a variable with two finite
+bounds reaches its upper one by a bound flip, not through an extra row
 (Dantzig 1955; Bland 1977).  Its condensed tableau holds only the
 nonbasic columns, each mapped to its variable, and the reduced costs
-as its last row, so one rank-1 update per pivot moves both; Bland's
-rule compares variable indices, one argmin per choice.  Phase 1 starts
+as its last row, so one rank-1 update per pivot moves both; a choice by
+index compares variable indices, one argmin per choice.  Phase 1 starts
 from the slack basis, with artificials only on the rows that need one.
 Projection onto a general polyhedron is the dual active-set method of
 Goldfarb & Idnani (1983) with the identity Hessian: it starts at the
@@ -48,10 +49,15 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 # a difference this small relative to its scale is roundoff: steps tied
-# in the primal QP's ratio test, and violations the dual projection leaves
+# in the primal QP's ratio test, violations the dual projection leaves,
+# and the length of a degenerate simplex step
 _ROUNDOFF = 1e-13
 
 _INF = float("inf")
+
+# the simplex prices by Dantzig's rule, and by Bland's after this many
+# degenerate steps in a row
+_BLAND_AFTER = 50
 
 
 def _as_matrix(rows, n: int, name: str) -> np.ndarray:
@@ -87,6 +93,13 @@ def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
     if allow_inf and np.isnan(a).any():
         raise DimensionMismatch(f"{name}: NaN entries are not allowed")
     return a
+
+
+def _check_dimension(n) -> None:
+    """Raise DimensionMismatch unless n is a positive integer (a bool is
+    not one): the dimension of a set or a function."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"n must be a positive integer, got {n!r}")
 
 
 def check_int(value, name: str, least: int = 0) -> int:
@@ -177,8 +190,7 @@ class Polyhedron:
     b_eq: np.ndarray = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         # the vectors are copied, and so is a matrix that is a view: it
         # would follow the caller's edits
         A_ineq = _owned(_as_matrix(self.A_ineq, self.n, "A_ineq"))
@@ -299,8 +311,7 @@ class GeneratorSet:
     lines: np.ndarray = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DimensionMismatch(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         points = _as_matrix(self.points, self.n, "points")
         if not points.shape[0]:
             raise DimensionMismatch("a generator set needs at least one point")
@@ -336,7 +347,8 @@ class GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# Linear programming: dense two-phase bounded-variable simplex, Bland's rule
+# Linear programming: dense two-phase bounded-variable simplex, Dantzig's
+# rule with a Bland fallback
 # ---------------------------------------------------------------------------
 
 
@@ -393,11 +405,23 @@ def _pivot(T: np.ndarray, var: np.ndarray, basis: np.ndarray, row: int,
     _damp(T[:, -1])
 
 
+def _columns(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns idx of [A, I]: variable A.shape[1] + p is phase 1's
+    artificial of row p, the unit column e_p."""
+    out = np.zeros((A.shape[0], idx.size))
+    real = idx < A.shape[1]
+    out[:, real] = A[:, idx[real]]
+    out[idx[~real] - A.shape[1], np.flatnonzero(~real)] = 1.0
+    return out
+
+
 def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
-                 cost: np.ndarray, cap: np.ndarray, flipped: np.ndarray,
-                 tol: float, max_iter: int) -> tuple[str, int]:
-    """Minimize cost @ x over 0 <= x <= cap on the condensed tableau in
-    place; returns the status and the number of pivots.
+                 A: np.ndarray, cost: np.ndarray, cap: np.ndarray,
+                 flipped: np.ndarray, tol: float,
+                 max_iter: int) -> tuple[str, int]:
+    """Minimize cost @ x over [A, I] x = b, 0 <= x <= cap on the
+    condensed tableau in place (the identity's columns are phase 1's
+    artificials); returns the status and the number of pivots.
 
     T holds only the nonbasic columns, column k that of variable var[k],
     and the rhs; basis[p] is the variable basic in row p.  Its last row
@@ -405,17 +429,25 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
     pivot's one rank-1 update keeps them current too (the rhs entry of
     that row is never read).  flipped[j] marks x_j replaced by cap[j] -
     x_j (column, reduced cost included, negated), so every nonbasic
-    variable sits at 0, a flipped one at its upper bound.  Bland's rule
-    by variable index, not column position, both for entering (smallest
-    index with negative reduced cost) and leaving (smallest variable
-    index among ratio ties, the entering variable's own bound flip, made
-    without a pivot, included), which rules out cycling.  Each choice is
-    one argmin over the indices, with the sentinel cap.size, one past the
-    largest variable index, where a candidate is ruled out.  The ratio
-    test reads a basic value below 0 as 0, so no ratio is negative.  A
-    column that no row and no bound blocks is priced afresh from cost
-    before "unbounded" is returned, since its carried reduced cost may
-    be rounding drift.
+    variable sits at 0, a flipped one at its upper bound.
+
+    The entering variable is the one with the most negative reduced cost
+    (Dantzig's rule), the smallest variable index on ties.  Dantzig's
+    rule alone can cycle at a degenerate vertex (Beale 1955), so after
+    _BLAND_AFTER steps in a row of length at most _ROUNDOFF, the
+    entering choice is Bland's: the smallest variable index with a
+    negative reduced cost, until a step moves again.  A cycle is made
+    of degenerate steps only, and Bland's rule cannot cycle (Bland
+    1977), so the method ends.  The leaving variable is always the
+    smallest variable index among ratio ties, the entering variable's
+    own bound flip, made without a pivot, included.  Each choice by
+    index is one argmin over the variable indices, not column positions,
+    with the sentinel cap.size, one past the largest variable index,
+    where a candidate is ruled out.  The ratio test reads a basic value
+    below 0 as 0, so no ratio is negative.  A column that no row and no
+    bound blocks is priced afresh, from cost and from its column of
+    [A, I] solved against the basis, before "unbounded" is returned,
+    since its carried entries and reduced cost may be rounding drift.
     """
     m = T.shape[0] - 1
     full = np.where(flipped, -cost, cost)
@@ -432,9 +464,14 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
     ratios, room = np.empty(m), np.empty(m)
     down, up = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     work = np.empty_like(T)
-    pivots = 0
+    pivots = degenerate = 0
     for _ in range(max_iter):
-        entering = np.where(reduced < -tol, var, sentinel)
+        if degenerate < _BLAND_AFTER:
+            least = reduced.min()
+            entering = np.where((reduced == least) & (least < -tol), var,
+                                sentinel)
+        else:
+            entering = np.where(reduced < -tol, var, sentinel)
         k = int(entering.argmin())
         enter = int(entering[k])
         if enter == sentinel:
@@ -456,12 +493,18 @@ def _run_simplex(T: np.ndarray, var: np.ndarray, basis: np.ndarray,
         best = min(ratios.min(initial=_INF), cap[enter])
         if best == _INF:
             # nothing blocks: price the column afresh before believing
-            # it, since its carried reduced cost may be drift alone
-            full = np.where(flipped, -cost, cost)
-            reduced[k] = full[enter] - full[basis] @ col
+            # it, since its carried entries and reduced cost may be
+            # drift alone (a flipped variable's column is negated)
+            sign = np.where(flipped, -1.0, 1.0)
+            full = sign * cost
+            idx = np.append(basis, enter)
+            cols = _columns(A, idx) * sign[idx]
+            fresh = np.linalg.lstsq(cols[:, :-1], cols[:, -1], rcond=None)[0]
+            reduced[k] = full[enter] - full[basis] @ fresh
             if reduced[k] < -tol:
                 return "unbounded", pivots
             continue
+        degenerate = degenerate + 1 if best <= _ROUNDOFF else 0
         band = best + 1e-9 * (1.0 + abs(best))
         leave, first = -1, sentinel
         if m:
@@ -500,7 +543,8 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     not by rows.  Phase 1 starts from the slack basis: only equality
     rows and rows with a negative right-hand side get an artificial.
     Returns an LPOutcome; the witness is the deterministic optimal vertex
-    that Bland's rule reaches from the slack basis.
+    that _run_simplex's pricing (Dantzig's rule, Bland's during a run of
+    degenerate steps) reaches from the slack basis.
     """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -579,8 +623,8 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     pivots = 0
     if slack_rows.size < m:
         cost1 = np.concatenate([np.zeros(N), (basis >= N) * 1.0])
-        status, pivots = _run_simplex(T, var, basis, cost1, cap, flipped,
-                                      pivot_tol, budget)
+        status, pivots = _run_simplex(T, var, basis, A_std, cost1, cap,
+                                      flipped, pivot_tol, budget)
         if status != "optimal":
             raise NumericalFailure("phase-1 simplex reported unbounded")
     infeas = sum(T[p, -1] for p in range(m) if basis[p] >= N)
@@ -607,7 +651,7 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     cap, flipped = cap[:N], flipped[:N]
 
     cost2 = np.concatenate([-(M.T @ c), np.zeros(n_slack)])
-    status, more = _run_simplex(T, var, basis, cost2, cap, flipped,
+    status, more = _run_simplex(T, var, basis, A_std, cost2, cap, flipped,
                                 pivot_tol, budget)
     pivots += more
     if status == "unbounded":

@@ -329,14 +329,17 @@ class _NoHessian:
      "Q must be square"),
     (lambda: sq.SmoothQuadratic(np.eye(2), np.zeros(2), np.inf),
      "r must be finite"),
+    (lambda: sq.SmoothQuadratic(np.eye(1), [0.0], r=True),
+     "r must be a real number, got True"),
     (lambda: sq.PolyhedralFunction(0), "n must be a positive integer"),
+    (lambda: sq.PolyhedralFunction(True), "n must be a positive integer"),
     (lambda: sq.PolyhedralFunction(2, domain=sq.Polyhedron.nonneg_orthant(3)),
      "domain dimension does not match n"),
     (lambda: sq.CompositeProblem(_NoHessian(),
                                  sq.PolyhedralFunction.orthant_indicator(1)),
      "f must provide a callable hess"),
-], ids=["Q-not-square", "r-infinite", "g-without-coordinates",
-        "domain-dimension", "f-without-hess"])
+], ids=["Q-not-square", "r-infinite", "r-bool", "g-without-coordinates",
+        "g-n-bool", "domain-dimension", "f-without-hess"])
 def test_problem_parts_refuse_bad_shapes(build, message):
     with pytest.raises(sq.DimensionMismatch, match=message):
         build()

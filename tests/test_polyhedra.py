@@ -55,14 +55,17 @@ def test_lp_solve_equality_row():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: sq.Polyhedron(0), "n must be a positive integer"),
+    (lambda: sq.Polyhedron(True), "n must be a positive integer"),
     (lambda: sq.GeneratorSet(0, np.zeros((1, 0))),
      "n must be a positive integer"),
+    (lambda: sq.GeneratorSet(True, [[0.0]]), "n must be a positive integer"),
     (lambda: sq.lp_solve([]), "objective must be a nonempty finite vector"),
     (lambda: sq.lp_solve([np.nan]),
      "objective must be a nonempty finite vector"),
     (lambda: sq.lp_solve([1.0], lower=[np.nan]),
      "lower: NaN entries are not allowed"),
-], ids=["polyhedron-n-0", "generator-set-n-0", "lp-empty-objective",
+], ids=["polyhedron-n-0", "polyhedron-n-bool", "generator-set-n-0",
+        "generator-set-n-bool", "lp-empty-objective",
         "lp-nan-objective", "lp-nan-bound"])
 def test_kernels_refuse_bad_shapes(build, message):
     with pytest.raises(sq.DimensionMismatch, match=message):
@@ -995,8 +998,13 @@ def test_lp_terminates_on_beales_cycling_example():
     # Beale (1955): with the largest-coefficient rule the simplex cycles
     # at the degenerate start.  Written with explicit slacks (equality
     # rows, no bound to read) and with x6 <= 1 as a singleton row (a
-    # bound); either way Bland's rule reaches the optimum -5/4 at
-    # x4 = x6 = 1.
+    # bound); either way the simplex reaches the optimum -5/4 at
+    # x4 = x6 = 1.  The slack form leaves the cycle by its first
+    # nondegenerate step: 6 pivots (9 under Bland's rule alone).  The
+    # bound form cycles under Dantzig's rule for the 50 degenerate
+    # steps that _BLAND_AFTER allows, then Bland's rule leaves the cycle
+    # within 4 more: 54 pivots (6 under Bland's rule alone), so the
+    # fallback is what ends it.
     cost = np.array([-0.75, 20.0, -0.5, 6.0])
     rows = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
                      [0.0, 0.0, 1.0, 0.0]])
@@ -1009,6 +1017,8 @@ def test_lp_terminates_on_beales_cycling_example():
         assert out.status is sq.LPStatus.OPTIMAL
         assert out.value == pytest.approx(1.25, abs=1e-12)
         assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert polyhedra._BLAND_AFTER == 50
+    assert (slack.pivots, bound.pivots) == (6, 54)
 
 
 def _recorded_lps(monkeypatch):
@@ -1025,32 +1035,38 @@ def _recorded_lps(monkeypatch):
 
 def test_ri_lp_keeps_its_witness_bit_for_bit(monkeypatch):
     # The relative-interior LP has no singleton row and no two-sided
-    # bound.  Its witness is Bland's vertex from the slack basis, pinned
-    # bit for bit, and so is its 6 pivots (10 when phase 1 put an
-    # artificial on every row).
+    # bound.  Its witness is the vertex the simplex's pricing reaches
+    # from the slack basis, pinned bit for bit, and so is its 6 pivots
+    # (10 when phase 1 put an artificial on every row).
     outcomes = _recorded_lps(monkeypatch)
     rng = np.random.default_rng(11)
     points, rays = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
     z = np.full(3, 1.0 / 3.0) @ points + np.full(2, 0.5) @ rays
     assert sq.vrep_ri_membership(sq.GeneratorSet(4, points, rays), z)
     (out,) = outcomes
-    pinned = ["0x1.5555555555558p-2", "0x1.5555555555554p-2",
-              "0x1.5555555555556p-2", "0x1.0000000000008p-1",
-              "0x1.ffffffffffff6p-2", "0x1.5555555555558p-2"]
+    pinned = ["0x1.5555555555555p-2", "0x1.5555555555556p-2",
+              "0x1.5555555555554p-2", "0x1.0000000000003p-1",
+              "0x1.ffffffffffffdp-2", "0x1.5555555555555p-2"]
     assert [float(v).hex() for v in out.witness] == pinned
     assert out.pivots == 6
 
 
-def test_ri_lp_at_a_barycentre_in_r80_never_steps_behind_0(monkeypatch):
+@pytest.mark.parametrize("seed, pivots", [(4, 100), (21, 121), (33, 112)],
+                         ids=["4", "21", "33"])
+def test_ri_lp_at_a_barycentre_in_r80_never_steps_behind_0(monkeypatch, seed,
+                                                          pivots):
     # The n = 80 barycentre query of the kernel benchmark: 3 points and
     # 40 rays, every coefficient 1/3.  Phase 1 from all artificials
-    # stopped with "phase-1 simplex reported unbounded" after 439 pivots,
-    # some of whose steps were as negative as -4.3.  From the slack
-    # basis, a ratio test that let a basic value rounded below 0 set a
-    # negative ratio stepped backwards on 5,878 of the 12,600 pivots its
-    # iteration budget allows, and ran out.  Blocked at 0, the ratio
-    # leaves only the rounding that the leaving row's value carries
-    # (-4e-10 at worst here) in the step the pivot takes.
+    # stopped with "phase-1 simplex reported unbounded" after 439 pivots
+    # (seed 21), some of whose steps were as negative as -4.3.  From the
+    # slack basis, a ratio test that let a basic value rounded below 0
+    # set a negative ratio stepped backwards on 5,878 of the 12,600
+    # pivots its iteration budget allows, and ran out.  Blocked at 0,
+    # the ratio leaves only the rounding that the leaving row's value
+    # carries in the step the pivot takes.  Under Bland's rule alone
+    # the three queries took 323, 220 and 384 pivots, and seeds 4 and 33
+    # stepped back by -1.5e-8 and -3.3e-7; priced by Dantzig's rule, no
+    # step is below -5.3e-11.
     steps = []
     pivot = polyhedra._pivot
 
@@ -1059,23 +1075,63 @@ def test_ri_lp_at_a_barycentre_in_r80_never_steps_behind_0(monkeypatch):
         pivot(T, var, basis, row, col, work)
 
     monkeypatch.setattr(polyhedra, "_pivot", watched)
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(seed)
     points, rays = rng.standard_normal((3, 80)), rng.standard_normal((40, 80))
     z = np.full(3, 1.0 / 3.0) @ points + np.full(40, 1.0 / 3.0) @ rays
     assert sq.vrep_ri_membership(sq.GeneratorSet(80, points, rays), z)
-    assert len(steps) == 220
+    assert len(steps) == pivots
     assert min(steps) >= -1e-9
+
+
+# Relative-interior queries at 0 of two subdifferentials of a pieces
+# instance rescaled by 1e-6: one point generator of norm about 1e-6
+# beside domain rays of norm about 1.  A pivot on the tiny point entry
+# leaves about 4.7e-10 of rounding in tableau entries that are exactly
+# 0, past the pivot tolerance, and one such entry gave an unblocked
+# column a reduced cost of -4.7e-10: the LP read as unbounded.  Priced
+# from its column solved against the basis, that reduced cost is 0.
+_RI_TINY_POINT = {
+    "2d": ([[-2.0532535341145105e-07, 3.3281384502671219e-06]],
+           [[-8.8438443514844631e-02, -6.5107946281779361e-01],
+            [9.9495625480152139e-01, 7.7761447709766862e-01],
+            [-2.1170608691921493e+00, 1.2041759994752052e-02],
+            [-1.0, 0.0]]),
+    "4d": ([[1.5936827066825129e-06, 9.2051259634460336e-07,
+             4.1385410440868469e-07, -2.9359016676261453e-06]],
+           [[8.8525455922554619e-01, -9.0588487386944305e-01,
+             7.8016883096706457e-01, 7.1935542925418627e-01],
+            [2.4834610630263323e-01, -2.0121155969496790e-01,
+             -2.5515899898759942e-01, -4.7321770544905245e-01],
+            [4.6696512007710594e-01, 4.0522387301843460e-01,
+             1.7485916574063562e-01, 5.0775449163676922e-01],
+            [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RI_TINY_POINT))
+def test_ri_lp_with_a_tiny_point_generator_is_not_unbounded(monkeypatch,
+                                                            name):
+    points, rays = _RI_TINY_POINT[name]
+    n = len(points[0])
+    outcomes = _recorded_lps(monkeypatch)
+    assert sq.vrep_ri_membership(sq.GeneratorSet(n, points, rays), np.zeros(n))
+    (out,) = outcomes
+    # every coefficient can be 1: the point's weight is 1, and the rays'
+    # combination is 0 with all weights 1 up to the point's own share
+    assert out.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_pivot_count_on_a_general_polyhedron():
     # 3,010 pivots when the box rows were tableau rows, 1,479 when
-    # phase 1 put an artificial on every row
+    # phase 1 put an artificial on every row, 1,341 under Bland's rule
+    # alone
     rng = np.random.default_rng(5)
     P = _h_polyhedron(rng, 80)
     c = rng.standard_normal(80)
     out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq)
     assert out.status is sq.LPStatus.OPTIMAL
-    assert out.pivots == 1341
+    assert out.pivots == 324
     assert P.max_violation(out.witness) <= 1e-9
     assert out.duality_gap <= 1e-9 * (1.0 + abs(out.value))
 
@@ -1083,7 +1139,10 @@ def test_lp_pivot_count_on_a_general_polyhedron():
 # SHA-256 pins of the kernels' outcomes.  The simplex and the active-set
 # QP are deterministic to the bit: a faster kernel must reproduce every
 # status, value, witness, dual value and pivot count, every projection
-# and every weighted min-norm below.
+# and every weighted min-norm below.  The LP pins were re-recorded when
+# the simplex began to price by Dantzig's rule; each new outcome was
+# checked for feasibility and duality gap to 1e-9, and at n = 10 against
+# the best of the draw's 6,253 vertices.
 
 def _digest(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -1104,16 +1163,16 @@ def _pinned_draw(n):
 
 
 _LP_PINS = {
-    10: ("e92892993a287daea8fa18c560d67692d0e34f3b6d909f5437113100c9424396",
-         "bd5401a99030a359ea6bfd354e781bccbc72d6ebf8fa59dc8e9b4b34e99a067a"),
-    20: ("3475334d8caf621a4b4ab96f441e797e24c17547eda07a939708e32cc6688944",
-         "1be6ec5ae38724ce278a34000935452f61d0fa4c6995082f50e3c4042ee5de0d"),
-    40: ("d468027622761321f6092993daa59e3c5d021a5f3891ca9e31a8db96d5058fde",
-         "0fed05135d05cb7dce265b29e73b64d2a21f3505481ccc648f6cc1264b52ba15"),
-    80: ("ccdd6ccb8c8c20cc06662121eb0ae14526fdb602c477837b23c6199e2202780d",
-         "b645b104eb704f2781655ea16d2e3a59e534e4373c3888b4185f1522db118ed1"),
+    10: ("a80aacc38c49e690f6680fba12de110a62a684bd76063e35e11d58b4b8fa84f9",
+         "a1fa2b58e2d34ed0410f82599f3a09c9e66895ecfb901a55b19f39d44674aa0c"),
+    20: ("f87f046feefe662187d3ce3da4e8431f3d3fe4e3f9a28c342b1f7f5b74d84afc",
+         "e97a095b061a5333247db22c4b86e191477f0dfc81eca293ee59b10b7b83f3c3"),
+    40: ("ea18e154d6e7bba2a3e3f7cffbc4b33cf927973f0c815d72fc2efa68578f45a9",
+         "4d10e0b69f2cba7a835aca34de5ae9023c34deae933b102cdce55cc32e656a46"),
+    80: ("f8d4aa942c913e76d9c3c722bcdd98d9d4e5795dfd0349e2fad11dd8dd83a32d",
+         "0529bc8cf6cc3824e0244cac460ea58b4c753763e0475b5e2da26bb100d6daf2"),
 }
-_RI_PIN = "cf91444cec230596d56018c65fb548316c2ecffec59c049bf60f83772f5d856f"
+_RI_PIN = "0965bcbf88217f1d65eff9ff8efae8fad68375afd82ce07c1edaf8b30ec2dd38"
 # the dual projection's iterations, cold and on a nearby point, and the
 # KKT solves (the primal QP took 144 and 1, the second from its start)
 _PROJECTION_STEPS = (33, 33, 0)
@@ -1157,7 +1216,9 @@ def test_min_norm_weighted_on_the_n40_draw_matches_its_pin():
 
 # The tableau's edge shapes, each pinned with the outcome the simplex
 # gave before its reduced costs became a tableau row ("bound-flip"
-# re-pinned when phase 1 began to start from the slack basis).
+# re-pinned when phase 1 began to start from the slack basis, and
+# "no-nonbasic-column" when the simplex began to price by Dantzig's
+# rule: the same vertex, the same 3 pivots, rounded differently).
 _EDGE_LPS = {
     # square nonsingular A_eq on x >= 0: phase 1 makes every column
     # basic, so phase 2 starts with no nonbasic column (free variables
@@ -1166,7 +1227,7 @@ _EDGE_LPS = {
         dict(c=[1.0, -2.0, 0.5], lower=np.zeros(3),
              A_eq=[[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]],
              b_eq=[1.0, 2.0, 3.0]),
-        "b781fd433f24129e0c57d827b9306f844001ce41a13c448af8fb7ce4a898a681"),
+        "2a05f59f2f9b36f47a10b0b1b448c7193ece745b9ae9030a10c22cf83e3e6278"),
     # every row is a bound, so the tableau has no rows; phase 2 flips
     # x0 and x2 to their upper bounds
     "no-rows": (

@@ -1,6 +1,6 @@
 """Print SHA-256 digests of every task output of a perfbench workload and seed.
 
-    python tools/task_digests.py WORKLOAD SEED [SEED ...] [--repo DIR]
+    python tools/task_digests.py WORKLOAD SEED [SEED ...] [--repo DIR] [--work]
 
 Imports `sqreparam` from DIR/src and perfbench's `gen` and `workloads`
 from DIR/perfbench (default DIR: the checkout that holds this file),
@@ -17,6 +17,14 @@ kind's tasks alone, so a digest that moves names the kinds that moved:
 
     WORKLOAD SEED TASKS ERRORS SHA256
     WORKLOAD SEED KIND TASKS ERRORS SHA256
+
+With --work each line also counts the LP work of its tasks, a
+deterministic measure that wall time is not: the `lp_solve` calls (every
+module's binding of `polyhedra.lp_solve` is wrapped, as
+`tools/cli_records.py` wraps its runs) and the simplex pivots of the
+outcomes they return (a call that raises adds a call and no pivots):
+
+    WORKLOAD SEED [KIND] TASKS ERRORS SHA256 lp_calls=CALLS pivots=PIVOTS
 
 Problem files go to a temporary directory, removed at exit; nothing is
 written under DIR.
@@ -61,9 +69,30 @@ def _canonical(obj, norm):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
-def digest(repo: str, workload: str, seed: int) -> dict:
-    """{kind: [tasks, errors, hash]} of one pass over the seed's task
-    pool, with the kind None for all tasks together."""
+def _count_lps(work: list) -> None:
+    """Route every sqreparam module's binding of polyhedra.lp_solve
+    through a wrapper that adds each call to work[0] and the pivots of
+    the outcome it returns to work[1]."""
+    from sqreparam import polyhedra
+    lp_solve = polyhedra.lp_solve
+
+    def counted(*args, **kwargs):
+        work[0] += 1
+        out = lp_solve(*args, **kwargs)
+        work[1] += out.pivots
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "sqreparam"
+                and getattr(module, "lp_solve", None) is lp_solve):
+            module.lp_solve = counted
+
+
+def digest(repo: str, workload: str, seed: int, work: list) -> dict:
+    """{kind: [tasks, errors, hash, lp calls, pivots]} of one pass over
+    the seed's task pool, with the kind None for all tasks together.
+    The LP counts are what each task adds to work, the [calls, pivots]
+    list that _count_lps feeds (they stay 0 when nothing feeds it)."""
     import sqreparam as sq
     import workloads
 
@@ -76,6 +105,7 @@ def digest(repo: str, workload: str, seed: int) -> dict:
         pool = cls(sq, generate(seed, pool_dir))
         for i in range(pool.n_cycles):
             for task in pool.cycle(i):
+                before = list(work)
                 try:
                     task.output = task.fn()
                 except Exception as exc:   # a failed task is an outcome
@@ -86,10 +116,13 @@ def digest(repo: str, workload: str, seed: int) -> dict:
                     record = _canonical(task.output, norm)
                 line = repr((task.kind, record)).encode()
                 for key in (None, task.kind):
-                    tally = tallies.setdefault(key, [0, 0, hashlib.sha256()])
+                    tally = tallies.setdefault(
+                        key, [0, 0, hashlib.sha256(), 0, 0])
                     tally[0] += 1
                     tally[1] += failed
                     tally[2].update(line)
+                    tally[3] += work[0] - before[0]
+                    tally[4] += work[1] - before[1]
     return tallies
 
 
@@ -99,19 +132,27 @@ def main(argv=None) -> int:
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--repo", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--work", action="store_true",
+                        help="also print each line's lp_solve calls and "
+                             "simplex pivots")
     args = parser.parse_args(argv)
     repo = os.path.abspath(args.repo)
     sys.dont_write_bytecode = True      # no __pycache__ under DIR
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     os.chdir(repo)      # the shipped problems are named relative to it
+    work = [0, 0]
+    if args.work:
+        _count_lps(work)
     for seed in args.seeds:
-        tallies = digest(repo, args.workload, seed)
-        tasks, errors, h = tallies.pop(None)
-        print(f"{args.workload} {seed} {tasks} {errors} {h.hexdigest()}")
-        for kind in sorted(tallies):
-            tasks, errors, h = tallies[kind]
-            print(f"{args.workload} {seed} {kind} {tasks} {errors} "
-                  f"{h.hexdigest()}")
+        tallies = digest(repo, args.workload, seed, work)
+        for kind in [None] + sorted(tallies.keys() - {None}):
+            tasks, errors, h, calls, pivots = tallies[kind]
+            head = f"{args.workload} {seed}" + ("" if kind is None
+                                                else f" {kind}")
+            line = f"{head} {tasks} {errors} {h.hexdigest()}"
+            if args.work:
+                line += f" lp_calls={calls} pivots={pivots}"
+            print(line)
         sys.stdout.flush()
     return 0
 
