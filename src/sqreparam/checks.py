@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import (check_seed, enumerate_vertices,
-                      fd_second_subderivative, grid_min_norm,
-                      grid_min_norm_gap_bound, random_lp_instance,
-                      random_nonsmooth_instance, random_orthant_instance)
+from .oracles import (enumerate_vertices, fd_second_subderivative,
+                      grid_min_norm, grid_min_norm_gap_bound,
+                      random_lp_instance, random_nonsmooth_instance,
+                      random_orthant_instance)
 from .polyfunc import PolyhedralFunction, g_eval, g_subdiff
 from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, _qp_active_set,
-                        feasible_point, lp_solve, project_onto_polyhedron,
+                        check_int, lp_solve, project_onto_polyhedron,
                         vrep_ri_membership)
 from .reparam import lifted_residual
 from .second_order import d2_lifted_g
@@ -56,7 +56,7 @@ def _sweep(seed: int, count: int, instance, summary: str) -> CheckResult:
     """Run instance(s) for s < count, each returning (error, broken gates);
     summary is formatted with the count and the worst error.  A negative
     seed raises InvalidRange."""
-    check_seed(seed)
+    check_int(seed, "seed")
     failures, worst = [], 0.0
     for s in range(count):
         error, broken = instance(s)
@@ -97,10 +97,10 @@ def projection_idempotence(seed: int, count: int) -> CheckResult:
     Instance k projects a point x drawn in turn from one generator seeded
     seed + 77 onto random_lp_instance(seed + 5k); the projection must
     also be feasible to 1e-8 and within 1e-9 (1 + |x|) of the primal
-    active-set QP with the identity Hessian started at feasible_point,
-    so that it is the optimum, not only a fixed point.
+    active-set QP with the identity Hessian started at the witness of a
+    zero-objective LP, so that it is the optimum, not only a fixed point.
     """
-    rng = np.random.default_rng(check_seed(seed) + 77)
+    rng = np.random.default_rng(check_int(seed, "seed") + 77)
 
     def instance(k):
         _, P = random_lp_instance(seed + 5 * k)
@@ -110,8 +110,10 @@ def projection_idempotence(seed: int, count: int) -> CheckResult:
         broken = [] if drift <= 1e-9 else [f"projection drift {drift:.2e}"]
         if not P.max_violation(z) <= 1e-8:
             broken.append("infeasible projection")
+        start = lp_solve(np.zeros(P.n), None, None, P.A_eq, P.b_eq,
+                         P.A_ineq, P.b_ineq).witness
         ref = _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq,
-                             P.b_ineq, feasible_point(P))
+                             P.b_ineq, start)
         gap = float(np.max(np.abs(z - ref)))
         if not gap <= 1e-9 * (1.0 + float(np.linalg.norm(x))):
             broken.append(f"projection off the primal QP by {gap:.2e}")

@@ -294,11 +294,6 @@ def d2_smooth_orthant_lift(p, y, w) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_seed(seed: int) -> int:
-    """Return seed; raise InvalidRange unless it is a nonnegative integer."""
-    return check_int(seed, "seed")
-
-
 def random_orthant_instance(seed: int):
     """Seeded random smooth-plus-orthant problem and a test point.
 
@@ -306,7 +301,7 @@ def random_orthant_instance(seed: int):
     indicator.  The returned y carries a sprinkling of exact zeros so
     zero-weight coordinates get exercised.
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = int(rng.integers(1, 7))
     M = rng.standard_normal((n, n))
     f = SmoothQuadratic(0.5 * (M + M.T), rng.standard_normal(n),
@@ -325,7 +320,7 @@ def random_nonsmooth_instance(seed: int):
     returned y squares to a feasible point.  Draws are retried until
     the active generator set at y*y fits the grid_min_norm caps.
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_int(seed, "seed"))
     for _ in range(200):
         n = int(rng.integers(1, 5))
         M = rng.standard_normal((n, n))
@@ -354,7 +349,7 @@ def random_lp_instance(seed: int):
     n >= 2 adds one equality row through that point.  Sized for
     enumerate_vertices.
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = int(rng.integers(1, 7))
     lo = rng.uniform(-3.0, -1.0, n)
     hi = rng.uniform(1.0, 3.0, n)
@@ -388,7 +383,7 @@ def make_stationary_orthant_instance(seed: int, spurious: bool = False):
     stationary, and the negative second-order direction is the
     matching coordinate axis.  Returns (problem, y, xbar).
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = int(rng.integers(2, 7))
     support = rng.random(n) < 0.5
     if spurious and support.all():
@@ -414,7 +409,7 @@ def make_stationary_pieces_instance(seed: int):
     with full support (the second-order slice is trivial).
     Returns (problem, y, xbar).
     """
-    rng = np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = int(rng.integers(1, 5))
     xbar = rng.uniform(0.3, 1.5, n)
     A = rng.standard_normal((2, n))

@@ -20,10 +20,11 @@ Projection onto a general polyhedron is the dual active-set method of
 Goldfarb & Idnani (1983) with the identity Hessian: it starts at the
 point itself, adds the most violated row and drops a row whose
 multiplier reaches 0, on an orthonormal factor of its working rows, so
-it needs no feasible start.  The weighted min-norm over a generator set
-is a primal active-set QP with smallest-index tie breaking that solves
-each working-set KKT system by LU, and by least squares only when that
-system is singular.
+it needs no feasible start; feasible_point is the projection of the
+origin, so a projection decides alone whether a polyhedron is empty.
+The weighted min-norm over a generator set is a primal active-set QP
+with smallest-index tie breaking that solves each working-set KKT
+system by LU, and by least squares only when that system is singular.
 On a box or simplex, projection and the weighted min-norm over a normal
 cone are closed forms instead (clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
@@ -1012,23 +1013,14 @@ def vrep_support(S: GeneratorSet, w) -> float:
 
 
 def feasible_point(P: Polyhedron) -> np.ndarray:
-    """Any feasible point of P; raises InfeasiblePolyhedron when empty.
-
-    Read off P.shape for a box (0 clipped into its bounds, empty when
-    some lower > upper) and a simplex (its barycentre); any other
-    polyhedron solves a feasibility LP."""
-    shape = P.shape
-    if shape.kind == "box":
-        if (shape.lower > shape.upper).any():
-            raise InfeasiblePolyhedron("polyhedron has no feasible point")
-        return np.minimum(np.maximum(0.0, shape.lower), shape.upper)
-    if shape.kind == "simplex":
-        return np.full(P.n, shape.total / P.n)
-    out = lp_solve(np.zeros(P.n), None, None, P.A_eq, P.b_eq,
-                   P.A_ineq, P.b_ineq)
-    if out.status is not LPStatus.OPTIMAL:
-        raise InfeasiblePolyhedron("polyhedron has no feasible point")
-    return out.witness
+    """The projection of the origin onto P (0 clipped into a box, a
+    simplex's barycentre).  Raises InfeasiblePolyhedron, as every
+    projection onto P does, when bounds cross beyond the rounding that
+    _tightest_bounds fixes, or when _dual_projection finds a dependent
+    row violated beyond the roundoff of its steps, about 1e-13 (1 + |z|):
+    a set empty by 1e-10, which a zero-objective lp_solve accepts within
+    its 1e-9 (1 + max|b|) tolerance, is refused."""
+    return _project_rows(P, np.zeros((1, P.n)))[0]
 
 
 def _project_simplex(X: np.ndarray, total: float) -> np.ndarray:

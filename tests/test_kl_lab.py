@@ -85,7 +85,8 @@ def test_scatter_config_validation():
                 dict(delta_min=False), dict(delta_max=np.nan)):
         with pytest.raises(sq.InvalidRange):
             sq.ScatterConfig(**bad)
-    # seeds follow oracles.check_seed, counts are integers as well
+    # seeds follow the rule of the seeded generators, counts are integers
+    # as well
     for bad in (dict(seed=1.5), dict(seed=True), dict(seed=-1),
                 dict(n_radii=2.5), dict(n_dirs=3.0), dict(n_dirs=True),
                 dict(n_dirs=0)):
@@ -93,7 +94,7 @@ def test_scatter_config_validation():
             sq.ScatterConfig(**bad)
     for bad in (1.5, True, -1):
         with pytest.raises(sq.InvalidRange):
-            sq.oracles.check_seed(bad)
+            sq.oracles.random_orthant_instance(bad)
     assert sq.ScatterConfig(n_radii=np.int64(2), seed=np.int64(7)).seed == 7
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
+from sqreparam.cli import parse_problem_dict
 
 
 def quad1(q=-1.0, r=0.5):
@@ -415,3 +416,22 @@ def test_local_model_min_norm_outside_the_domain_raises():
     p, _ = _shaped_problem("simplex")
     with pytest.raises(sq.OutOfDomain):
         sq.LocalModel(p.g, p.f, [0.0, 0.0, 0.0, 1.0]).phi_residual
+
+
+def test_building_on_a_general_domain_solves_no_lp(monkeypatch):
+    # the domain's emptiness is the verdict of its projections: neither a
+    # problem nor a parsed file solves an LP to decide it
+    def refused(*args, **kwargs):
+        raise AssertionError("lp_solve called")
+
+    monkeypatch.setattr(sq.polyhedra, "lp_solve", refused)
+    dom = sq.Polyhedron(3, A_ineq=[[1.0, 1.0, 0.0], [0.0, -1.0, 2.0]],
+                        b_ineq=[2.0, 1.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.5])
+    assert sq.PolyhedralFunction.indicator(dom).kind == "general"
+    sq.PolyhedralFunction.max_of_pieces([([1.0, 0.0, 0.0], 0.0)], dom)
+    data = {"n": 2, "f": {"Q": [[1.0, 0.0], [0.0, 1.0]]},
+            "g": {"domain": {"A_ineq": [[1.0, 1.0]], "b_ineq": [1.0]}}}
+    assert parse_problem_dict(data).problem.g.kind == "general"
+    data["g"]["domain"]["b_ineq"] = [-1e-8]
+    with pytest.raises(sq.ValidationError, match="empty domain"):
+        parse_problem_dict(data)

@@ -132,12 +132,109 @@ def test_feasible_point_and_infeasibility(monkeypatch):
     (sq.Polyhedron.standard_simplex(4), [0.25, 0.25, 0.25, 0.25]),
     (sq.Polyhedron(2, A_ineq=-3.0 * np.eye(2), b_ineq=np.zeros(2),
                    A_eq=[[2.0, 2.0]], b_eq=[6.0]), [1.5, 1.5]),
-], ids=["orthant", "box", "half-bounded", "simplex", "scaled-simplex"])
+    # 3 z1 + 4 z2 >= 10: the dual projection steps to the nearest point
+    (sq.Polyhedron(2, A_ineq=[[-3.0, -4.0], [1.0, 0.0]], b_ineq=[-10.0, 5.0]),
+     [1.2, 1.6]),
+], ids=["orthant", "box", "half-bounded", "simplex", "scaled-simplex",
+        "general"])
 def test_feasible_point_of_a_box_or_simplex_solves_no_lp(monkeypatch, P,
                                                          point):
+    # the projection of the origin, whatever the shape
     lps = _recorded_lps(monkeypatch)
     assert np.array_equal(sq.feasible_point(P), point)
     assert lps == []
+
+
+def _rows_around(rng, n, p, normals, slack):
+    """Rows a z <= a p + slack for the unit rows normals (k, 2), turned
+    into R^n by a random orthonormal pair, beside n random rows that
+    hold at p with room."""
+    U = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+    A = np.vstack([normals @ U.T, rng.standard_normal((n, n))])
+    b = A @ p + np.concatenate([np.full(len(normals), slack),
+                                rng.uniform(0.1, 1.0, n)])
+    return sq.Polyhedron(n, A, b)
+
+
+def _unit(angles):
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _general_draws(rng, n):
+    """(P, empty) pairs: n-dimensional general polyhedra that are
+    nonempty (random rows, some equalities, or 2n + 1 rows tight at one
+    vertex), or empty by delta >= 1e-8 (a parallel pair, or a triangle
+    whose three rows are pulled in by delta past a common point)."""
+    p = 2.0 * rng.standard_normal(n)
+    A = rng.standard_normal((3 * n, n))
+    yield sq.Polyhedron(n, A, A @ p + rng.uniform(0.0, 1.0, 3 * n)), False
+    E = rng.standard_normal((max(n // 2, 1), n))
+    yield sq.Polyhedron(n, A, A @ p + rng.uniform(0.0, 1.0, 3 * n),
+                        E, E @ p), False
+    V = rng.standard_normal((2 * n + 1, n))
+    yield sq.Polyhedron(n, V, V @ p), False
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    for delta in (1e-8, 1e-6, 1e-3):
+        pair = _unit(turn + np.array([0.0, np.pi]))
+        yield _rows_around(rng, n, p, pair, -delta / 2.0), True
+        # three normals with a positive combination 0: the rows
+        # a_i (z - p) <= -delta admit no z
+        triangle = _unit(turn + np.array([0.0, 2.0, 4.0])
+                         + rng.uniform(-0.3, 0.3, 3))
+        yield _rows_around(rng, n, p, triangle, -delta), True
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_feasible_point_agrees_with_the_lp_on_emptiness(n):
+    # the zero-objective LP is the judge: on a nonempty draw feasible_point
+    # finds a point feasible to 1e-9 and no longer than the LP's witness,
+    # being the projection of the origin; on an empty draw both refuse.
+    # The LP accepts violations up to 1e-9 (1 + max|b|), so of the sets
+    # empty by 1e-8 it refuses only those whose right-hand sides are
+    # small; a witness it returns for the others violates a row by more
+    # than 1e-9
+    rng = np.random.default_rng(3000 + n)
+    refused = 0
+    for _ in range(4):
+        for P, empty in _general_draws(rng, n):
+            assert P.shape.kind == "general"
+            out = sq.lp_solve(np.zeros(n), None, None, P.A_eq, P.b_eq,
+                              P.A_ineq, P.b_ineq)
+            if empty:
+                with pytest.raises(sq.InfeasiblePolyhedron):
+                    sq.feasible_point(P)
+                if out.status is sq.LPStatus.INFEASIBLE:
+                    refused += 1
+                else:
+                    assert P.max_violation(out.witness) > 1e-9
+                continue
+            assert out.status is sq.LPStatus.OPTIMAL
+            z = sq.feasible_point(P)
+            assert P.max_violation(z) <= 1e-9
+            assert np.linalg.norm(z) <= np.linalg.norm(out.witness) + 1e-9
+    assert refused >= 20
+
+
+@pytest.mark.parametrize("delta, empty", [(1e-8, True), (1e-10, True),
+                                          (1e-14, False)])
+def test_feasible_point_refuses_what_every_projection_refuses(delta, empty):
+    # {z1 + z2 <= 0, z1 + z2 >= delta}: at delta = 1e-10 the LP, within
+    # its 1e-9 tolerances, returns a point that violates a row by delta,
+    # but the set is empty by the dual projection's roundoff test, so
+    # feasible_point refuses it as every projection onto it does
+    P = sq.Polyhedron(2, A_ineq=[[1.0, 1.0], [-1.0, -1.0]],
+                      b_ineq=[0.0, -delta])
+    out = sq.lp_solve(np.zeros(2), A_ineq=P.A_ineq, b_ineq=P.b_ineq)
+    if delta == 1e-10:
+        assert out.status is sq.LPStatus.OPTIMAL
+        assert P.max_violation(out.witness) == pytest.approx(delta)
+    if empty:
+        for route in (sq.feasible_point,
+                      lambda P: sq.project_onto_polyhedron(P, [3.0, -1.0])):
+            with pytest.raises(sq.InfeasiblePolyhedron):
+                route(P)
+    else:
+        assert P.max_violation(sq.feasible_point(P)) <= 1e-13
 
 
 @pytest.mark.parametrize("points", [None, np.zeros((0, 2))],
@@ -254,6 +351,11 @@ def test_vrep_support_values():
     S = sq.GeneratorSet(1, points=np.zeros((1, 1)), rays=np.array([[-1.0]]))
     assert sq.vrep_support(S, np.array([1.0])) == 0.0
     assert sq.vrep_support(S, np.array([-1.0])) == np.inf
+    # a line escapes both ways: +inf unless w is orthogonal to it
+    S = sq.GeneratorSet(2, points=[[1.0, 2.0]], lines=[[1.0, -1.0]])
+    assert sq.vrep_support(S, np.array([2.0, 1.0])) == np.inf
+    assert sq.vrep_support(S, np.array([-2.0, 1.0])) == np.inf
+    assert sq.vrep_support(S, np.array([1.0, 1.0])) == 3.0
 
 
 def test_min_norm_weighted_hand_cases():
@@ -490,7 +592,16 @@ def test_stacked_closed_forms_match_one_row_calls(kind, n):
 
 # Closed-form projections: boxes (the orthant included) and simplices are
 # read off the rows and projected without the active-set QP, which stays
-# the reference here, started cold from feasible_point.
+# the reference here, started cold from the zero-objective LP's vertex.
+
+def _lp_start(P):
+    """The zero-objective LP's witness, a start for the primal QP that
+    owes nothing to the projection it judges."""
+    out = sq.lp_solve(np.zeros(P.n), None, None, P.A_eq, P.b_eq,
+                      P.A_ineq, P.b_ineq)
+    assert out.status is sq.LPStatus.OPTIMAL
+    return out.witness
+
 
 def _box_rows(rng, n):
     """A box with negative bounds and, where a bound row is left out
@@ -544,7 +655,7 @@ def test_closed_form_projection_matches_qp(make, kind, n):
         x = 3.0 * rng.standard_normal(n)
         z = sq.project_onto_polyhedron(P, x)
         ref = _qp_active_set(np.eye(n), -x, P.A_eq, P.b_eq, P.A_ineq,
-                             P.b_ineq, sq.feasible_point(P))
+                             P.b_ineq, _lp_start(P))
         scale = 1.0 + np.linalg.norm(x)
         assert np.max(np.abs(z - ref)) <= 1e-9 * scale
         assert P.max_violation(z) <= 1e-12 * scale
@@ -600,9 +711,9 @@ def test_general_polyhedra_use_the_qp(monkeypatch, make):
 
 def _primal_projection(P, x):
     """The primal active-set QP with the identity Hessian, as a matrix,
-    started at feasible_point(P): the reference of the dual projection."""
+    started at _lp_start(P): the reference of the dual projection."""
     return _qp_active_set(np.eye(P.n), -x, P.A_eq, P.b_eq, P.A_ineq,
-                          P.b_ineq, sq.feasible_point(P))
+                          P.b_ineq, _lp_start(P))
 
 
 def _assert_projection(P, x, z, ref):
@@ -624,7 +735,7 @@ def _assert_projection(P, x, z, ref):
 def test_range_space_projection_matches_the_augmented_kkt_path(make, n):
     # the dual projection factors its working rows (their range space);
     # the primal QP, given the identity as a matrix, solves augmented
-    # (n + k) x (n + k) KKT systems from feasible_point
+    # (n + k) x (n + k) KKT systems from the LP's vertex
     rng = np.random.default_rng(2000 + n)
     for _ in range(3):
         P = make(rng, n)
@@ -635,7 +746,7 @@ def test_range_space_projection_matches_the_augmented_kkt_path(make, n):
 
 def test_projection_onto_duplicated_rescaled_rows(monkeypatch):
     # 60 of the 120 rows written again, scaled by 1e-3 to 1e3: started at
-    # feasible_point's vertex, the primal QP with the identity solved in
+    # the LP's vertex, the primal QP with the identity solved in
     # the range space of its working rows ran out of its iteration budget
     # in about 0.5 s.  The copies leave the set as it was, so the primal
     # QP on the rows without them is the reference, and the dual
@@ -979,7 +1090,7 @@ def test_lp_bound_flip_wins_a_ratio_tie_by_its_index():
     assert out.pivots == 1
 
 
-def test_lp_with_a_feasible_slack_basis_skips_phase_1(monkeypatch):
+def test_lp_with_a_feasible_slack_basis_skips_phase_1():
     # b > 0 and no bound on z: the slack basis is feasible at z = 0, so
     # phase 1 has no artificial, and a zero objective leaves phase 2
     # nothing to do
@@ -987,11 +1098,9 @@ def test_lp_with_a_feasible_slack_basis_skips_phase_1(monkeypatch):
     P = sq.Polyhedron(20, rng.standard_normal((60, 20)),
                       rng.uniform(0.1, 1.0, 60))
     assert P.shape.kind == "general"
-    outcomes = _recorded_lps(monkeypatch)
-    z = sq.feasible_point(P)
-    (out,) = outcomes
+    out = sq.lp_solve(np.zeros(20), A_ineq=P.A_ineq, b_ineq=P.b_ineq)
     assert out.pivots == 0
-    assert np.array_equal(z, np.zeros(20))
+    assert np.array_equal(out.witness, np.zeros(20))
 
 
 def test_lp_terminates_on_beales_cycling_example():
@@ -1184,13 +1293,11 @@ _MIN_NORM_PIN = \
 
 
 @pytest.mark.parametrize("n", sorted(_LP_PINS))
-def test_lp_outcomes_match_their_pins(monkeypatch, n):
+def test_lp_outcomes_match_their_pins(n):
+    # the second pin is the zero-objective LP, phase 1 alone
     P, c, _ = _pinned_draw(n)
     out = sq.lp_solve(c, A_ineq=P.A_ineq, b_ineq=P.b_ineq)
-    outcomes = _recorded_lps(monkeypatch)
-    z = sq.feasible_point(P)
-    (feasible,) = outcomes
-    assert z is feasible.witness
+    feasible = sq.lp_solve(np.zeros(n), A_ineq=P.A_ineq, b_ineq=P.b_ineq)
     assert (_lp_digest(out), _lp_digest(feasible)) == _LP_PINS[n]
 
 

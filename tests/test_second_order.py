@@ -1,5 +1,7 @@
 """Unit tests for second-order slices, multipliers, and the correspondence check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,132 @@ def test_correspondence_gate_catches_a_feasible_second_order_lp(
     p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
     with pytest.raises(sq.InconsistencyDetected, match="LP feasible"):
         sq.correspondence_check(p, np.zeros(2))
+
+
+# The certificate guards below raise only when a route breaks.  Each test
+# breaks one route on orthant2 (f = |x|^2 / 2 + (-1, 1) x on the
+# orthant) or on simplex_linear, whose points are exact: at y = (1, 0)
+# the lifted residual is 0, at y = (2, 0) it is 12.
+
+def orthant2():
+    f = sq.SmoothQuadratic(np.eye(2), np.array([-1.0, 1.0]), 0.0)
+    return sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
+
+
+def _broken_slice_lp(monkeypatch, multiplier=None, second_order_lp=None):
+    """Replace the arguments or the outcome of the multiplier LP (no rows
+    A_ineq) or of the second-order LP (rows A_ineq) by the given maps."""
+    slice_lp = second_order._slice_lp
+
+    def broken(pt, anchor, objective=None, A_ineq=None, b_ineq=None):
+        edit = multiplier if A_ineq is None else second_order_lp
+        if edit is None or objective is not None:
+            return slice_lp(pt, anchor, objective, A_ineq, b_ineq)
+        return edit(slice_lp, pt, anchor, A_ineq, b_ineq)
+
+    monkeypatch.setattr(second_order, "_slice_lp", broken)
+
+
+def _corrupted_witness(edit):
+    """A multiplier LP whose witness edit(theta, S) changes in place."""
+    def solve(slice_lp, pt, anchor, A_ineq, b_ineq):
+        out = slice_lp(pt, anchor)
+        theta = out.witness.copy()
+        edit(theta, pt.S)
+        return dataclasses.replace(out, witness=theta)
+    return solve
+
+
+def test_multiplier_found_at_a_point_with_a_lifted_residual(monkeypatch):
+    # anchored at 0 in place of -grad f = -3 on the support, the slice LP
+    # is feasible at y = (2, 0)
+    _broken_slice_lp(monkeypatch, multiplier=lambda slice_lp, pt, anchor,
+                     A_ineq, b_ineq: slice_lp(pt, 0.0 * anchor))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="multiplier found but lifted residual is "
+                             "1.200e\\+01"):
+        second_order.stationarity_multiplier(orthant2(), np.array([2.0, 0.0]))
+
+
+def test_multiplier_witness_outside_the_subdifferential(monkeypatch):
+    # at y = (1, 0) the slice is cone(-e_2); a ray coefficient of -5
+    # puts v = (0, 5) outside it
+    def negative_rays(theta, S):
+        theta[S.n_points:S.n_points + S.n_rays] = -5.0
+
+    _broken_slice_lp(monkeypatch, multiplier=_corrupted_witness(negative_rays))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="multiplier witness escaped the subdifferential"):
+        second_order.stationarity_multiplier(orthant2(), np.array([1.0, 0.0]))
+
+
+def test_multiplier_witness_off_the_support_equations(monkeypatch):
+    # x1 + 2 x2 on the simplex at y = (1, 0): the slice pins v_1 = -1;
+    # one more unit along the free line (1, 1) stays in the
+    # subdifferential but gives v_1 = 0
+    def moved_line(theta, S):
+        assert S.n_lines == 1
+        theta[-1] += 1.0
+
+    _broken_slice_lp(monkeypatch, multiplier=_corrupted_witness(moved_line))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="multiplier witness violates the support "
+                             "equations"):
+        second_order.stationarity_multiplier(simplex_linear(),
+                                             np.array([1.0, 0.0]))
+
+
+def test_no_multiplier_at_a_lifted_stationary_point(monkeypatch):
+    # anchored 1 away from -grad f on the support, the slice of
+    # cone(-e_2) is empty at the lifted stationary y = (1, 0)
+    _broken_slice_lp(monkeypatch, multiplier=lambda slice_lp, pt, anchor,
+                     A_ineq, b_ineq: slice_lp(pt, anchor + 1.0))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="no multiplier although lifted residual is "
+                             "0.000e\\+00"):
+        second_order.stationarity_multiplier(orthant2(), np.array([1.0, 0.0]))
+
+
+def test_steepest_direction_on_an_empty_slice(monkeypatch):
+    # a multiplier with v_1 = 1 where every subgradient has v_1 = 0: the
+    # slice at v is empty, so the direction LP, its dual, is unbounded
+    monkeypatch.setattr(second_order, "stationarity_multiplier",
+                        lambda p, pt: second_order.Multiplier(
+                            np.array([1.0, 0.0]), np.array([2.0, 0.0])))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="subdifferential slice at v is empty"):
+        sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
+
+
+def test_sign_constrained_multiplier_without_lifted_stationarity(
+        monkeypatch):
+    # the multiplier LP misses the multiplier 0 at y = (1, 0), which the
+    # second-order LP still finds
+    monkeypatch.setattr(second_order, "stationarity_multiplier",
+                        lambda p, pt: None)
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="sign-constrained multiplier exists without "
+                             "lifted stationarity"):
+        sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
+
+
+def test_correspondence_violation_carries_its_report(monkeypatch):
+    # tightened by 2, the second-order LP asks for grad_2 + v_2 >= 2 with
+    # v_2 <= 0 and grad_2 = 1: infeasible at y = (1, 0), a point that is
+    # stationary for phi, where e_2 has quotient 2 > 0
+    _broken_slice_lp(monkeypatch, second_order_lp=lambda slice_lp, pt, anchor,
+                     A_ineq, b_ineq: slice_lp(pt, anchor, None, A_ineq,
+                                              b_ineq - 2.0))
+    with pytest.raises(sq.InconsistencyDetected,
+                       match="stationarity correspondence violated beyond "
+                             "tolerance") as caught:
+        sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
+    report = caught.value.report
+    assert isinstance(report, sq.CorrespondenceReport)
+    assert (report.stationary_for_Phi, report.second_order_nonneg_on_SI,
+            report.stationary_for_phi, report.consistent) == (
+                True, False, True, False)
+    assert report.witness_lambda is None and report.negative_direction is None
 
 
 def two_pieces():
