@@ -16,12 +16,7 @@ from .errors import (
     InsufficientSamples,
     InsufficientTrace,
     InvalidRange,
-    NotAMinimizer,
-    NotAStationaryPoint,
-    NotConvex,
     NumericalFailure,
-    OutOfDomain,
-    OutOfLiftedDomain,
     ParseError,
     SqreparamError,
     TooLarge,

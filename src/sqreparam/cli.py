@@ -309,11 +309,11 @@ def _cmd_certify(args) -> int:
     y = _parse_vector_arg(args.y, p.n, "--y")
     check_tol(args.tol, "--tol")
     check_tol(args.tol_support, "--tol-support")
+    pt = lift_point(p, y, tol_support=args.tol_support, tol=args.tol)
     _kv("command", "certify")
     _kv("problem", args.file)
     _kv("n", p.n)
     _kv("y", y)
-    pt = lift_point(p, y, tol_support=args.tol_support, tol=args.tol)
     report = classify_first_order(p, pt)
     _kv("in_domain", report.in_domain)
     _kv("support", list(report.support))

@@ -4,9 +4,15 @@ A class exists only for a failure that callers branch on, and it carries
 the process exit code and the stderr label the CLI reports it with:
 `cli.main` catches SqreparamError once and returns ``err.exit_code``.
 Four classes set them: SqreparamError (4, a numerical failure unless a
-subclass says otherwise), ParseError (2), ValidationError (3, every
-class that says the input is invalid derives from it) and
-InconsistencyDetected (5).
+subclass says otherwise), ParseError (2), ValidationError (3, raised as
+itself for a point outside a hypothesis of the paper, and the base of
+every invalid-input class) and InconsistencyDetected (5).  The parser
+re-labels DimensionMismatch and InfeasiblePolyhedron; `solve` prints
+InsufficientTrace as an undetermined rate; NumericalFailure tells a
+breakdown from an empty set; InsufficientSamples (a scatter too thin to
+fit), TooLarge (an oracle's size cap), UnsupportedProblemClass (a shape
+no solver variant covers) and InvalidRange (a parameter out of range)
+each tell why an input was refused, not merely that it was.
 """
 
 
@@ -74,26 +80,6 @@ class InfeasiblePolyhedron(ValidationError):
 class TooLarge(ValidationError):
     """A brute-force oracle refused an input: above its size cap, or
     unbounded where it enumerates vertices."""
-
-
-class OutOfDomain(ValidationError):
-    """The query point is not in the effective domain."""
-
-
-class OutOfLiftedDomain(OutOfDomain):
-    """The squared point y*y is not in the domain of the polyhedral term."""
-
-
-class NotAStationaryPoint(ValidationError):
-    """A query that needs a stationary point got one that is not."""
-
-
-class NotConvex(ValidationError):
-    """A probe that assumes convexity got a nonconvex problem."""
-
-
-class NotAMinimizer(ValidationError):
-    """A probe that assumes a global minimizer got a non-minimizing point."""
 
 
 class UnsupportedProblemClass(ValidationError):

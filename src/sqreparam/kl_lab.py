@@ -29,13 +29,9 @@ from .errors import (
     InsufficientSamples,
     InsufficientTrace,
     InvalidRange,
-    NotAMinimizer,
-    NotAStationaryPoint,
-    NotConvex,
     NumericalFailure,
-    OutOfDomain,
-    OutOfLiftedDomain,
     UnsupportedProblemClass,
+    ValidationError,
 )
 from .polyfunc import (CompositeProblem, LocalModel, SmoothQuadratic,
                        phi_value, _f_kernels, _f_stack_kernels, _g_rows,
@@ -101,14 +97,14 @@ def strict_complementarity(p: CompositeProblem, xbar,
                            tol: float = DEFAULT_TOL) -> bool:
     """Whether 0 lies in the relative interior of subdiff phi(xbar).
 
-    Requires xbar to be stationary in the first place
-    (NotAStationaryPoint otherwise).
+    Requires xbar to be in dom g and stationary in the first place
+    (ValidationError otherwise).
     """
     pt = LocalModel(p.g, p.f, _as_vector(xbar, p.n, "xbar"), tol)
     if not pt.in_domain:
-        raise OutOfDomain("xbar is outside the domain of g")
+        raise ValidationError("xbar is outside the domain of g")
     if not pt.phi_stationary:
-        raise NotAStationaryPoint("xbar is not stationary for phi")
+        raise ValidationError("xbar is not stationary for phi")
     return vrep_ri_membership(pt.S.translate(pt.grad), np.zeros(p.n))
 
 
@@ -153,14 +149,13 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
                    config: ScatterConfig):
     """Feasible points near xbar whose gap phi(x) - base clears the floor.
 
-    Returns (x, gap, signs), one row per kept sample, in the sampling
-    plan's order: every radius with every seeded unit direction, radius
-    by radius, the perturbed point projected back onto the domain of g.
-    signs holds random sign vectors, one per candidate, drawn in one call
-    after the directions from the same generator.  f is evaluated in one
-    call of its stack kernel (polyfunc._f_stack_kernels) over the rows
-    inside the domain.  Raises InsufficientSamples when no candidate
-    clears the floor.
+    Returns (x, gap), one row per kept sample, in the sampling plan's
+    order: every radius with every seeded unit direction, radius by
+    radius, the perturbed point projected back onto the domain of g.  f
+    is evaluated in one call of its stack kernel
+    (polyfunc._f_stack_kernels).  Raises ValidationError when a projected
+    candidate lies outside dom g, and InsufficientSamples when no
+    candidate clears the floor.
     """
     rng = np.random.default_rng(config.seed)
     dirs = rng.standard_normal((config.n_dirs, p.n))
@@ -168,17 +163,14 @@ def _perturbations(p: CompositeProblem, xbar, base: float,
     deltas = np.geomspace(config.delta_min, config.delta_max, config.n_radii)
     X = _project_rows(p.g.domain,
                       (xbar + deltas[:, None, None] * dirs).reshape(-1, p.n))
-    signs = rng.integers(0, 2, size=X.shape) * 2.0 - 1.0
-    # phi = f + g, with f evaluated only where g is finite
     g = _g_rows(p.g, X)
-    inside = g < _INF
-    gap = np.full(g.shape, _INF)
-    gap[inside] = _f_stack_kernels(p.f)[0](X[inside]) + g[inside]
-    gap -= base
+    if not (g < _INF).all():
+        raise ValidationError("a projected sample is outside the domain of g")
+    gap = _f_stack_kernels(p.f)[0](X) + g - base
     keep = gap > 10.0 * np.finfo(float).eps * (1.0 + abs(base))
     if not keep.any():
         raise InsufficientSamples("no sample cleared the gap floor")
-    return X[keep], gap[keep], signs[keep]
+    return X[keep], gap[keep]
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -195,22 +187,23 @@ def sample_scatter(p: CompositeProblem, ybar,
     """(gap, lifted residual) samples around a lifted stationary ybar.
 
     Returns an array of shape (n_samples, 2) sorted by gap.  Raises
-    NotAStationaryPoint when the model at ybar is not Phi_stationary and
-    InsufficientSamples when every sample falls below the gap floor.
+    ValidationError when ybar*ybar is outside dom g or the model at ybar
+    is not Phi_stationary, and InsufficientSamples when every sample
+    falls below the gap floor.
     """
     ybar = _as_vector(ybar, p.n, "ybar")
     base = lift_eval(p, ybar)
     if not np.isfinite(base):
-        raise OutOfDomain("ybar*ybar is outside the domain of g")
+        raise ValidationError("ybar*ybar is outside the domain of g")
     if not lift_point(p, ybar).Phi_stationary:
-        raise NotAStationaryPoint("ybar is not lifted stationary")
+        raise ValidationError("ybar is not lifted stationary")
 
-    X, gaps, signs = _perturbations(p, ybar * ybar, base, config)
-    Y = signs * np.sqrt(np.maximum(X, 0.0))
+    X, gaps = _perturbations(p, ybar * ybar, base, config)
+    Y = np.sqrt(np.maximum(X, 0.0))
     X = Y * Y
     if not (_g_rows(p.g, X) < _INF).all():
-        raise OutOfLiftedDomain("y*y is outside the domain of g")
-    residuals = 2.0 * _min_norm_rows(p, X, np.abs(Y))[1]
+        raise ValidationError("y*y is outside the domain of g")
+    residuals = 2.0 * _min_norm_rows(p, X, Y)[1]
     order = np.lexsort((residuals, gaps))
     return np.column_stack([gaps[order], residuals[order]])
 
@@ -304,18 +297,16 @@ def lemma61_probe(p: CompositeProblem, xbar, beta: float,
     xbar = _as_vector(xbar, p.n, "xbar")
     centre = LocalModel(p.g, p.f, xbar)
     if not centre.in_domain:
-        raise OutOfDomain("xbar is outside the domain of g")
+        raise ValidationError("xbar is outside the domain of g")
     eigs = np.linalg.eigvalsh(np.asarray(p.f.hess(xbar), dtype=float))
     if eigs.size and eigs.min() < -1e-9:
-        raise NotConvex("smooth part has a negative curvature direction")
+        raise ValidationError("smooth part has a negative curvature direction")
     base = phi_value(p, xbar)
     if not centre.phi_stationary:
-        raise NotAMinimizer("xbar is not stationary, hence not a minimizer")
+        raise ValidationError("xbar is not stationary, hence not a minimizer")
 
     sup, comp = support_set(xbar)
-    X, gaps, _ = _perturbations(p, xbar, base, config)
-    if not (_g_rows(p.g, X) < _INF).all():
-        raise OutOfDomain("g_subdiff: point outside the domain")
+    X, gaps = _perturbations(p, xbar, base, config)
     grads, _, Z = _min_norm_rows(p, X, np.ones(X.shape))
     V = grads + Z
     # take keeps rows contiguous: a product of strided rows rounds

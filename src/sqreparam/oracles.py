@@ -19,9 +19,9 @@ import numpy as np
 from .errors import (
     InvalidRange,
     NumericalFailure,
-    OutOfDomain,
     TooLarge,
     UnsupportedProblemClass,
+    ValidationError,
 )
 from .polyfunc import (
     CompositeProblem,
@@ -228,7 +228,7 @@ def fd_second_subderivative(H_eval, ybar, lam, w) -> float:
     w = _as_vector(w, n, "w")
     base = float(H_eval(ybar))
     if not np.isfinite(base):
-        raise OutOfDomain("H must be finite at the base point")
+        raise ValidationError("H must be finite at the base point")
 
     support = support_set(ybar)[0]
     rng = np.random.default_rng(_SEED)

@@ -16,12 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasiblePolyhedron, OutOfDomain
+from .errors import (DimensionMismatch, InfeasiblePolyhedron,
+                     ValidationError)
 from .polyhedra import (
     DEFAULT_TOL,
     GeneratorSet,
     Polyhedron,
-    check_tol,
     feasible_point,
     min_norm_weighted,
     _as_matrix,
@@ -277,13 +277,13 @@ class LocalModel:
 
     def _build(self, g, f, x, tol):
         """Set up from a validated x (LiftedPoint passes y*y unchecked);
-        tol must be finite and nonnegative (InvalidRange otherwise)."""
-        check_tol(tol)
+        tol must be finite and nonnegative (InvalidRange from contains
+        otherwise)."""
         self.g, self.f, self.tol, self.x = g, f, tol, x
         self.in_domain = g.domain.contains(x, tol)
 
-    def _outside(self) -> OutOfDomain:
-        return OutOfDomain("g_subdiff: point outside the domain")
+    # the refusal of S and the min-norm pairs outside dom g
+    _OUTSIDE = "g_subdiff: point outside the domain"
 
     @cached_property
     def pattern(self) -> ActivityPattern:
@@ -292,7 +292,7 @@ class LocalModel:
     @cached_property
     def S(self) -> GeneratorSet:
         if not self.in_domain:
-            raise self._outside()
+            raise ValidationError(self._OUTSIDE)
         g, pattern = self.g, self.pattern
         points = g.pieces_A[list(pattern.active_pieces)] if g.n_pieces \
             else np.zeros((1, g.n))
@@ -310,7 +310,7 @@ class LocalModel:
         g = self.g
         if g.kind != "general":
             if not self.in_domain:
-                raise self._outside()
+                raise ValidationError(self._OUTSIDE)
             active = np.zeros((1, g.domain.m_ineq), dtype=bool)
             active[0, list(self.pattern.active_rows)] = True
             values, z = _min_norm_normal_cone(
@@ -394,5 +394,5 @@ def phi_value(p: CompositeProblem, x) -> float:
 
 
 def phi_residual(p: CompositeProblem, x) -> float:
-    """dist(0, subdiff phi(x)); raises OutOfDomain outside dom g."""
+    """dist(0, subdiff phi(x)); raises ValidationError outside dom g."""
     return LocalModel(p.g, p.f, x).phi_residual

@@ -227,6 +227,7 @@ class Polyhedron:
         return worst
 
     def contains(self, z, tol: float = DEFAULT_TOL) -> bool:
+        check_tol(tol)
         return self.max_violation(z) <= tol
 
     @cached_property
@@ -959,6 +960,7 @@ def min_norm_weighted(S: GeneratorSet, shift,
 
 def vrep_membership(S: GeneratorSet, z, tol: float = DEFAULT_TOL) -> bool:
     """True iff dist(z, S) <= tol."""
+    check_tol(tol)
     z = _as_vector(z, S.n, "z")
     value, _ = min_norm_weighted(S, -z, np.ones(S.n))
     return value <= tol

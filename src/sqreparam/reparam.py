@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfLiftedDomain
+from .errors import DimensionMismatch
 from .polyfunc import (
     CompositeProblem,
     LocalModel,
@@ -43,6 +43,7 @@ def support_set(y, tol_support: float = DEFAULT_TOL_SUPPORT):
     certificate fragile; reports carry min |y_i| over the support so
     callers can see how much margin they have.
     """
+    check_tol(tol_support, "tol_support")
     y = np.asarray(y, dtype=float).ravel()
     mask = np.abs(y) > tol_support
     idx = np.arange(y.size)
@@ -59,9 +60,9 @@ class LiftedPoint(LocalModel):
     its complement comp, which the lifted residual alone does not need;
     the lifted residual and its verdict Phi_stationary, by the rule of
     LocalModel; and everything LocalModel builds, with S raising
-    OutOfLiftedDomain outside the domain.  y must be a point, not a model
-    (DimensionMismatch), and tol and tol_support finite and nonnegative
-    (InvalidRange).
+    ValidationError outside the domain.  y must be a point, not a model,
+    with finite y*y (DimensionMismatch), and tol and tol_support finite
+    and nonnegative (InvalidRange).
     """
 
     def __init__(self, g: PolyhedralFunction, f, y,
@@ -72,10 +73,9 @@ class LiftedPoint(LocalModel):
         check_tol(tol_support, "tol_support")
         self.tol_support = tol_support
         self.y = _as_vector(y, g.n, "y")
-        self._build(g, f, self.y * self.y, tol)
+        self._build(g, f, _square(self.y), tol)
 
-    def _outside(self) -> OutOfLiftedDomain:
-        return OutOfLiftedDomain("y*y is outside the domain of g")
+    _OUTSIDE = "y*y is outside the domain of g"
 
     @cached_property
     def _support_split(self):
@@ -103,6 +103,15 @@ class LiftedPoint(LocalModel):
         return self._stationary(self.lifted_residual)
 
 
+def _square(y: np.ndarray) -> np.ndarray:
+    """y*y of a finite y, refused (DimensionMismatch) where it overflows."""
+    with np.errstate(over="ignore"):
+        x = y * y
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("y: y*y must be finite")
+    return x
+
+
 def _lift(g: PolyhedralFunction, f, y) -> LiftedPoint:
     """The model a certificate reads at y: built with the default
     tolerances from a point, or y itself when it is a model of the same
@@ -125,9 +134,9 @@ def lift_point(p: CompositeProblem, y,
 
 
 def lift_eval(p: CompositeProblem, y) -> float:
-    """Phi(y) = phi(y*y), +inf when y*y leaves the domain of g."""
-    y = _as_vector(y, p.n, "y")
-    return phi_value(p, y * y)
+    """Phi(y) = phi(y*y), +inf when y*y leaves the domain of g; y*y must
+    be finite (DimensionMismatch)."""
+    return phi_value(p, _square(_as_vector(y, p.n, "y")))
 
 
 def lifted_residual(p: CompositeProblem, y) -> float:

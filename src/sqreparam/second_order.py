@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     InconsistencyDetected,
-    NotAStationaryPoint,
     ValidationError,
 )
 from .polyfunc import CompositeProblem, PolyhedralFunction
@@ -156,7 +155,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     """Second-order quotient of the full lifted objective on the
     off-support subspace.
 
-    Requires lifted stationarity (NotAStationaryPoint otherwise).  The
+    Requires lifted stationarity (ValidationError otherwise).  The
     value must not depend on which multiplier witness anchors the
     subdifferential slice; when a second witness exists the computation
     is repeated and compared.
@@ -165,7 +164,7 @@ def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     w = _as_vector(w, p.n, "w")
     mult = stationarity_multiplier(p, pt)
     if mult is None:
-        raise NotAStationaryPoint("y is not a lifted stationary point")
+        raise ValidationError("y is not a lifted stationary point")
     value = _d2_objective(p, pt, mult.v, w)
 
     # a second, generically different multiplier witness

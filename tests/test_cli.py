@@ -101,6 +101,7 @@ MALFORMED = [
     ("ragged-rows", '{"n": 2, "f": {"Q": [[1, 0], [0]]}}', "0,0", 3),
     ("nan-in-Q", '{"n": 1, "f": {"Q": [[NaN]]}}', "0", 3),
     ("y-not-numeric", '{"n": 2}', "a,b", 2),
+    ("y-square-overflows", '{"n": 2}', "1e200,0", 3),
     ("A_ineq-not-rows", '{"n": 1, "g": {"domain": {"A_ineq": 5}}}', "0", 2),
 ]
 
@@ -126,11 +127,6 @@ EXIT_CODES = {
     "DimensionMismatch": (3, "validation error"),
     "InfeasiblePolyhedron": (3, "validation error"),
     "InvalidRange": (3, "validation error"),
-    "NotAMinimizer": (3, "validation error"),
-    "NotAStationaryPoint": (3, "validation error"),
-    "NotConvex": (3, "validation error"),
-    "OutOfDomain": (3, "validation error"),
-    "OutOfLiftedDomain": (3, "validation error"),
     "TooLarge": (3, "validation error"),
     "UnsupportedProblemClass": (3, "validation error"),
     "SqreparamError": (4, "numerical failure"),

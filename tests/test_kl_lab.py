@@ -72,8 +72,12 @@ def test_strict_complementarity_designed():
 
 
 def test_strict_complementarity_requires_stationary_point():
-    with pytest.raises(sq.NotAStationaryPoint):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^xbar is not stationary for phi$"):
         sq.strict_complementarity(strict2(), np.array([0.5, 0.5]))
+    with pytest.raises(sq.ValidationError,
+                       match=r"^xbar is outside the domain of g$"):
+        sq.strict_complementarity(strict2(), np.array([-1.0, 0.0]))
 
 
 def test_scatter_config_validation():
@@ -107,7 +111,8 @@ def test_sample_scatter_shape_and_order():
 
 
 def test_sample_scatter_rejects_nonstationary_center():
-    with pytest.raises(sq.NotAStationaryPoint):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^ybar is not lifted stationary$"):
         sq.sample_scatter(strict1(), np.array([0.5]))
 
 
@@ -306,20 +311,28 @@ def test_scatter_and_probe_match_a_per_sample_loop(kind):
                 _reference_probe(p, xbar, beta, config)
 
 
-def test_scatter_and_probe_errors_on_the_stack():
-    # on the simplex of total 1e8 the sum of a projected sample, and of its
-    # y*y, misses the total by rounding beyond DEFAULT_TOL: the sample
-    # leaves the domain
+def _simplex_of_total(total):
     f = sq.SmoothQuadratic(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
-    total = 1e8
     dom = sq.Polyhedron(3, A_ineq=-np.eye(3), b_ineq=np.zeros(3),
                         A_eq=np.ones((1, 3)), b_eq=[total])
-    p = sq.CompositeProblem(f, sq.PolyhedralFunction.indicator(dom))
-    xbar = np.array([total, 0.0, 0.0])
-    with pytest.raises(sq.OutOfLiftedDomain):
-        sq.sample_scatter(p, np.sqrt(xbar))
-    with pytest.raises(sq.OutOfDomain):
-        sq.lemma61_probe(p, xbar, 0.5)
+    return sq.CompositeProblem(f, sq.PolyhedralFunction.indicator(dom))
+
+
+def test_scatter_and_probe_errors_on_the_stack():
+    # on the simplex of total 1e8 the sum of a projected sample misses the
+    # total by rounding beyond DEFAULT_TOL: the sample leaves the domain
+    xbar = np.array([1e8, 0.0, 0.0])
+    outside = r"^a projected sample is outside the domain of g$"
+    with pytest.raises(sq.ValidationError, match=outside):
+        sq.sample_scatter(_simplex_of_total(1e8), np.sqrt(xbar))
+    with pytest.raises(sq.ValidationError, match=outside):
+        sq.lemma61_probe(_simplex_of_total(1e8), xbar, 0.5)
+    # at total 5e6 the projected samples stay in the domain and the sum of
+    # some y*y, y = sqrt(x), leaves it
+    with pytest.raises(sq.ValidationError,
+                       match=r"^y\*y is outside the domain of g$"):
+        sq.sample_scatter(_simplex_of_total(5e6),
+                          np.sqrt([5e6, 0.0, 0.0]))
     # f = 1e-14 (x_0 + x_1): every gap lies in (0, 2e-16], below the floor
     # 10 eps (1 + |phi(0)|)
     flat = sq.CompositeProblem(sq.SmoothQuadratic(np.zeros((2, 2)),
@@ -333,10 +346,30 @@ def test_scatter_and_probe_errors_on_the_stack():
     box = sq.CompositeProblem(
         sq.SmoothQuadratic(np.eye(1), np.zeros(1)),
         sq.PolyhedralFunction.indicator(sq.Polyhedron.box([0.0], [1.0])))
-    with pytest.raises(sq.OutOfDomain):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^ybar\*ybar is outside the domain of g$"):
         sq.sample_scatter(box, np.array([2.0]))
-    with pytest.raises(sq.OutOfDomain):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^xbar is outside the domain of g$"):
         sq.lemma61_probe(box, np.array([2.0]), 0.5)
+
+
+def test_perturbations_refuse_a_sample_outside_the_domain(monkeypatch):
+    # a projection that leaves one row at x = -1 on the half-line: the
+    # scatter and the probe refuse it instead of passing it on at gap +inf
+    project_rows = kl_lab._project_rows
+
+    def one_row_outside(P, X):
+        X = project_rows(P, X)
+        X[7] = -1.0
+        return X
+
+    monkeypatch.setattr(kl_lab, "_project_rows", one_row_outside)
+    outside = r"^a projected sample is outside the domain of g$"
+    with pytest.raises(sq.ValidationError, match=outside):
+        sq.sample_scatter(quartic(), np.array([0.0]))
+    with pytest.raises(sq.ValidationError, match=outside):
+        sq.lemma61_probe(quartic(), np.array([0.0]), 0.5)
 
 
 def test_lemma61_probe_errors():
@@ -346,9 +379,13 @@ def test_lemma61_probe_errors():
     indefinite = sq.CompositeProblem(
         sq.SmoothQuadratic(-np.eye(1), np.zeros(1)),
         sq.PolyhedralFunction.orthant_indicator(1))
-    with pytest.raises(sq.NotConvex):
+    with pytest.raises(
+            sq.ValidationError,
+            match=r"^smooth part has a negative curvature direction$"):
         sq.lemma61_probe(indefinite, np.array([0.0]), 0.5)
-    with pytest.raises(sq.NotAMinimizer):
+    with pytest.raises(
+            sq.ValidationError,
+            match=r"^xbar is not stationary, hence not a minimizer$"):
         sq.lemma61_probe(strict1(), np.array([0.0]), 0.5)
 
 

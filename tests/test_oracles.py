@@ -51,6 +51,11 @@ def test_fd_second_subderivative_smooth_quadratic():
     val = fd_second_subderivative(H, np.zeros(2), np.zeros(2),
                                   np.array([0.0, 1.0]))
     assert val == pytest.approx(4.0, abs=0.05 * 5.0)
+    # the quotients are measured from a finite H(ybar)
+    with pytest.raises(sq.ValidationError,
+                       match=r"^H must be finite at the base point$"):
+        fd_second_subderivative(lambda y: np.inf, np.zeros(2), np.zeros(2),
+                                np.array([1.0, 0.0]))
 
 
 def test_grid_min_norm_sandwich():

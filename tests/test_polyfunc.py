@@ -210,7 +210,8 @@ def test_g_subdiff_orthant_normal_cone():
 
 def test_g_subdiff_out_of_domain():
     g = sq.PolyhedralFunction.orthant_indicator(1)
-    with pytest.raises(sq.OutOfDomain):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^g_subdiff: point outside the domain$"):
         sq.g_subdiff(g, np.array([-1.0]))
 
 
@@ -409,12 +410,14 @@ def test_local_model_min_norm_keeps_the_qp_for_pieces(monkeypatch):
 
 def test_local_model_min_norm_outside_the_domain_raises():
     p, _ = _shaped_problem("box")
-    with pytest.raises(sq.OutOfLiftedDomain):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^y\*y is outside the domain of g$"):
         sq.lift_point(p, [0.0, 0.0, 0.0, 2.0]).lifted_residual
-    with pytest.raises(sq.OutOfDomain):
+    outside = r"^g_subdiff: point outside the domain$"
+    with pytest.raises(sq.ValidationError, match=outside):
         sq.LocalModel(p.g, p.f, [0.0, 0.0, 0.0, 4.0]).phi_residual
     p, _ = _shaped_problem("simplex")
-    with pytest.raises(sq.OutOfDomain):
+    with pytest.raises(sq.ValidationError, match=outside):
         sq.LocalModel(p.g, p.f, [0.0, 0.0, 0.0, 1.0]).phi_residual
 
 

@@ -132,6 +132,15 @@ ORTHANT2 = sq.CompositeProblem(
     sq.PolyhedralFunction.orthant_indicator(2))
 
 
+@pytest.mark.parametrize("call", [sq.lift_point, sq.lifted_residual,
+                                  sq.classify_first_order, sq.lift_eval])
+def test_a_y_whose_square_overflows_is_refused(call):
+    # y is finite, y*y is not: refused as y before any arithmetic on y*y,
+    # with no RuntimeWarning (the suite turns one into an error)
+    with pytest.raises(sq.DimensionMismatch, match=r"^y: y\*y must be finite$"):
+        call(ORTHANT2, [1e200, 0.0])
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, None, "x", True])
 @pytest.mark.parametrize("call", [
     lambda t: sq.lift_point(ORTHANT2, [1.0, 0.0], tol=t),
@@ -142,10 +151,15 @@ ORTHANT2 = sq.CompositeProblem(
     lambda t: sq.LocalModel(ORTHANT2.g, ORTHANT2.f, [1.0, 0.0], tol=t),
     lambda t: sq.LocalModel(ORTHANT2.g, None, [1.0, 0.0], tol=t),
     lambda t: sq.strict_complementarity(ORTHANT2, [1.0, 0.0], tol=t),
+    lambda t: sq.support_set([1.0, 0.0], tol_support=t),
+    lambda t: ORTHANT2.g.domain.contains([1.0, 0.0], tol=t),
+    lambda t: sq.vrep_membership(sq.g_subdiff(ORTHANT2.g, [1.0, 0.0]),
+                                 [0.0, 0.0], tol=t),
 ])
 def test_tolerances_must_be_finite_and_nonnegative(call, bad):
-    # every place a tolerance can be set: the models and strict_complementarity;
-    # a tolerance is a real number, not a bool
+    # every public tolerance keyword (test_public_tolerance_keywords): the
+    # models, strict_complementarity, support_set and the membership
+    # tests; a tolerance is a real number, not a bool
     with pytest.raises(sq.InvalidRange):
         call(bad)
 

@@ -122,7 +122,8 @@ def test_stationarity_multiplier_none_when_not_stationary():
         sq.SmoothQuadratic(np.eye(1), np.array([-1.0]), 0.5),
         sq.PolyhedralFunction.orthant_indicator(1))
     assert sq.stationarity_multiplier(p, np.array([0.5])) is None
-    with pytest.raises(sq.NotAStationaryPoint):
+    with pytest.raises(sq.ValidationError,
+                       match=r"^y is not a lifted stationary point$"):
         sq.d2_lifted_objective_on_SI(p, np.array([0.5]), np.array([1.0]))
 
 
