@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
-from sqreparam import cli
+from sqreparam import checks, cli
 from sqreparam.checks import CheckResult
 from sqreparam.cli import (
     emit_csv,
@@ -808,10 +808,10 @@ def test_selftest_passes_at_another_seed(capsys):
 
 def test_selftest_reports_a_failing_battery(monkeypatch, capsys):
     broken = CheckResult(1, ("instance 0: broken on purpose",), 0.0, "")
-    checks = list(cli.CHECKS)
-    name, _, count = checks[1]
-    checks[1] = (name, lambda seed, count: broken, count)
-    monkeypatch.setattr(cli, "CHECKS", tuple(checks))
+    registry = list(checks.CHECKS)
+    name, _, count = registry[1]
+    registry[1] = (name, lambda seed, count: broken, count)
+    monkeypatch.setattr(checks, "CHECKS", tuple(registry))
     assert main(["selftest"]) == 5
     out = capsys.readouterr().out
     assert f"[FAIL] {name}: instance 0: broken on purpose\n" in out

@@ -72,7 +72,9 @@ def _canonical(obj, norm):
 def _count_lps(work: list) -> None:
     """Route every sqreparam module's binding of polyhedra.lp_solve
     through a wrapper that adds each call to work[0] and the pivots of
-    the outcome it returns to work[1]."""
+    the outcome it returns to work[1].  The modules loaded so far are
+    rebound here; one that loads later (the package loads each module on
+    first use) imports the wrapper from polyhedra."""
     from sqreparam import polyhedra
     lp_solve = polyhedra.lp_solve
 
