@@ -58,9 +58,11 @@ class LiftedPoint(LocalModel):
     y, x = y*y and in_domain (x in dom g) are built at construction.
     Built on first use, once each: the support sup (tuple: support) and
     its complement comp, which the lifted residual alone does not need;
-    the lifted residual and its verdict Phi_stationary, by the rule of
-    LocalModel; and everything LocalModel builds, with S raising
-    ValidationError outside the domain.  y must be a point, not a model,
+    the lifted min-norm pair lifted_min_norm (min ||y o (grad + z)|| over
+    z in S, and its minimizer, which second_order takes as the
+    multiplier), read by lifted_residual, and its verdict
+    Phi_stationary, by the rule of LocalModel; and everything LocalModel
+    builds, with S raising ValidationError outside the domain.  y must be a point, not a model,
     with finite y*y (DimensionMismatch), and tol and tol_support finite
     and nonnegative (InvalidRange).
     """
@@ -94,9 +96,14 @@ class LiftedPoint(LocalModel):
         return tuple(self.sup.tolist())
 
     @cached_property
+    def lifted_min_norm(self) -> tuple[float, np.ndarray]:
+        """min ||y o (grad + z)|| over z in S, and its minimizer."""
+        return self._min_norm(np.abs(self.y))
+
+    @property
     def lifted_residual(self) -> float:
         """dist(0, subdiff Phi(y)) via the weighted minimum-norm identity."""
-        return 2.0 * self._min_norm(np.abs(self.y))[0]
+        return 2.0 * self.lifted_min_norm[0]
 
     @cached_property
     def Phi_stationary(self) -> bool:

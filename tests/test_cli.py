@@ -17,6 +17,10 @@ from sqreparam.cli import (
     parse_problem_dict,
     parse_problem_file,
 )
+from sqreparam.oracles import (
+    make_stationary_orthant_instance,
+    make_stationary_pieces_instance,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 FIXTURES = sorted(PROBLEMS.glob("*.json"))
@@ -528,6 +532,64 @@ def test_certify_shipped_points(capsys, name, y, in_domain, support, Phi, phi,
     assert ("negative_direction" in lines) is negative
 
 
+def _rescaled(d, factor):
+    """The problem dict d with f + g multiplied by factor; the domain
+    is unchanged."""
+    f = d["f"]
+    f["Q"] = (factor * np.asarray(f.get("Q", np.zeros((d["n"], d["n"]))))).tolist()
+    f["q"] = (factor * np.asarray(f.get("q", np.zeros(d["n"])))).tolist()
+    f["r"] = factor * f.get("r", 0.0)
+    for piece in d["g"].get("pieces", []):
+        piece["a"] = [factor * a for a in piece["a"]]
+        piece["b"] = factor * piece.get("b", 0.0)
+    return d
+
+
+def _seeded_problem(p):
+    """The file form of a seeded orthant or pieces instance: no domain
+    block, since every domain is intersected with the orthant."""
+    g = {"pieces": [{"a": a.tolist(), "b": float(b)}
+                    for a, b in zip(p.g.pieces_A, p.g.pieces_b)]}
+    return {"n": p.n, "f": {"Q": p.f.Q.tolist(), "q": p.f.q.tolist(),
+                            "r": p.f.r}, "g": g if g["pieces"] else {}}
+
+
+def _correspondence_runs():
+    """(problem dict, --y) for the shipped problems at their documented
+    points and for seeded orthant (stationary and spurious) and pieces
+    instances."""
+    for name, y, *_ in SHIPPED_CERTIFICATES:
+        yield json.loads((PROBLEMS / name).read_text()), y
+    for seed in range(0, 130, 5):
+        for p, y, _ in (make_stationary_orthant_instance(seed),
+                        make_stationary_orthant_instance(seed, spurious=True),
+                        make_stationary_pieces_instance(seed)):
+            yield _seeded_problem(p), ",".join(format(c, ".17g") for c in y)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6, 1e-6])
+def test_certify_reports_obey_the_correspondence(tmp_path, capsys, factor):
+    # a report that certifies (exit 0) prints lines with
+    # (stationary_for_Phi and second_order_nonneg_on_SI) == stationary_for_phi;
+    # the routes may still disagree beyond tolerance (exit 5)
+    path = tmp_path / "problem.json"
+    certified = 0
+    for d, y in _correspondence_runs():
+        path.write_text(json.dumps(_rescaled(d, factor)))
+        rc = main(["certify", str(path), f"--y={y}"])
+        out = capsys.readouterr().out
+        assert rc in (0, 5), (d, y)
+        if rc:
+            continue
+        certified += 1
+        lines = dict(line.split(" = ", 1) for line in out.splitlines())
+        route_one = lines["stationary_for_Phi"] == "True" and \
+            lines["second_order_nonneg_on_SI"] == "True"
+        assert route_one == (lines["stationary_for_phi"] == "True"), (d, y)
+        assert lines["consistent"] == "True"
+    assert certified >= 80
+
+
 def _count_calls(monkeypatch, func):
     """Count the calls of func made through any sqreparam module."""
     calls = []
@@ -561,10 +623,9 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     # one point, one model: one activity pass builds subdiff g(y*y) inside
     # the model (not through the g_subdiff wrapper) and grad f is evaluated
     # once; on the orthant the lifted and the phi residual are closed
-    # forms, so the weighted min-norm QP runs only for the membership
-    # check of the multiplier; the LPs are the multiplier, the
-    # second-order LP and the steepest direction (parsing reads the
-    # orthant's feasible point off its shape)
+    # forms, so the weighted min-norm QP never runs, and the multiplier is
+    # the lifted minimizer; the one LP is the steepest direction (parsing
+    # reads the orthant's feasible point off its shape)
     subdiffs = _count_calls(monkeypatch, sq.g_subdiff)
     patterns = _count_calls(monkeypatch, sq.activity_pattern)
     qps = _count_calls(monkeypatch, sq.min_norm_weighted)
@@ -572,8 +633,8 @@ def test_certify_builds_one_local_model(monkeypatch, capsys):
     grads = _count_grads(monkeypatch)
     assert main(["certify", str(PROBLEMS / "orthant2.json"), "--y", "0,0"]) == 0
     assert "consistent = True" in capsys.readouterr().out
-    assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 1)
-    assert (len(grads), len(lps)) == (1, 3)
+    assert (len(subdiffs), len(patterns), len(qps)) == (0, 1, 0)
+    assert (len(grads), len(lps)) == (1, 1)
 
 
 def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,

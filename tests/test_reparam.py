@@ -54,7 +54,7 @@ def test_lifted_point_is_shared_across_certificates():
     # the model caches what it built: a second certificate reuses it
     S = pt.S
     sq.correspondence_check(p, pt)
-    assert pt.S is S and {"lifted_residual", "phi_min_norm"} <= vars(pt).keys()
+    assert pt.S is S and {"lifted_min_norm", "phi_min_norm"} <= vars(pt).keys()
     other = sq.CompositeProblem(p.f, sq.PolyhedralFunction.orthant_indicator(p.n))
     with pytest.raises(sq.DimensionMismatch):
         sq.lifted_residual(other, pt)

@@ -1,7 +1,5 @@
 """Unit tests for second-order slices, multipliers, and the correspondence check."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from sqreparam import second_order
 from sqreparam.oracles import (
     make_stationary_orthant_instance,
     make_stationary_pieces_instance,
+    random_nonsmooth_instance,
     random_orthant_instance,
 )
 
@@ -205,107 +204,13 @@ def test_correspondence_finds_the_steepest_direction(eps):
         pytest.approx(-eps, abs=1e-9)
 
 
-def test_correspondence_gate_catches_a_feasible_second_order_lp(
-        monkeypatch):
-    # loosen the rows of the second-order LP so that it reports feasible
-    # at the spurious origin of orthant2, where the direction e_1 has
-    # quotient -2: the exact minimum must contradict it
-    slice_lp = second_order._slice_lp
-
-    def loosened(pt, anchor, objective=None, A_ineq=None, b_ineq=None):
-        if b_ineq is not None:
-            b_ineq = b_ineq + 2.0
-        return slice_lp(pt, anchor, objective, A_ineq, b_ineq)
-
-    monkeypatch.setattr(second_order, "_slice_lp", loosened)
-    f = sq.SmoothQuadratic(np.eye(2), np.array([-1.0, 1.0]), 1.0)
-    p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
-    with pytest.raises(sq.InconsistencyDetected, match="LP feasible"):
-        sq.correspondence_check(p, np.zeros(2))
-
-
 # The certificate guards below raise only when a route breaks.  Each test
 # breaks one route on orthant2 (f = |x|^2 / 2 + (-1, 1) x on the
-# orthant) or on simplex_linear, whose points are exact: at y = (1, 0)
-# the lifted residual is 0, at y = (2, 0) it is 12.
+# orthant), whose point y = (1, 0) is exact: its lifted residual is 0.
 
 def orthant2():
     f = sq.SmoothQuadratic(np.eye(2), np.array([-1.0, 1.0]), 0.0)
     return sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
-
-
-def _broken_slice_lp(monkeypatch, multiplier=None, second_order_lp=None):
-    """Replace the arguments or the outcome of the multiplier LP (no rows
-    A_ineq) or of the second-order LP (rows A_ineq) by the given maps."""
-    slice_lp = second_order._slice_lp
-
-    def broken(pt, anchor, objective=None, A_ineq=None, b_ineq=None):
-        edit = multiplier if A_ineq is None else second_order_lp
-        if edit is None or objective is not None:
-            return slice_lp(pt, anchor, objective, A_ineq, b_ineq)
-        return edit(slice_lp, pt, anchor, A_ineq, b_ineq)
-
-    monkeypatch.setattr(second_order, "_slice_lp", broken)
-
-
-def _corrupted_witness(edit):
-    """A multiplier LP whose witness edit(theta, S) changes in place."""
-    def solve(slice_lp, pt, anchor, A_ineq, b_ineq):
-        out = slice_lp(pt, anchor)
-        theta = out.witness.copy()
-        edit(theta, pt.S)
-        return dataclasses.replace(out, witness=theta)
-    return solve
-
-
-def test_multiplier_found_at_a_point_with_a_lifted_residual(monkeypatch):
-    # anchored at 0 in place of -grad f = -3 on the support, the slice LP
-    # is feasible at y = (2, 0)
-    _broken_slice_lp(monkeypatch, multiplier=lambda slice_lp, pt, anchor,
-                     A_ineq, b_ineq: slice_lp(pt, 0.0 * anchor))
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="multiplier found but lifted residual is "
-                             "1.200e\\+01"):
-        second_order.stationarity_multiplier(orthant2(), np.array([2.0, 0.0]))
-
-
-def test_multiplier_witness_outside_the_subdifferential(monkeypatch):
-    # at y = (1, 0) the slice is cone(-e_2); a ray coefficient of -5
-    # puts v = (0, 5) outside it
-    def negative_rays(theta, S):
-        theta[S.n_points:S.n_points + S.n_rays] = -5.0
-
-    _broken_slice_lp(monkeypatch, multiplier=_corrupted_witness(negative_rays))
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="multiplier witness escaped the subdifferential"):
-        second_order.stationarity_multiplier(orthant2(), np.array([1.0, 0.0]))
-
-
-def test_multiplier_witness_off_the_support_equations(monkeypatch):
-    # x1 + 2 x2 on the simplex at y = (1, 0): the slice pins v_1 = -1;
-    # one more unit along the free line (1, 1) stays in the
-    # subdifferential but gives v_1 = 0
-    def moved_line(theta, S):
-        assert S.n_lines == 1
-        theta[-1] += 1.0
-
-    _broken_slice_lp(monkeypatch, multiplier=_corrupted_witness(moved_line))
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="multiplier witness violates the support "
-                             "equations"):
-        second_order.stationarity_multiplier(simplex_linear(),
-                                             np.array([1.0, 0.0]))
-
-
-def test_no_multiplier_at_a_lifted_stationary_point(monkeypatch):
-    # anchored 1 away from -grad f on the support, the slice of
-    # cone(-e_2) is empty at the lifted stationary y = (1, 0)
-    _broken_slice_lp(monkeypatch, multiplier=lambda slice_lp, pt, anchor,
-                     A_ineq, b_ineq: slice_lp(pt, anchor + 1.0))
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="no multiplier although lifted residual is "
-                             "0.000e\\+00"):
-        second_order.stationarity_multiplier(orthant2(), np.array([1.0, 0.0]))
 
 
 def test_steepest_direction_on_an_empty_slice(monkeypatch):
@@ -319,25 +224,12 @@ def test_steepest_direction_on_an_empty_slice(monkeypatch):
         sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
 
 
-def test_sign_constrained_multiplier_without_lifted_stationarity(
-        monkeypatch):
-    # the multiplier LP misses the multiplier 0 at y = (1, 0), which the
-    # second-order LP still finds
-    monkeypatch.setattr(second_order, "stationarity_multiplier",
-                        lambda p, pt: None)
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="sign-constrained multiplier exists without "
-                             "lifted stationarity"):
-        sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
-
-
 def test_correspondence_violation_carries_its_report(monkeypatch):
-    # tightened by 2, the second-order LP asks for grad_2 + v_2 >= 2 with
-    # v_2 <= 0 and grad_2 = 1: infeasible at y = (1, 0), a point that is
-    # stationary for phi, where e_2 has quotient 2 > 0
-    _broken_slice_lp(monkeypatch, second_order_lp=lambda slice_lp, pt, anchor,
-                     A_ineq, b_ineq: slice_lp(pt, anchor, None, A_ineq,
-                                              b_ineq - 2.0))
+    # at y = (1, 0), a point stationary for phi, e_2 has quotient
+    # 2 grad_2 = 2 > 0; reported as -2, it breaks second order alone
+    e_2 = np.array([0.0, 1.0])
+    monkeypatch.setattr(second_order, "_steepest_direction",
+                        lambda pt, v: (e_2, -2.0))
     with pytest.raises(sq.InconsistencyDetected,
                        match="stationarity correspondence violated beyond "
                              "tolerance") as caught:
@@ -347,7 +239,8 @@ def test_correspondence_violation_carries_its_report(monkeypatch):
     assert (report.stationary_for_Phi, report.second_order_nonneg_on_SI,
             report.stationary_for_phi, report.consistent) == (
                 True, False, True, False)
-    assert report.witness_lambda is None and report.negative_direction is None
+    assert report.witness_lambda is None
+    assert report.negative_direction is e_2
 
 
 def two_pieces():
@@ -361,8 +254,8 @@ def two_pieces():
 
 
 def test_d2_objective_compares_a_second_witness(monkeypatch):
-    # the multiplier LP returns v = (0, 0), the second slice LP v = (1, 1);
-    # both give 2 sup <w*w, p> = 2.5 at w = (1, 0.5)
+    # the lifted min-norm pair gives v = (0.5, 0.5), the second slice LP
+    # v = (1, 1); both give 2 sup <w*w, p> = 2.5 at w = (1, 0.5)
     seen = []
     d2_objective = second_order._d2_objective
 
@@ -374,7 +267,9 @@ def test_d2_objective_compares_a_second_witness(monkeypatch):
     value = sq.d2_lifted_objective_on_SI(two_pieces(), np.zeros(2),
                                          np.array([1.0, 0.5]))
     assert value == pytest.approx(2.5, abs=1e-12)
-    assert [v for v, _ in seen] == [[0.0, 0.0], [1.0, 1.0]]
+    assert len(seen) == 2
+    assert seen[0][0] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert seen[1][0] == [1.0, 1.0]
     assert seen[1][1] == pytest.approx(2.5, abs=1e-12)
 
 
@@ -413,3 +308,114 @@ def test_steepest_direction_is_none_when_every_quotient_is_infinite(
     assert rep.negative_direction is None
     assert steepest == [(None, np.inf)]
     assert sq.d2_lifted_objective_on_SI(p, y, np.array([0.0, 1.0])) == np.inf
+
+
+def scaled(p, factor):
+    """p with f multiplied by factor; g is an indicator, unchanged."""
+    f = p.f
+    return sq.CompositeProblem(
+        sq.SmoothQuadratic(factor * f.Q, factor * f.q, factor * f.r), p.g)
+
+
+@pytest.mark.parametrize("seed, spurious", [(20, False), (20, True),
+                                            (182, True)])
+def test_correspondence_rescaled_orthant_instances_keep_their_design(
+        seed, spurious):
+    # multiplied by 1e6, each leaves a lifted residual of 3e-9 to 6e-9,
+    # inside tol * scale: the multiplier is the lifted minimizer, so the
+    # verdicts are the designed ones
+    p, y, _ = make_stationary_orthant_instance(seed, spurious=spurious)
+    rep = sq.correspondence_check(scaled(p, 1e6), y)
+    assert (rep.stationary_for_Phi, rep.second_order_nonneg_on_SI,
+            rep.stationary_for_phi, rep.negative_direction is not None) == (
+                True, not spurious, not spurious, spurious)
+    assert rep.consistent
+
+
+def test_correspondence_tolerance_example_is_consistent():
+    # grad f(0) = (1e6, -1e-8): e_2 has quotient -2e-8, inside
+    # tol * scale = 1e-9 * (1 + 1e6), and the phi residual is 1e-8
+    f = sq.SmoothQuadratic(np.eye(2), np.array([1e6, -1e-8]), 0.0)
+    p = sq.CompositeProblem(f, sq.PolyhedralFunction.orthant_indicator(2))
+    rep = sq.correspondence_check(p, np.zeros(2))
+    assert (rep.stationary_for_Phi, rep.second_order_nonneg_on_SI,
+            rep.stationary_for_phi, rep.consistent) == (True, True, True, True)
+    assert rep.negative_direction is None
+    assert np.array_equal(rep.witness_lambda, [0.0, -1e-8])
+
+
+def simplex_instance(seed):
+    """A convex quadratic on the standard simplex, lifted stationary at
+    y = sqrt(xbar): grad f(xbar) is constant on the support of xbar and
+    differs from that constant off it by a draw of either sign, so xbar
+    is stationary for phi exactly when every draw is nonnegative.
+    Returns (problem, y)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    support = rng.random(n) < 0.6
+    support[int(rng.integers(0, n))] = True
+    xbar = np.where(support, rng.uniform(0.2, 1.0, n), 0.0)
+    xbar /= xbar.sum()
+    M = rng.standard_normal((n, n))
+    Q = M.T @ M / n
+    grad = rng.standard_normal() + np.where(support, 0.0,
+                                            rng.uniform(-0.5, 1.0, n))
+    f = sq.SmoothQuadratic(Q, grad - Q @ xbar, 0.0)
+    g = sq.PolyhedralFunction.simplex_indicator(n)
+    return sq.CompositeProblem(f, g), np.sqrt(xbar)
+
+
+def lifted_stationary_instances():
+    for seed in range(12):
+        yield make_stationary_orthant_instance(seed)[:2]
+        yield make_stationary_orthant_instance(seed, spurious=True)[:2]
+        yield make_stationary_pieces_instance(seed)[:2]
+        yield simplex_instance(seed)
+
+
+def test_multiplier_is_the_lifted_min_norm_subgradient():
+    # v lies in subdiff g(y*y) and attains the lifted residual
+    for p, y in lifted_stationary_instances():
+        pt = sq.lift_point(p, y)
+        mult = sq.stationarity_multiplier(p, pt)
+        assert mult is not None
+        assert sq.vrep_membership(pt.S, mult.v)
+        np.testing.assert_array_equal(mult.lam, 2.0 * pt.y * mult.v)
+        attained = np.linalg.norm(np.abs(pt.y) * (pt.grad + mult.v))
+        assert attained == pytest.approx(pt.lifted_residual / 2.0,
+                                         rel=1e-12, abs=1e-15)
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    lp_solve = sq.polyhedra.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lp_solve(*args, **kwargs)
+
+    for module in (sq.polyhedra, second_order):
+        monkeypatch.setattr(module, "lp_solve", counted)
+    return calls
+
+
+def test_correspondence_witness_and_lp_count(monkeypatch):
+    # a returned witness_lambda is grad f plus a subgradient of g at y*y
+    # and is stationary; the check solves one LP, the steepest direction,
+    # and only at a lifted stationary point with an off-support set
+    lps = _count_lp_calls(monkeypatch)
+    points = list(lifted_stationary_instances())
+    points += [random_orthant_instance(s) for s in range(30)]
+    points += [random_nonsmooth_instance(s) for s in range(30)]
+    witnesses = 0
+    for p, y in points:
+        pt = sq.lift_point(p, y)
+        del lps[:]
+        rep = sq.correspondence_check(p, pt)
+        needs_lp = pt.Phi_stationary and pt.comp.size > 0
+        assert len(lps) == (1 if needs_lp else 0)
+        if rep.witness_lambda is not None:
+            witnesses += 1
+            assert sq.vrep_membership(pt.S, rep.witness_lambda - pt.grad)
+            assert np.linalg.norm(rep.witness_lambda) <= pt.tol * pt.scale
+    assert witnesses >= 24

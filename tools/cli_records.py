@@ -27,9 +27,9 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
   leaves out cone2);
 * `selftest` at seeds 0 and 7;
 * the error paths: `certify` on malformed problem files, an empty
-  domain and an instance whose routes disagree (exit 5), written to the
-  pool's directory, invalid flag values, and `kl-fit` and `solve` with
-  an `--out` that cannot be written.
+  domain and the tolerance example, written to the pool's directory,
+  invalid flag values, and `kl-fit` and `solve` with an `--out` that
+  cannot be written.
 
 Each run's stdout, stderr and exit code go into OUT, keyed by its
 argument list; a run that raises records the exception's type and
@@ -87,8 +87,10 @@ SOLVE = (
 )
 
 # Problem files for the error paths, with the point `certify` gets: exit
-# 2 when the file does not parse, 3 when it is not a valid problem, 5 on
-# the last, whose second-order LP disagrees with its first-order verdict.
+# 2 when the file does not parse, 3 when it is not a valid problem.  The
+# last is ROADMAP's tolerance example, which exited 5 while a
+# sign-constrained multiplier LP decided second order; it now certifies,
+# and keeps its key so that older records still compare line for line.
 ERROR_FILES = (
     ("f-not-object", '{"n": 1, "f": [1]}', "0"),
     ("g-not-object", '{"n": 1, "g": 1}', "0"),
