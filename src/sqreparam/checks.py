@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import (enumerate_vertices, fd_second_subderivative,
-                      grid_min_norm, grid_min_norm_gap_bound,
-                      random_lp_instance, random_nonsmooth_instance,
-                      random_orthant_instance)
+from .oracles import (_qp_active_set, enumerate_vertices,
+                      fd_second_subderivative, grid_min_norm,
+                      grid_min_norm_gap_bound, random_lp_instance,
+                      random_nonsmooth_instance, random_orthant_instance)
 from .polyfunc import PolyhedralFunction, g_eval, g_subdiff
-from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, _qp_active_set,
-                        check_int, lp_solve, project_onto_polyhedron,
+from .polyhedra import (GeneratorSet, LPStatus, Polyhedron, check_int,
+                        lp_solve, project_onto_polyhedron,
                         vrep_ri_membership)
 from .reparam import lifted_residual
 from .second_order import d2_lifted_g
@@ -97,7 +97,8 @@ def projection_idempotence(seed: int, count: int) -> CheckResult:
     Instance k projects a point x drawn in turn from one generator seeded
     seed + 77 onto random_lp_instance(seed + 5k); the projection must
     also be feasible to 1e-8 and within 1e-9 (1 + |x|) of the primal
-    active-set QP with the identity Hessian started at the witness of a
+    active-set QP of oracles, a second active-set engine kept as the
+    reference, with the identity Hessian started at the witness of a
     zero-objective LP, so that it is the optimum, not only a fixed point.
     """
     rng = np.random.default_rng(check_int(seed, "seed") + 77)

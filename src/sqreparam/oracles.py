@@ -3,7 +3,10 @@
 Each oracle recomputes a quantity the fast path obtains by LP/QP duality
 or a closed formula, using nothing smarter than enumeration, grids, and
 raw difference quotients, or plain calculus where the lift is smooth
-(d2_smooth_orthant_lift).  The brute-force ones refuse inputs above small
+(d2_smooth_orthant_lift).  Projections have a primal reference instead:
+_qp_active_set, the primal active-set QP, which solves each working-set
+KKT system by _kkt_solve and against which the library's dual
+projection is judged.  The brute-force ones refuse inputs above small
 hard caps (``TooLarge``) because their cost is combinatorial by design.
 Ship them anyway: the batteries in ``sqreparam.checks``, which the
 self-test command and the acceptance suite run, judge the fast path
@@ -38,6 +41,7 @@ from .polyhedra import (
     lp_solve,
     project_onto_polyhedron,
     _as_vector,
+    _ROUNDOFF,
 )
 from .reparam import support_set
 
@@ -112,6 +116,92 @@ def enumerate_vertices(P: Polyhedron) -> np.ndarray:
     arr = np.array(vertices)
     order = np.lexsort(arr.T[::-1])
     return arr[order]
+
+
+def _kkt_solve(H, c, act, b_act) -> np.ndarray:
+    """Solve [[H, act'], [act, 0]] [x; eta] = [-c; b_act] for (x, eta).
+
+    The system is solved by LU, and by least squares when LU raises or
+    misses the right-hand side by more than 1e-9 (1 + max|rhs|), as with
+    dependent rows in act.  Every caller's system is consistent, so any
+    solution that passes serves, also for a Gram H singular on the null
+    space of act.
+    """
+    n, k = c.size, act.shape[0]
+    rhs = np.concatenate([-c, b_act])
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = act.T
+    kkt[n:, :n] = act
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        if abs(kkt @ sol - rhs).max() <= 1e-9 * (1.0 + abs(rhs).max()):
+            return sol
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+
+
+def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
+    """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
+
+    Primal active-set method (Nocedal & Wright 2006, ch. 16); equality
+    rows stay in every working set.  Each iteration solves the working
+    set's KKT system by _kkt_solve, then drops the smallest-index row
+    whose multiplier is below -1e-9 (1 + max|c|), or steps toward the
+    subproblem minimizer until a row blocks, the smallest index among
+    steps tied within _ROUNDOFF.  An unblocked step keeps the working
+    set, and its solve with it.  It is the reference that
+    checks.projection_idempotence and the tests judge the library's
+    projections against, which take _dual_projection instead.
+    """
+    n, m, m_eq = c.size, A_ineq.shape[0], A_eq.shape[0]
+    x = np.asarray(x0, dtype=float).copy()
+    slack0 = b_ineq - A_ineq @ x
+    if slack0.min(initial=0.0) < -1e-7 or (
+            m_eq and abs(A_eq @ x - b_eq).max() > 1e-7):
+        raise NumericalFailure("active-set QP needs a feasible start")
+    working = np.flatnonzero(slack0 <= 1e-11).tolist()
+    floor = -1e-9 * (1.0 + float(abs(c).max(initial=0.0)))
+    row_floor = _ROUNDOFF * (1.0 + abs(A_ineq).max(axis=1, initial=0.0))
+    unbounded = np.full(m, _INF)
+
+    sol = None
+    for _ in range(100 + 20 * (n + m)):
+        if sol is None:
+            act, b_act = A_ineq[working], b_ineq[working]
+            sol = _kkt_solve(H, c, np.vstack([A_eq, act]) if m_eq else act,
+                             np.concatenate([b_eq, b_act]) if m_eq else b_act)
+        target = sol[:n]
+        direction = target - x
+        if abs(direction).max(initial=0.0) \
+                <= 1e-11 * (1.0 + abs(x).max(initial=0.0)):
+            violated = np.flatnonzero(sol[n + m_eq:] < floor)
+            if not violated.size:
+                return target
+            working.pop(int(violated[0]))
+            sol = None
+            continue
+        # longest feasible step toward the subproblem solution
+        advance = A_ineq @ direction
+        room = b_ineq - A_ineq @ x
+        np.maximum(room, 0.0, out=room)
+        candidate = advance > row_floor
+        candidate[working] = False
+        steps = np.divide(room, advance, out=unbounded.copy(),
+                          where=candidate)
+        alpha, blocking = 1.0, -1
+        # a row blocks only with a step short of alpha = 1
+        for i in np.flatnonzero(steps < 1.0 - _ROUNDOFF).tolist():
+            if steps[i] < alpha - _ROUNDOFF:
+                alpha, blocking = steps[i], i
+        if blocking < 0:
+            x = target          # the working set stands, and so does sol
+        else:
+            x = x + alpha * direction
+            working = sorted(working + [blocking])
+            sol = None
+    raise NumericalFailure("active-set QP iteration budget exceeded")
 
 
 def _simplex_grid(n_parts: int, resolution: int) -> np.ndarray:

@@ -306,7 +306,8 @@ class LocalModel:
     def _min_norm(self, weights) -> tuple[float, np.ndarray]:
         """min ||weights o (grad + z)|| over z in S, and its minimizer:
         in closed form from the active rows when g.kind is not "general",
-        without building S; by the QP otherwise."""
+        without building S; by min_norm_weighted on S, one dual
+        projection, otherwise."""
         g = self.g
         if g.kind != "general":
             if not self.in_domain:

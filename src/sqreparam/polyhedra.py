@@ -22,11 +22,12 @@ point itself, adds the most violated row and drops a row whose
 multiplier reaches 0, on an orthonormal factor of its working rows, so
 it needs no feasible start; feasible_point is the projection of the
 origin, so a projection decides alone whether a polyhedron is empty.
-The weighted min-norm over a generator set is a primal active-set QP
-with smallest-index tie breaking that solves each working-set KKT
-system by LU, and by least squares only when that system is singular.
-On a box or simplex, projection and the weighted min-norm over a normal
-cone are closed forms instead (clipping, and a sort/threshold rule).
+The weighted min-norm over a generator set is a projection too, by the
+same method: least distance programming (Lawson & Hanson 1974, ch. 23)
+reads it off the projection of (0, ..., 0, 1) onto the polar cone of
+the homogenized generators.  On a box or simplex, projection and the
+weighted min-norm over a normal cone are closed forms instead
+(clipping, and a sort/threshold rule).
 Problems are desk scale (tens of variables, tens of rows); the
 implementation favours exactness and reproducibility over speed.
 """
@@ -49,9 +50,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 
-# a difference this small relative to its scale is roundoff: steps tied
-# in the primal QP's ratio test, violations the dual projection leaves,
-# and the length of a degenerate simplex step
+# a difference this small relative to its scale is roundoff: violations
+# the dual projection leaves, the length of a degenerate simplex step,
+# and steps tied in the ratio test of the reference QP in oracles
 _ROUNDOFF = 1e-13
 
 _INF = float("inf")
@@ -689,94 +690,9 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
 
 
 # ---------------------------------------------------------------------------
-# Quadratic programming: primal active-set method, and the dual one for
-# projections
+# Quadratic programming: the dual active-set method, for projections and
+# weighted min-norms
 # ---------------------------------------------------------------------------
-
-
-def _kkt_solve(H, c, act, b_act) -> np.ndarray:
-    """Solve [[H, act'], [act, 0]] [x; eta] = [-c; b_act] for (x, eta).
-
-    The system is solved by LU, and by least squares when LU raises or
-    misses the right-hand side by more than 1e-9 (1 + max|rhs|), as with
-    dependent rows in act.  Every caller's system is consistent, so any
-    solution that passes serves, also for a Gram H singular on the null
-    space of act.
-    """
-    n, k = c.size, act.shape[0]
-    rhs = np.concatenate([-c, b_act])
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = act.T
-    kkt[n:, :n] = act
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if abs(kkt @ sol - rhs).max() <= 1e-9 * (1.0 + abs(rhs).max()):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-
-
-def _qp_active_set(H, c, A_eq, b_eq, A_ineq, b_ineq, x0) -> np.ndarray:
-    """Minimize 0.5 x'Hx + c'x with H PSD from a feasible start.
-
-    Primal active-set method (Nocedal & Wright 2006, ch. 16); equality
-    rows stay in every working set.  Each iteration solves the working
-    set's KKT system by _kkt_solve, then drops the smallest-index row
-    whose multiplier is below -1e-9 (1 + max|c|), or steps toward the
-    subproblem minimizer until a row blocks, the smallest index among
-    steps tied within _ROUNDOFF.  An unblocked step keeps the working
-    set, and its solve with it.  It serves min_norm_weighted, whose Gram
-    H may be singular; a projection takes _dual_projection instead.
-    """
-    n, m, m_eq = c.size, A_ineq.shape[0], A_eq.shape[0]
-    x = np.asarray(x0, dtype=float).copy()
-    slack0 = b_ineq - A_ineq @ x
-    if slack0.min(initial=0.0) < -1e-7 or (
-            m_eq and abs(A_eq @ x - b_eq).max() > 1e-7):
-        raise NumericalFailure("active-set QP needs a feasible start")
-    working = np.flatnonzero(slack0 <= 1e-11).tolist()
-    floor = -1e-9 * (1.0 + float(abs(c).max(initial=0.0)))
-    row_floor = _ROUNDOFF * (1.0 + abs(A_ineq).max(axis=1, initial=0.0))
-    unbounded = np.full(m, _INF)
-
-    sol = None
-    for _ in range(100 + 20 * (n + m)):
-        if sol is None:
-            act, b_act = A_ineq[working], b_ineq[working]
-            sol = _kkt_solve(H, c, np.vstack([A_eq, act]) if m_eq else act,
-                             np.concatenate([b_eq, b_act]) if m_eq else b_act)
-        target = sol[:n]
-        direction = target - x
-        if abs(direction).max(initial=0.0) \
-                <= 1e-11 * (1.0 + abs(x).max(initial=0.0)):
-            violated = np.flatnonzero(sol[n + m_eq:] < floor)
-            if not violated.size:
-                return target
-            working.pop(int(violated[0]))
-            sol = None
-            continue
-        # longest feasible step toward the subproblem solution
-        advance = A_ineq @ direction
-        room = b_ineq - A_ineq @ x
-        np.maximum(room, 0.0, out=room)
-        candidate = advance > row_floor
-        candidate[working] = False
-        steps = np.divide(room, advance, out=unbounded.copy(),
-                          where=candidate)
-        alpha, blocking = 1.0, -1
-        # a row blocks only with a step short of alpha = 1
-        for i in np.flatnonzero(steps < 1.0 - _ROUNDOFF).tolist():
-            if steps[i] < alpha - _ROUNDOFF:
-                alpha, blocking = steps[i], i
-        if blocking < 0:
-            x = target          # the working set stands, and so does sol
-        else:
-            x = x + alpha * direction
-            working = sorted(working + [blocking])
-            sol = None
-    raise NumericalFailure("active-set QP iteration budget exceeded")
 
 
 def _orthogonal_part(Q: np.ndarray, Rinv: np.ndarray,
@@ -794,10 +710,12 @@ def _orthogonal_part(Q: np.ndarray, Rinv: np.ndarray,
 
 
 def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
-                     x: np.ndarray) -> np.ndarray:
-    """Projection of x onto {A[:m_eq] z = b[:m_eq], A[m_eq:] z <= b[m_eq:]},
+                     x: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """Projection z of x onto {A[:m_eq] z = b[:m_eq], A[m_eq:] z <= b[m_eq:]},
     every row of A of unit length or zero, by the dual active-set method
-    of Goldfarb & Idnani (1983) with the identity Hessian.
+    of Goldfarb & Idnani (1983) with the identity Hessian.  Returns z, the
+    working rows (indices into A, the equality rows first) and their
+    multipliers u, nonnegative on the inequality rows.
 
     It starts at z = x, the unconstrained minimizer, so it needs no
     feasible start, and keeps the working rows N as N' = Q R by Q and
@@ -805,7 +723,10 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
     each along the part of it orthogonal to the rows before it, unless
     the row already holds to _ROUNDOFF (1 + |z|); a row that depends on
     the rows before it (that part no longer than DEFAULT_TOL) is only
-    checked.  Then, while an inequality row outside the working set is
+    checked.  Each equality row enters with multiplier 0, so x - z = N'u
+    holds exactly when x meets every equality row and that phase leaves
+    z = x; otherwise the equality rows' multipliers miss its steps.
+    Then, while an inequality row outside the working set is
     violated by more than _ROUNDOFF (1 + |z|), the most violated one, p,
     the smallest index among ties, is added.  With (d, r) =
     _orthogonal_part of a_p, the step z - t d keeps every working row
@@ -864,7 +785,7 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
             viol = np.where(outside, A @ z - b, -_INF)
             p = int(viol.argmax())
             if viol[p] <= _ROUNDOFF * (1.0 + math.sqrt(z @ z)):
-                return z
+                return z, working, u[:k]
             gathered = 0.0
         d, r = _orthogonal_part(Q[:, :k], Rinv[:k, :k], A[p])
         dd = d @ d
@@ -907,39 +828,44 @@ def _dual_projection(A: np.ndarray, b: np.ndarray, m_eq: int,
 
 def _min_norm_coefficients(S: GeneratorSet, shift: np.ndarray,
                            weights: np.ndarray) -> np.ndarray:
-    """Coefficients (lam, mu, nu) minimizing ||weights*(shift + combo)||.
+    """Coefficients (lam, mu, nu) minimizing ||weights*(shift + combo)||,
+    by least distance programming (Lawson & Hanson 1974, ch. 23).
 
-    Rays and lines that the weights map to zero move nothing, but their
-    zero columns would make every KKT system singular; a unit diagonal
-    entry of H pins each such coefficient to 0, decoupled from the rest.
-    Warm start: the equality-constrained least-squares minimizer is
-    accepted outright whenever it already satisfies the sign
-    constraints; otherwise the active-set method runs from the uniform
-    convex combination.
+    With W = diag(weights), the rows (W(shift + p), 1) of the points,
+    (W r, 0) of the rays and (W l, 0) of the lines span a cone C in
+    R^(n+1) whose slice at height 1 is {(W(shift + z), 1) : z in S}.
+    Projecting e = (0, ..., 0, 1) onto the polar cone of C, {v : <row, v>
+    <= 0 on points and rays, = 0 on lines}, leaves e - z, the projection
+    of e onto C, as the working rows times their multipliers; it is
+    (u, 1) / (1 + |u|^2) for the minimizing u = W(shift + z), so the
+    multipliers divided by their sum over the points are the
+    coefficients.  The x-parts are first divided by the length of the
+    largest point row, which keeps the coefficients and makes |u| <= 1,
+    so that the projection's absolute stop test acts on distances, not
+    on their squares; then every row is divided by its length.  A zero
+    row, from a zero weight, never enters.  The lines go first, as the
+    equality rows; e meets each of them, so the equality phase leaves e
+    where it is and their multipliers are exact.
     """
-    G = S.G
-    n_pts, n_signed = S.n_points, S.n_points + S.n_rays
-    K = G.shape[1]
-    WG = G * weights[:, None]
-    H = WG.T @ WG
-    # rays and lines are nonzero, so only a zero weight zeroes a column
-    if not weights.all():
-        dead = ~WG.any(axis=0)
-        dead[:n_pts] = False
-        H[dead, dead] = 1.0
-    c = WG.T @ (weights * shift)
-    A_eq = np.zeros((1, K))
-    A_eq[0, :n_pts] = 1.0
-    b_eq = np.ones(1)
-
-    theta = _kkt_solve(H, c, A_eq, b_eq)[:K]
-    if theta[:n_signed].min() < -1e-12:
-        start = np.zeros(K)
-        start[:n_pts] = 1.0 / n_pts
-        theta = _qp_active_set(H, c, A_eq, b_eq, -np.eye(n_signed, K),
-                               np.zeros(n_signed), start)
-    theta[:n_signed] = np.maximum(theta[:n_signed], 0.0)
-    return theta
+    m_eq, n_pts = S.n_lines, S.n_points
+    A = np.zeros((S.G.shape[1], S.n + 1))
+    A[:, :-1] = np.concatenate([S.lines, S.points + shift, S.rays]) * weights
+    A[m_eq:m_eq + n_pts, -1] = 1.0
+    top = np.sqrt((A[m_eq:m_eq + n_pts, :-1] ** 2).sum(axis=1).max())
+    if top > 0.0:
+        A[:, :-1] /= top
+    norms = np.sqrt((A * A).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    A /= norms[:, None]
+    e = np.zeros(S.n + 1)
+    e[-1] = 1.0
+    _, working, u = _dual_projection(A, np.zeros(A.shape[0]), m_eq, e)
+    theta = np.zeros(A.shape[0])
+    theta[working] = u / norms[working]
+    np.maximum(theta[m_eq:], 0.0, out=theta[m_eq:])
+    theta /= theta[m_eq:m_eq + n_pts].sum()
+    # back to the order of S.G: points, rays, lines
+    return np.concatenate([theta[m_eq:], theta[:m_eq]])
 
 
 def min_norm_weighted(S: GeneratorSet, shift,
@@ -1102,7 +1028,7 @@ def _project_rows(P: Polyhedron, X: np.ndarray) -> np.ndarray:
     if shape.kind == "simplex":
         return _project_simplex(X, shape.total)
     A, b = P._unit_rows
-    return np.array([_dual_projection(A, b, P.m_eq, x) for x in X])
+    return np.array([_dual_projection(A, b, P.m_eq, x)[0] for x in X])
 
 
 def project_onto_polyhedron(P: Polyhedron, x, *, start=None) -> np.ndarray:

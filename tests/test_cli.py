@@ -642,7 +642,7 @@ def test_kl_fit_projects_onto_the_orthant_in_closed_form(monkeypatch,
     # the 2,048 perturbed points are projected by max(x, 0), not by the
     # dual projection or the active-set QP
     duals = _count_calls(monkeypatch, sq.polyhedra._dual_projection)
-    qps = _count_calls(monkeypatch, sq.polyhedra._qp_active_set)
+    qps = _count_calls(monkeypatch, sq.oracles._qp_active_set)
     assert main(["kl-fit", QUARTIC1, "--y", "0"]) == 0
     assert "alpha_hat = 0.75" in capsys.readouterr().out
     assert len(duals) == len(qps) == 0

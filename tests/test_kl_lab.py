@@ -650,8 +650,8 @@ _PINNED_FITS = {
             "fc38abd1da0f3d71c3640651e7e0b526", 15.861241090065722),
     "simplex": ("bc669382fed3bc8f231b3cc073cb0632"
                 "b4a54f5a6af2ae2e4f03f71098ed5799", 434.61618990606985),
-    "polyhedron": ("8b35bcda4b45566e0d4d0d3f340ed3f7"
-                   "2e77417429dcd506492eca342b5c6828", 441.7621322643029),
+    "polyhedron": ("47dd1e1d097fd6e0c058e1af1e20c3f5"
+                   "3338f654be6ec8a84cbc429ce605ffa4", 441.7621322643026),
 }
 
 

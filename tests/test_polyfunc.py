@@ -390,22 +390,34 @@ def test_local_model_min_norm_is_closed_form_on_box_and_simplex(
     assert np.abs(z - qp_z).max() <= 1e-12 * (1.0 + np.abs(pt.grad).max())
 
 
-def test_local_model_min_norm_keeps_the_qp_for_pieces(monkeypatch):
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call of module.<name>."""
     calls = []
-    qp = sq.polyfunc.min_norm_weighted
+    kernel = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return qp(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(sq.polyfunc, "min_norm_weighted", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_local_model_min_norm_keeps_the_qp_for_pieces(monkeypatch):
+    # each min-norm over a general g is one dual projection; the primal
+    # QP is the oracles' projection reference and never runs here
+    calls = _counted(monkeypatch, sq.polyfunc, "min_norm_weighted")
+    duals = _counted(monkeypatch, sq.polyhedra, "_dual_projection")
+    primal = [_counted(monkeypatch, sq.oracles, name)
+              for name in ("_qp_active_set", "_kkt_solve")]
     g = sq.PolyhedralFunction.max_of_pieces(
         [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)],
         sq.Polyhedron.box([0.0, 0.0], [1.0, 1.0]))
     p = sq.CompositeProblem(sq.SmoothQuadratic(np.eye(2), -np.ones(2)), g)
     pt = sq.lift_point(p, [0.5, 0.5])
     pt.lifted_residual, pt.phi_residual
-    assert len(calls) == 2
+    assert (len(calls), len(duals)) == (2, 2)
+    assert primal == [[], []]
 
 
 def test_local_model_min_norm_outside_the_domain_raises():

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import sqreparam as sq
-from sqreparam import polyhedra
-from sqreparam.oracles import enumerate_vertices, grid_min_norm
-from sqreparam.polyhedra import _qp_active_set
+from sqreparam import oracles, polyhedra
+from sqreparam.oracles import _qp_active_set, enumerate_vertices, grid_min_norm
 
 
 def test_box_constructor_rows():
@@ -385,25 +384,50 @@ def test_min_norm_weighted_on_a_badly_scaled_half_line():
 
 def test_min_norm_weighted_with_more_generators_than_coordinates():
     # 4 points and 3 rays in the plane: the Gram matrix of the generators
-    # is singular.  z must lie in S (an LP finds its coefficients), no
-    # grid point may beat it, and g = w^2 (shift + z) must certify it as
-    # the minimizer: <g, z> = min over S of <g, s>.
+    # is singular; then with a line in 3 dimensions, and with a zero
+    # weight.  z must lie in S (an LP finds its coefficients, free on the
+    # lines), no grid point may beat it, and g = w^2 (shift + z) must
+    # certify it as the minimizer: <g, z> = min over S of <g, s>.
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        S = sq.GeneratorSet(2, points=rng.standard_normal((4, 2)),
-                            rays=np.abs(rng.standard_normal((3, 2))))
-        shift = 3.0 * rng.standard_normal(2)
-        w = rng.uniform(0.5, 1.5, 2)
+    for n, n_lines, zero_weight in [(2, 0, False)] * 5 + [(3, 1, False),
+                                                         (2, 0, True)] * 3:
+        S = sq.GeneratorSet(n, points=rng.standard_normal((4, n)),
+                            rays=np.abs(rng.standard_normal((3, n))),
+                            lines=rng.standard_normal((n_lines, n)))
+        shift = 3.0 * rng.standard_normal(n)
+        w = rng.uniform(0.5, 1.5, n)
+        if zero_weight:
+            w[rng.integers(n)] = 0.0
         val, z = sq.min_norm_weighted(S, shift, w)
         assert val == pytest.approx(np.linalg.norm(w * (shift + z)), abs=1e-12)
-        coeffs = sq.lp_solve(np.zeros(7), np.zeros(7), None,
-                             A_eq=np.vstack([S.G,
-                                             [1, 1, 1, 1, 0, 0, 0]]),
+        K = 7 + n_lines
+        coeffs = sq.lp_solve(np.zeros(K), np.append(np.zeros(7),
+                                                    np.full(n_lines, -np.inf)),
+                             None, A_eq=np.vstack([S.G, np.arange(K) < 4]),
                              b_eq=np.append(z, 1.0))
         assert coeffs.status is sq.LPStatus.OPTIMAL
         g = w * w * (shift + z)
         assert sq.vrep_support(S, -g) <= float(-g @ z) + 1e-9
         assert grid_min_norm(S, shift, w) >= val - 1e-9
+
+
+def test_min_norm_weighted_finds_a_zero_minimum():
+    # -shift is a point of S = conv(P) + cone(R), with up to 1.5 n rays
+    # and points scaled by up to 100, so the minimum is 0.  A primal
+    # active-set QP on the Gram matrix, whose multiplier test had a band
+    # of 1e-9 (1 + max|c|), stopped up to 1.9e-5 (1 + |w o shift|) above
+    # it on 7 of these draws
+    for s in range(200):
+        rng = np.random.default_rng(s)
+        n = int(rng.choice([20, 40]))
+        P = rng.standard_normal((int(rng.integers(3, 14)), n)) \
+            * 10.0 ** int(rng.integers(0, 3))
+        R = rng.standard_normal((int(rng.integers(n // 2, 3 * n // 2)), n))
+        shift = -(rng.dirichlet(np.ones(len(P))) @ P
+                  + rng.uniform(0.0, 1.0, len(R)) @ R)
+        w = rng.uniform(0.0, 2.0, n)
+        value, _ = sq.min_norm_weighted(sq.GeneratorSet(n, P, R), shift, w)
+        assert value <= 1e-9 * (1.0 + np.linalg.norm(w * shift)), s
 
 
 # Closed-form min-norm over the normal cone of a box or simplex, checked
@@ -520,9 +544,11 @@ def test_normal_cone_min_norm_matches_exact_and_qp(kind, n, weighting):
 
 def test_normal_cone_min_norm_where_the_qp_multiplier_band_stops_early():
     # every orthant row active: z = -(mu_0, mu_1, mu_2) with mu >= 0, so
-    # the minimum is |shift_2| = 2e-6.  The QP keeps mu_1 = 0 because
-    # its multiplier, -9e-7, lies inside the band 1e-9 (1 + max|c|) =
-    # 1e-6, and returns a value 1.9e-10 (1 + ||w o shift||) too large
+    # the minimum is |shift_2| = 2e-6.  A primal active-set QP that drops
+    # a row only when its multiplier is below -1e-9 (1 + max|c|) = -1e-6
+    # keeps mu_1 = 0, whose multiplier is -9e-7, and returns a value
+    # 1.9e-10 (1 + ||w o shift||) too large; min_norm_weighted has no
+    # such band
     P = sq.Polyhedron.nonneg_orthant(3)
     shift, w = np.array([1e3, 9e-7, -2e-6]), np.ones(3)
     value, z = _normal_cone_min_norm(P, [0, 1, 2], shift, w)
@@ -532,7 +558,7 @@ def test_normal_cone_min_norm_where_the_qp_multiplier_band_stops_early():
     scale = 1.0 + np.linalg.norm(shift)
     qp_value, _ = sq.min_norm_weighted(
         sq.GeneratorSet(3, np.zeros((1, 3)), P.A_ineq), shift, w)
-    assert qp_value - value > 1e-10 * scale
+    assert abs(qp_value - value) <= 1e-14 * scale
 
 
 def test_normal_cone_min_norm_simplex_hand_cases():
@@ -699,7 +725,7 @@ def test_general_polyhedra_use_the_qp(monkeypatch, make):
     # no primal QP
     calls = _counted(monkeypatch, "_dual_projection")
     lps = _recorded_lps(monkeypatch)
-    primal = _counted(monkeypatch, "_qp_active_set")
+    primal = _counted(monkeypatch, "_qp_active_set", oracles)
     rng = np.random.default_rng(5)
     P = make(rng, 10)
     assert P.shape.kind == "general"
@@ -877,16 +903,16 @@ def test_projection_rejects_a_wrong_length_start(P):
         sq.project_onto_polyhedron(P, np.zeros(3), start=np.zeros(2))
 
 
-def _counted(monkeypatch, name):
-    """The argument tuples of every call of polyhedra.<name>."""
+def _counted(monkeypatch, name, module=polyhedra):
+    """The argument tuples of every call of module.<name>."""
     calls = []
-    kernel = getattr(polyhedra, name)
+    kernel = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(polyhedra, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -901,8 +927,8 @@ def _counted_kkt_solves(monkeypatch):
         calls.append(act.copy())
         return kkt_solve(H, c, act, b_act)
 
-    kkt_solve = polyhedra._kkt_solve
-    monkeypatch.setattr(polyhedra, "_kkt_solve", counted)
+    kkt_solve = oracles._kkt_solve
+    monkeypatch.setattr(oracles, "_kkt_solve", counted)
     return calls
 
 
@@ -910,7 +936,7 @@ def test_qp_iteration_counts_on_a_general_polyhedron(monkeypatch):
     # the dual projection's iterations, cold and on a nearby point (the
     # start it is given has no effect), and no KKT solve
     steps = _counted(monkeypatch, "_orthogonal_part")
-    kkt = _counted(monkeypatch, "_kkt_solve")
+    kkt = _counted(monkeypatch, "_kkt_solve", oracles)
     P, v, rng = _pinned_draw(40)
     z = sq.project_onto_polyhedron(P, 4.0 * v)
     cold = len(steps)
@@ -1289,7 +1315,7 @@ _PROJECTION_PINS = (
     "10f5973ff6795bb95fdd3893f72bac5f1408e2ee40a87639cd10da46111663ed",
     "86392d1564f7461109ff30753c7eb039f8546f96e53b5799b666810c652d0ab0")
 _MIN_NORM_PIN = \
-    "bc986e3b4b29a71802b056a8ba2efd2c5c9a00f8df2ba19c67c9d023aab71043"
+    "cd47db73d6b5d8c2ced119f094526d0e6a302385df9e8bf5b6ea067d58796e30"
 
 
 @pytest.mark.parametrize("n", sorted(_LP_PINS))

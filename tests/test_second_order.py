@@ -254,7 +254,8 @@ def two_pieces():
 
 
 def test_d2_objective_compares_a_second_witness(monkeypatch):
-    # the lifted min-norm pair gives v = (0.5, 0.5), the second slice LP
+    # at y = 0 every point of S minimizes the lifted min-norm, whose pair
+    # gives the first point, v = (0, 0); the second slice LP gives
     # v = (1, 1); both give 2 sup <w*w, p> = 2.5 at w = (1, 0.5)
     seen = []
     d2_objective = second_order._d2_objective
@@ -268,7 +269,7 @@ def test_d2_objective_compares_a_second_witness(monkeypatch):
                                          np.array([1.0, 0.5]))
     assert value == pytest.approx(2.5, abs=1e-12)
     assert len(seen) == 2
-    assert seen[0][0] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert seen[0][0] == [0.0, 0.0]
     assert seen[1][0] == [1.0, 1.0]
     assert seen[1][1] == pytest.approx(2.5, abs=1e-12)
 

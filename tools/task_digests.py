@@ -18,13 +18,15 @@ kind's tasks alone, so a digest that moves names the kinds that moved:
     WORKLOAD SEED TASKS ERRORS SHA256
     WORKLOAD SEED KIND TASKS ERRORS SHA256
 
-With --work each line also counts the LP work of its tasks, a
-deterministic measure that wall time is not: the `lp_solve` calls (every
-module's binding of `polyhedra.lp_solve` is wrapped, as
-`tools/cli_records.py` wraps its runs) and the simplex pivots of the
-outcomes they return (a call that raises adds a call and no pivots):
+With --work each line also counts the LP and projection work of its
+tasks, a deterministic measure that wall time is not: the `lp_solve`
+calls (every module's binding of `polyhedra.lp_solve` is wrapped, as
+`tools/cli_records.py` wraps its runs), the simplex pivots of the
+outcomes they return (a call that raises adds a call and no pivots), and
+the steps of the dual active-set method, one `polyhedra._orthogonal_part`
+call each, that projections and weighted min-norms take:
 
-    WORKLOAD SEED [KIND] TASKS ERRORS SHA256 lp_calls=CALLS pivots=PIVOTS
+    WORKLOAD SEED [KIND] TASKS ERRORS SHA256 lp_calls=CALLS pivots=PIVOTS dual_steps=STEPS
 
 Problem files go to a temporary directory, removed at exit; nothing is
 written under DIR.
@@ -69,14 +71,23 @@ def _canonical(obj, norm):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
-def _count_lps(work: list) -> None:
+def _count_work(work: list) -> None:
     """Route every sqreparam module's binding of polyhedra.lp_solve
     through a wrapper that adds each call to work[0] and the pivots of
-    the outcome it returns to work[1].  The modules loaded so far are
-    rebound here; one that loads later (the package loads each module on
-    first use) imports the wrapper from polyhedra."""
+    the outcome it returns to work[1], and polyhedra._orthogonal_part
+    through one that adds each call, a step of the dual active-set
+    method, to work[2].  The modules loaded so far are rebound here; one
+    that loads later (the package loads each module on first use) imports
+    the wrapper from polyhedra."""
     from sqreparam import polyhedra
     lp_solve = polyhedra.lp_solve
+    orthogonal_part = polyhedra._orthogonal_part
+
+    def step(*args):
+        work[2] += 1
+        return orthogonal_part(*args)
+
+    polyhedra._orthogonal_part = step
 
     def counted(*args, **kwargs):
         work[0] += 1
@@ -91,10 +102,11 @@ def _count_lps(work: list) -> None:
 
 
 def digest(repo: str, workload: str, seed: int, work: list) -> dict:
-    """{kind: [tasks, errors, hash, lp calls, pivots]} of one pass over
-    the seed's task pool, with the kind None for all tasks together.
-    The LP counts are what each task adds to work, the [calls, pivots]
-    list that _count_lps feeds (they stay 0 when nothing feeds it)."""
+    """{kind: [tasks, errors, hash, lp calls, pivots, dual steps]} of one
+    pass over the seed's task pool, with the kind None for all tasks
+    together.  The counts are what each task adds to work, the [calls,
+    pivots, steps] list that _count_work feeds (they stay 0 when nothing
+    feeds it)."""
     import sqreparam as sq
     import workloads
 
@@ -119,12 +131,12 @@ def digest(repo: str, workload: str, seed: int, work: list) -> dict:
                 line = repr((task.kind, record)).encode()
                 for key in (None, task.kind):
                     tally = tallies.setdefault(
-                        key, [0, 0, hashlib.sha256(), 0, 0])
+                        key, [0, 0, hashlib.sha256(), 0, 0, 0])
                     tally[0] += 1
                     tally[1] += failed
                     tally[2].update(line)
-                    tally[3] += work[0] - before[0]
-                    tally[4] += work[1] - before[1]
+                    for i in range(3):
+                        tally[3 + i] += work[i] - before[i]
     return tallies
 
 
@@ -135,25 +147,26 @@ def main(argv=None) -> int:
     parser.add_argument("--repo", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--work", action="store_true",
-                        help="also print each line's lp_solve calls and "
-                             "simplex pivots")
+                        help="also print each line's lp_solve calls, "
+                             "simplex pivots and dual projection steps")
     args = parser.parse_args(argv)
     repo = os.path.abspath(args.repo)
     sys.dont_write_bytecode = True      # no __pycache__ under DIR
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     os.chdir(repo)      # the shipped problems are named relative to it
-    work = [0, 0]
+    work = [0, 0, 0]
     if args.work:
-        _count_lps(work)
+        _count_work(work)
     for seed in args.seeds:
         tallies = digest(repo, args.workload, seed, work)
         for kind in [None] + sorted(tallies.keys() - {None}):
-            tasks, errors, h, calls, pivots = tallies[kind]
+            tasks, errors, h, calls, pivots, steps = tallies[kind]
             head = f"{args.workload} {seed}" + ("" if kind is None
                                                 else f" {kind}")
             line = f"{head} {tasks} {errors} {h.hexdigest()}"
             if args.work:
-                line += f" lp_calls={calls} pivots={pivots}"
+                line += (f" lp_calls={calls} pivots={pivots}"
+                         f" dual_steps={steps}")
             print(line)
         sys.stdout.flush()
     return 0
