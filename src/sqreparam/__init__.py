@@ -47,8 +47,8 @@ _EXPORTS = {
         "support_set",
     ),
     "second_order": (
-        "CorrespondenceReport", "Multiplier", "correspondence_check",
-        "d2_lifted_g", "d2_lifted_objective_on_SI", "stationarity_multiplier",
+        "CorrespondenceReport", "correspondence_check", "d2_lifted_g",
+        "d2_lifted_objective_on_SI",
     ),
     "kl_lab": (
         "ExponentInputs", "KLFitReport", "RateFit", "ScatterConfig",

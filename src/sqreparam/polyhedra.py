@@ -340,10 +340,6 @@ class GeneratorSet:
     def n_lines(self) -> int:
         return self.lines.shape[0]
 
-    def combine(self, coeffs) -> np.ndarray:
-        """Evaluate the combination given stacked (lam, mu, nu) coefficients."""
-        return self.G @ _as_vector(coeffs, self.G.shape[1], "coeffs")
-
     def translate(self, v) -> "GeneratorSet":
         v = _as_vector(v, self.n, "v")
         return GeneratorSet(self.n, self.points + v, self.rays, self.lines)
@@ -879,7 +875,7 @@ def min_norm_weighted(S: GeneratorSet, shift,
     shift = _as_vector(shift, S.n, "shift")
     weights = _as_vector(weights, S.n, "weights")
     theta = _min_norm_coefficients(S, shift, weights)
-    z = S.combine(theta)
+    z = S.G @ theta
     value = float(np.linalg.norm(weights * (shift + z)))
     return value, z
 

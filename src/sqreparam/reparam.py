@@ -41,10 +41,12 @@ def support_set(y, tol_support: float = DEFAULT_TOL_SUPPORT):
     The threshold is strict: a coordinate exactly at tol_support counts
     as off-support.  Near-threshold magnitudes make every downstream
     certificate fragile; reports carry min |y_i| over the support so
-    callers can see how much margin they have.
+    callers can see how much margin they have.  y must have finite
+    entries (DimensionMismatch).
     """
     check_tol(tol_support, "tol_support")
     y = np.asarray(y, dtype=float).ravel()
+    y = _as_vector(y, y.size, "y")
     mask = np.abs(y) > tol_support
     idx = np.arange(y.size)
     return idx[mask], idx[~mask]

@@ -7,9 +7,10 @@ correspondence_check answers each side once, from the local model at y
 (reparam.LiftedPoint), and fails loudly when the two disagree.
 
 Route one reads the lifted residual.  At a lifted stationary point the
-minimizer v of its min-norm problem is the multiplier: a subgradient of
-g at y*y that matches -grad f on the support up to
-lifted_residual / (2 |y_i|).  The second subderivative of the lifted
+minimizer v of its min-norm problem, LiftedPoint.lifted_min_norm[1], is
+the multiplier: a subgradient of g at y*y that matches -grad f on the
+support up to lifted_residual / (2 |y_i|); lam = 2 y o v is the
+multiplier of the lifted problem.  The second subderivative of the lifted
 polyhedral term on S_I then reduces to a support-function value over a
 slice of the subdifferential:
 
@@ -46,20 +47,6 @@ from .reparam import LiftedPoint, _lift
 _INF = float("inf")
 
 
-@dataclass(frozen=True, eq=False)
-class Multiplier:
-    """First-order multiplier for a lifted point.
-
-    v is the minimizer of the lifted min-norm pair: a subgradient of g
-    at y*y matching -grad f on the support up to
-    lifted_residual / (2 |y_i|).  lam = 2 y o v is the corresponding
-    multiplier for the lifted problem.
-    """
-
-    v: np.ndarray
-    lam: np.ndarray
-
-
 def _slice_rows(pt: LiftedPoint, anchor):
     """Rows E theta = e of the slice of subdiff g(y*y): the simplex row
     on the convex block of theta, then G theta = anchor on the support."""
@@ -69,49 +56,29 @@ def _slice_rows(pt: LiftedPoint, anchor):
     return E, np.concatenate([np.ones(1), anchor])
 
 
-def _slice_lp(pt: LiftedPoint, anchor, objective):
-    """LP over theta on _slice_rows, with theta >= 0 on the convex and
-    conic blocks: maximizes objective @ theta and returns the LPOutcome."""
-    S = pt.S
-    E, e = _slice_rows(pt, anchor)
-    lower = np.concatenate([np.zeros(S.n_points + S.n_rays),
-                            np.full(S.n_lines, -_INF)])
-    return lp_solve(objective, lower, None, E, e)
-
-
-def stationarity_multiplier(p: CompositeProblem, y) -> Multiplier | None:
-    """Multiplier certifying lifted stationarity of y, None unless y is
-    Phi_stationary.
-
-    v is the minimizer of the model's lifted min-norm pair, so it lies
-    in subdiff g(y*y) by construction, and the lifted residual is
-    2 ||y o (grad f + v)||: no LP is solved.
-    """
-    pt = _lift(p.g, p.f, y)
-    if not pt.Phi_stationary:
-        return None
-    v = pt.lifted_min_norm[1]
-    return Multiplier(v, 2.0 * pt.y * v)
-
-
 def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     """Second subderivative of the lifted polyhedral term.
 
     Evaluated at ybar with multiplier 2 ybar o v, in a direction w that
     is forced into the off-support subspace by zeroing its support
     coordinates.  Computed as 2 * sup of a linear functional over the
-    subdifferential slice {p : p = v on the support}; an unbounded LP
-    means +inf, an infeasible one means the supplied v is not a valid
-    slice anchor (ValidationError; the certificates pass the multiplier
-    of stationarity_multiplier, which lies in the subdifferential, so
-    only a direct call can supply one).
+    subdifferential slice {p : p = v on the support}, an LP over theta
+    >= 0 on the convex and conic blocks; an unbounded LP means +inf, an
+    infeasible one means the supplied v is not a valid slice anchor
+    (ValidationError; the certificates pass the lifted multiplier
+    lifted_min_norm[1], which lies in the subdifferential, so only a
+    direct call can supply one).
     """
     pt = _lift(g, None, ybar)
     v = _as_vector(v, g.n, "v")
     w = _as_vector(w, g.n, "w")
     weights = np.zeros(g.n)
     weights[pt.comp] = w[pt.comp] ** 2
-    out = _slice_lp(pt, v[pt.sup], objective=pt.S.G.T @ weights)
+    S = pt.S
+    E, e = _slice_rows(pt, v[pt.sup])
+    lower = np.concatenate([np.zeros(S.n_points + S.n_rays),
+                            np.full(S.n_lines, -_INF)])
+    out = lp_solve(S.G.T @ weights, lower, None, E, e)
     if out.status is LPStatus.UNBOUNDED:
         return _INF
     if out.status is LPStatus.INFEASIBLE:
@@ -120,46 +87,25 @@ def d2_lifted_g(g: PolyhedralFunction, ybar, v, w) -> float:
     return 2.0 * out.value
 
 
-def _d2_objective(p: CompositeProblem, pt: LiftedPoint, v, w) -> float:
-    """Second-order quotient of the lifted objective at the model pt,
-    anchored at the multiplier v, in w with its support part zeroed."""
-    w_si = w.copy()
-    w_si[pt.sup] = 0.0
-    quad = d2_lifted_g(p.g, pt, v, w_si)
-    if not np.isfinite(quad):
-        return quad
-    return quad + 2.0 * float(pt.grad @ (w_si * w_si))
-
-
 def d2_lifted_objective_on_SI(p: CompositeProblem, y, w) -> float:
     """Second-order quotient of the full lifted objective on the
-    off-support subspace.
+    off-support subspace: d2_lifted_g at the lifted multiplier
+    lifted_min_norm[1] plus 2 <grad f, w*w>, with the support part of w
+    zeroed (+inf stays +inf).
 
-    Requires lifted stationarity (ValidationError otherwise).  The
-    value must not depend on which multiplier witness anchors the
-    subdifferential slice; when a second witness exists the computation
-    is repeated and compared.
+    Requires lifted stationarity (ValidationError otherwise).  The sup
+    over the slice does not depend on which subgradient anchors it on
+    the support, so one LP is solved.
     """
     pt = _lift(p.g, p.f, y)
-    w = _as_vector(w, p.n, "w")
-    mult = stationarity_multiplier(p, pt)
-    if mult is None:
+    w = _as_vector(w, p.n, "w").copy()
+    if not pt.Phi_stationary:
         raise ValidationError("y is not a lifted stationary point")
-    value = _d2_objective(p, pt, mult.v, w)
-
-    # a second, generically different multiplier witness
-    out = _slice_lp(pt, -pt.grad[pt.sup], objective=pt.S.G.T @ np.ones(p.n))
-    if out.status is not LPStatus.OPTIMAL:
-        return value
-    other = pt.S.combine(out.witness)
-    if np.max(np.abs(other - mult.v)) > 1e-9:
-        second = _d2_objective(p, pt, other, w)
-        both_inf = not np.isfinite(value) and not np.isfinite(second)
-        if not both_inf and abs(second - value) > 1e-8 * (1.0 + abs(value)):
-            raise InconsistencyDetected(
-                f"second-order value depends on the witness: "
-                f"{value!r} vs {second!r}")
-    return value
+    w[pt.sup] = 0.0
+    quad = d2_lifted_g(p.g, pt, pt.lifted_min_norm[1], w)
+    if not np.isfinite(quad):
+        return quad
+    return quad + 2.0 * float(pt.grad @ (w * w))
 
 
 def _steepest_direction(pt: LiftedPoint, v):
@@ -216,18 +162,17 @@ class CorrespondenceReport:
 def correspondence_check(p: CompositeProblem, y) -> CorrespondenceReport:
     """Check the lifted/original stationarity correspondence at y.
 
-    Route one: the lifted multiplier of stationarity_multiplier, then
-    the least second-order quotient over unit off-support directions at
+    Route one: the lifted multiplier v = lifted_min_norm[1], then the
+    least second-order quotient over unit off-support directions at
     it, one LP, which must be at least -tol * scale (no LP when y is not
     lifted stationary or its support is full).  Route two: first-order
     stationarity of y*y for the original problem.  The two must agree.
     """
     pt = _lift(p.g, p.f, y)
-    mult = stationarity_multiplier(p, pt)
-    lifted_stationary = second_order = mult is not None
+    lifted_stationary = second_order = pt.Phi_stationary
     negative_direction = None
     if second_order and pt.comp.size:
-        w, val = _steepest_direction(pt, mult.v)
+        w, val = _steepest_direction(pt, pt.lifted_min_norm[1])
         if val < -pt.tol * pt.scale:
             second_order, negative_direction = False, w
     witness_lambda = (pt.grad + pt.phi_min_norm[1]) if second_order else None

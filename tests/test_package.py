@@ -78,7 +78,7 @@ def test_every_public_name_is_its_home_module_object():
         "print(json.dumps([sq.__all__, wrong, modules]))")
     assert wrong == []
     assert modules == []
-    assert len(names) == 70 and names == sorted(set(names))
+    assert len(names) == 68 and names == sorted(set(names))
 
 
 def test_dir_covers_all_and_the_submodules():

@@ -296,7 +296,6 @@ def test_generator_set_keeps_zero_points():
 def test_generator_combine_and_translate():
     S = sq.GeneratorSet(2, points=np.array([[1.0, 0.0]]),
                         rays=np.array([[0.0, 1.0]]))
-    assert np.allclose(S.combine(np.array([1.0, 3.0])), [1.0, 3.0])
     T = S.translate(np.array([1.0, 1.0]))
     assert np.allclose(T.points, [[2.0, 1.0]])
     assert np.allclose(T.rays, [[0.0, 1.0]])

@@ -31,6 +31,13 @@ def test_support_set_threshold():
     assert tuple(sq.support_set(np.array([-2e-8]))[0]) == (0,)
 
 
+@pytest.mark.parametrize("y", [[np.nan, 1.0, np.inf], [1.0, np.inf], None])
+def test_support_set_refuses_a_y_that_is_not_finite(y):
+    with pytest.raises(sq.DimensionMismatch,
+                       match=r"^y: entries must be finite$"):
+        sq.support_set(y)
+
+
 def test_lift_point_squares_and_flags_domain():
     p = quad1()
     lp = sq.lift_point(p, np.array([-2.0]))

@@ -1,4 +1,5 @@
-"""Unit tests for second-order slices, multipliers, and the correspondence check."""
+"""Unit tests for second-order slices, the lifted multiplier, and the
+correspondence check."""
 
 import numpy as np
 import pytest
@@ -104,23 +105,11 @@ def test_d2_smooth_orthant_lift_matches_central_difference():
         assert cd == pytest.approx(closed, abs=1e-5 * (1.0 + abs(closed)))
 
 
-def test_stationarity_multiplier_engineered():
-    p, y, xbar = make_stationary_orthant_instance(2)
-    mult = sq.stationarity_multiplier(p, y)
-    assert mult is not None
-    # lam = grad f + v must vanish on the support and be a valid subgradient sum
-    lam = np.asarray(mult.lam)
-    support, _ = sq.support_set(y)
-    assert np.all(np.abs(lam[support]) <= 1e-9)
-    pt = sq.LocalModel(p.g, p.f, xbar)
-    assert sq.vrep_membership(pt.S.translate(pt.grad), lam, tol=1e-8)
-
-
-def test_stationarity_multiplier_none_when_not_stationary():
+def test_d2_objective_refuses_a_point_that_is_not_lifted_stationary():
     p = sq.CompositeProblem(
         sq.SmoothQuadratic(np.eye(1), np.array([-1.0]), 0.5),
         sq.PolyhedralFunction.orthant_indicator(1))
-    assert sq.stationarity_multiplier(p, np.array([0.5])) is None
+    assert not sq.lift_point(p, np.array([0.5])).Phi_stationary
     with pytest.raises(sq.ValidationError,
                        match=r"^y is not a lifted stationary point$"):
         sq.d2_lifted_objective_on_SI(p, np.array([0.5]), np.array([1.0]))
@@ -216,9 +205,8 @@ def orthant2():
 def test_steepest_direction_on_an_empty_slice(monkeypatch):
     # a multiplier with v_1 = 1 where every subgradient has v_1 = 0: the
     # slice at v is empty, so the direction LP, its dual, is unbounded
-    monkeypatch.setattr(second_order, "stationarity_multiplier",
-                        lambda p, pt: second_order.Multiplier(
-                            np.array([1.0, 0.0]), np.array([2.0, 0.0])))
+    monkeypatch.setattr(sq.LiftedPoint, "lifted_min_norm",
+                        property(lambda pt: (0.0, np.array([1.0, 0.0]))))
     with pytest.raises(sq.InconsistencyDetected,
                        match="subdifferential slice at v is empty"):
         sq.correspondence_check(orthant2(), np.array([1.0, 0.0]))
@@ -251,40 +239,6 @@ def two_pieces():
     g = sq.PolyhedralFunction(2, pieces_A=np.array([[0.0, 0.0], [1.0, 1.0]]),
                               pieces_b=np.zeros(2))
     return sq.CompositeProblem(f, g)
-
-
-def test_d2_objective_compares_a_second_witness(monkeypatch):
-    # at y = 0 every point of S minimizes the lifted min-norm, whose pair
-    # gives the first point, v = (0, 0); the second slice LP gives
-    # v = (1, 1); both give 2 sup <w*w, p> = 2.5 at w = (1, 0.5)
-    seen = []
-    d2_objective = second_order._d2_objective
-
-    def recorded(p, pt, v, w):
-        seen.append((v.tolist(), d2_objective(p, pt, v, w)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(second_order, "_d2_objective", recorded)
-    value = sq.d2_lifted_objective_on_SI(two_pieces(), np.zeros(2),
-                                         np.array([1.0, 0.5]))
-    assert value == pytest.approx(2.5, abs=1e-12)
-    assert len(seen) == 2
-    assert seen[0][0] == [0.0, 0.0]
-    assert seen[1][0] == [1.0, 1.0]
-    assert seen[1][1] == pytest.approx(2.5, abs=1e-12)
-
-
-def test_d2_objective_raises_when_the_witnesses_disagree(monkeypatch):
-    d2_objective = second_order._d2_objective
-
-    def shifted(p, pt, v, w):
-        return d2_objective(p, pt, v, w) + float(v.sum())
-
-    monkeypatch.setattr(second_order, "_d2_objective", shifted)
-    with pytest.raises(sq.InconsistencyDetected,
-                       match="depends on the witness"):
-        sq.d2_lifted_objective_on_SI(two_pieces(), np.zeros(2),
-                                     np.array([1.0, 0.5]))
 
 
 def test_steepest_direction_is_none_when_every_quotient_is_infinite(
@@ -375,14 +329,14 @@ def lifted_stationary_instances():
 
 
 def test_multiplier_is_the_lifted_min_norm_subgradient():
-    # v lies in subdiff g(y*y) and attains the lifted residual
+    # the multiplier v, the minimizer of the lifted min-norm pair, lies
+    # in subdiff g(y*y) and attains the lifted residual
     for p, y in lifted_stationary_instances():
         pt = sq.lift_point(p, y)
-        mult = sq.stationarity_multiplier(p, pt)
-        assert mult is not None
-        assert sq.vrep_membership(pt.S, mult.v)
-        np.testing.assert_array_equal(mult.lam, 2.0 * pt.y * mult.v)
-        attained = np.linalg.norm(np.abs(pt.y) * (pt.grad + mult.v))
+        assert pt.Phi_stationary
+        v = pt.lifted_min_norm[1]
+        assert sq.vrep_membership(pt.S, v)
+        attained = np.linalg.norm(np.abs(pt.y) * (pt.grad + v))
         assert attained == pytest.approx(pt.lifted_residual / 2.0,
                                          rel=1e-12, abs=1e-15)
 
@@ -398,6 +352,19 @@ def _count_lp_calls(monkeypatch):
     for module in (sq.polyhedra, second_order):
         monkeypatch.setattr(module, "lp_solve", counted)
     return calls
+
+
+def test_d2_objective_solves_one_lp(monkeypatch):
+    # at y = 0 the slice is all of subdiff g(0), and 2 sup <w*w, p> over
+    # it is 2.5 at w = (1, 0.5), reached at p = (1, 1): one LP
+    lps = _count_lp_calls(monkeypatch)
+    p, y = two_pieces(), np.zeros(2)
+    pt = sq.lift_point(p, y)
+    assert pt.Phi_stationary
+    del lps[:]
+    value = sq.d2_lifted_objective_on_SI(p, pt, np.array([1.0, 0.5]))
+    assert value == pytest.approx(2.5, abs=1e-12)
+    assert len(lps) == 1
 
 
 def test_correspondence_witness_and_lp_count(monkeypatch):
@@ -420,3 +387,29 @@ def test_correspondence_witness_and_lp_count(monkeypatch):
             assert sq.vrep_membership(pt.S, rep.witness_lambda - pt.grad)
             assert np.linalg.norm(rep.witness_lambda) <= pt.tol * pt.scale
     assert witnesses >= 24
+
+
+def test_second_order_sign_flip_invariance():
+    # (-y)*(-y) equals y*y bit for bit, and every certificate reads y
+    # through |y| and the support: flipping signs moves no output
+    points = list(lifted_stationary_instances())
+    points += [random_orthant_instance(s) for s in range(30)]
+    points += [random_nonsmooth_instance(s) for s in range(30)]
+    for i, (p, y) in enumerate(points):
+        rng = np.random.default_rng(i)
+        flipped = np.where(rng.random(p.n) < 0.5, -y, y)
+        a = sq.correspondence_check(p, y)
+        b = sq.correspondence_check(p, flipped)
+        assert (a.stationary_for_Phi, a.second_order_nonneg_on_SI,
+                a.stationary_for_phi, a.consistent) == (
+                    b.stationary_for_Phi, b.second_order_nonneg_on_SI,
+                    b.stationary_for_phi, b.consistent)
+        for left, right in ((a.negative_direction, b.negative_direction),
+                            (a.witness_lambda, b.witness_lambda)):
+            assert (left is None) == (right is None)
+            if left is not None:
+                np.testing.assert_array_equal(left, right)
+        if a.stationary_for_Phi:
+            w = rng.standard_normal(p.n)
+            assert sq.d2_lifted_objective_on_SI(p, flipped, w) == \
+                sq.d2_lifted_objective_on_SI(p, y, w)
