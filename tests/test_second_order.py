@@ -105,7 +105,20 @@ def test_d2_smooth_orthant_lift_matches_central_difference():
         assert cd == pytest.approx(closed, abs=1e-5 * (1.0 + abs(closed)))
 
 
-def test_d2_objective_refuses_a_point_that_is_not_lifted_stationary():
+def test_stationarity_multiplier_engineered():
+    p, y, xbar = make_stationary_orthant_instance(2)
+    pt = sq.lift_point(p, y)
+    assert pt.Phi_stationary
+    # the multiplier v is the minimizer of the lifted min-norm pair, and
+    # lam = 2 y o v must vanish on the support and be a valid subgradient sum
+    lam = 2.0 * pt.y * pt.lifted_min_norm[1]
+    support, _ = sq.support_set(y)
+    assert np.all(np.abs(lam[support]) <= 1e-9)
+    model = sq.LocalModel(p.g, p.f, xbar)
+    assert sq.vrep_membership(model.S.translate(model.grad), lam, tol=1e-8)
+
+
+def test_stationarity_multiplier_none_when_not_stationary():
     p = sq.CompositeProblem(
         sq.SmoothQuadratic(np.eye(1), np.array([-1.0]), 0.5),
         sq.PolyhedralFunction.orthant_indicator(1))
