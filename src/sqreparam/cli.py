@@ -466,65 +466,96 @@ def _add_tol_flags(sub) -> None:
                           f"(default {DEFAULT_TOL_SUPPORT})")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _certify_args(sub) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--y", required=True,
+                     help="point, comma-separated floats")
+    _add_tol_flags(sub)
+    sub.set_defaults(handler=_cmd_certify)
+
+
+def _strict_comp_args(sub) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--x", required=True,
+                     help="point, comma-separated floats")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.set_defaults(handler=_cmd_strict_comp)
+
+
+def _kl_fit_args(sub) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--y", required=True)
+    sub.add_argument("--alpha", type=float, default=None,
+                     help="original exponent, enables the prediction")
+    sub.add_argument("--gamma", type=float, default=None,
+                     help="certification order for the nonstrict transfer")
+    sub.add_argument("--strict", action="store_true",
+                     help="assume strict complementarity in the prediction")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--dmin", type=float, default=ScatterConfig.delta_min)
+    sub.add_argument("--dmax", type=float, default=ScatterConfig.delta_max)
+    sub.add_argument("--out", default=None, help="scatter CSV path")
+    sub.set_defaults(handler=_cmd_kl_fit)
+
+
+def _solve_args(sub) -> None:
+    sub.add_argument("file")
+    sub.add_argument("--variant", choices=("original", "lifted"),
+                     required=True)
+    sub.add_argument("--y0", default=None, help="lifted start point")
+    sub.add_argument("--x0", default=None, help="original start point")
+    sub.add_argument("--steps", type=int, default=10000)
+    sub.add_argument("--out", default=None, help="trace CSV path")
+    sub.set_defaults(handler=_cmd_solve)
+
+
+def _selftest_args(sub) -> None:
+    sub.add_argument("--seed", type=int, default=0)
+    sub.set_defaults(handler=_cmd_selftest)
+
+
+# (name, help, builder) of each subcommand, in the order --help lists them
+_COMMANDS = (
+    ("certify", "first- and second-order stationarity report",
+     _certify_args),
+    ("strict-comp", "strict complementarity at a stationary x",
+     _strict_comp_args),
+    ("kl-fit", "sample a residual scatter and fit the exponent",
+     _kl_fit_args),
+    ("solve", "run a first-order method and classify its rate", _solve_args),
+    ("selftest", "run the oracle-agreement batteries", _selftest_args),
+)
+
+
+def _build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The argument parser; with cmd, one that holds only that
+    subcommand's subparser, whose usage and messages read as the full
+    tree's."""
     parser = argparse.ArgumentParser(
         prog="sqreparam",
         description="Stationarity certification and sharpness experiments "
                     "for square-reparameterized composite problems.")
-    subs = parser.add_subparsers(dest="cmd", required=True)
-
-    certify = subs.add_parser(
-        "certify", help="first- and second-order stationarity report")
-    certify.add_argument("file")
-    certify.add_argument("--y", required=True,
-                         help="point, comma-separated floats")
-    _add_tol_flags(certify)
-    certify.set_defaults(handler=_cmd_certify)
-
-    strict = subs.add_parser(
-        "strict-comp", help="strict complementarity at a stationary x")
-    strict.add_argument("file")
-    strict.add_argument("--x", required=True,
-                        help="point, comma-separated floats")
-    strict.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    strict.set_defaults(handler=_cmd_strict_comp)
-
-    klfit = subs.add_parser(
-        "kl-fit", help="sample a residual scatter and fit the exponent")
-    klfit.add_argument("file")
-    klfit.add_argument("--y", required=True)
-    klfit.add_argument("--alpha", type=float, default=None,
-                       help="original exponent, enables the prediction")
-    klfit.add_argument("--gamma", type=float, default=None,
-                       help="certification order for the nonstrict transfer")
-    klfit.add_argument("--strict", action="store_true",
-                       help="assume strict complementarity in the prediction")
-    klfit.add_argument("--seed", type=int, default=0)
-    klfit.add_argument("--dmin", type=float, default=ScatterConfig.delta_min)
-    klfit.add_argument("--dmax", type=float, default=ScatterConfig.delta_max)
-    klfit.add_argument("--out", default=None, help="scatter CSV path")
-    klfit.set_defaults(handler=_cmd_kl_fit)
-
-    solve = subs.add_parser(
-        "solve", help="run a first-order method and classify its rate")
-    solve.add_argument("file")
-    solve.add_argument("--variant", choices=("original", "lifted"),
-                       required=True)
-    solve.add_argument("--y0", default=None, help="lifted start point")
-    solve.add_argument("--x0", default=None, help="original start point")
-    solve.add_argument("--steps", type=int, default=10000)
-    solve.add_argument("--out", default=None, help="trace CSV path")
-    solve.set_defaults(handler=_cmd_solve)
-
-    selftest = subs.add_parser(
-        "selftest", help="run the oracle-agreement batteries")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.set_defaults(handler=_cmd_selftest)
+    # the full tree's usage lists every name, and so must a partial
+    # tree's, by its metavar.  The full tree keeps none: it names the
+    # argument "cmd" in "required: cmd" and "argument cmd: invalid
+    # choice", which a partial tree never prints
+    kwargs = {} if cmd is None else {
+        "metavar": "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"}
+    subs = parser.add_subparsers(dest="cmd", required=True, **kwargs)
+    for name, help_text, add_args in _COMMANDS:
+        if cmd is None or cmd == name:
+            add_args(subs.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds only its own subcommand's parser; an empty argv, -h
+    # and an unknown command get the full tree
+    names = [name for name, _, _ in _COMMANDS]
+    cmd = argv[0] if argv and argv[0] in names else None
+    args = _build_parser(cmd).parse_args(argv)
     try:
         return args.handler(args)
     except SqreparamError as err:

@@ -30,6 +30,7 @@ from .polyhedra import (
     _min_norm_normal_cone,
     _orthant_rows,
     _owned,
+    _rhs,
 )
 
 DEFAULT_TOL_ACTIVE = 1e-8
@@ -149,7 +150,7 @@ class PolyhedralFunction:
     def __post_init__(self):
         _check_dimension(self.n)
         A = _owned(_as_matrix(self.pieces_A, self.n, "pieces_A"))
-        b = _as_vector(self.pieces_b, A.shape[0], "pieces_b").copy()
+        b = _rhs(self.pieces_b, A, "pieces_b").copy()
         dom = self.domain if self.domain is not None else Polyhedron(self.n)
         if dom.n != self.n:
             raise DimensionMismatch("domain dimension does not match n")

@@ -85,8 +85,10 @@ def _owned(a: np.ndarray) -> np.ndarray:
 
 
 def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
+    """v as a float vector of length m; a missing v (None) is refused, not
+    read as the origin."""
     if v is None:
-        v = np.zeros(m)
+        raise DimensionMismatch(f"{name}: expected length {m}, got None")
     a = np.asarray(v, dtype=float).ravel()
     if a.size != m:
         raise DimensionMismatch(f"{name}: expected length {m}, got {a.size}")
@@ -95,6 +97,13 @@ def _as_vector(v, m: int, name: str, allow_inf: bool = False) -> np.ndarray:
     if allow_inf and np.isnan(a).any():
         raise DimensionMismatch(f"{name}: NaN entries are not allowed")
     return a
+
+
+def _rhs(b, A: np.ndarray, name: str) -> np.ndarray:
+    """The right-hand side b of the rows A; an omitted b (None) is zeros."""
+    if b is None:
+        return np.zeros(A.shape[0])
+    return _as_vector(b, A.shape[0], name)
 
 
 def _check_dimension(n) -> None:
@@ -197,8 +206,8 @@ class Polyhedron:
         # would follow the caller's edits
         A_ineq = _owned(_as_matrix(self.A_ineq, self.n, "A_ineq"))
         A_eq = _owned(_as_matrix(self.A_eq, self.n, "A_eq"))
-        b_ineq = _as_vector(self.b_ineq, A_ineq.shape[0], "b_ineq").copy()
-        b_eq = _as_vector(self.b_eq, A_eq.shape[0], "b_eq").copy()
+        b_ineq = _rhs(self.b_ineq, A_ineq, "b_ineq").copy()
+        b_eq = _rhs(self.b_eq, A_eq, "b_eq").copy()
         for name, val in (("A_ineq", A_ineq), ("b_ineq", b_ineq),
                           ("A_eq", A_eq), ("b_eq", b_eq)):
             object.__setattr__(self, name, val)
@@ -554,9 +563,9 @@ def lp_solve(c, lower=None, upper=None, A_eq=None, b_eq=None,
     upper = (np.full(n, _INF) if upper is None
              else _as_vector(upper, n, "upper", allow_inf=True))
     A_eq = _as_matrix(A_eq, n, "A_eq")
-    b_eq = _as_vector(b_eq, A_eq.shape[0], "b_eq")
+    b_eq = _rhs(b_eq, A_eq, "b_eq")
     A_ineq = _as_matrix(A_ineq, n, "A_ineq")
-    b_ineq = _as_vector(b_ineq, A_ineq.shape[0], "b_ineq")
+    b_ineq = _rhs(b_ineq, A_ineq, "b_ineq")
     if (lower == _INF).any() or (upper == -_INF).any():
         return LPOutcome(LPStatus.INFEASIBLE, -_INF)
     A_in, b_in = A_ineq, b_ineq

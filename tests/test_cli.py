@@ -1,6 +1,8 @@
 """Unit tests for the command line interface and the problem file format."""
 
+import argparse
 import csv
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -22,7 +24,8 @@ from sqreparam.oracles import (
     make_stationary_pieces_instance,
 )
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 FIXTURES = sorted(PROBLEMS.glob("*.json"))
 ORTHANT2 = str(PROBLEMS / "orthant2.json")
 QUARTIC1 = str(PROBLEMS / "quartic1.json")
@@ -37,6 +40,66 @@ def test_parser_defaults_come_from_the_library():
     args = parse(["kl-fit", QUARTIC1, "--y", "0"])
     config = sq.ScatterConfig()
     assert (args.dmin, args.dmax) == (config.delta_min, config.delta_max)
+
+
+def _usage_runs():
+    """The argparse paths that tools/cli_records.py records: help, usage
+    and the parser's own rejections, with shipped problem paths made
+    absolute."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_records", ROOT / "tools" / "cli_records.py")
+    records = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(records)
+    return [[str(ROOT / a) if a.startswith("problems/") else a for a in argv]
+            for argv in records.USAGE]
+
+
+def _outcome(call, argv, capsys):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv", _usage_runs(),
+    ids=lambda argv: " ".join(Path(a).name for a in argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # main builds only the invoked subcommand's parser; its help, usage
+    # and rejections must read as the full tree's, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _outcome(lambda a: cli._build_parser().parse_args(a), argv, capsys)
+    assert _outcome(main, argv, capsys) == full
+
+
+def test_the_full_tree_names_the_subcommand_argument_cmd(capsys):
+    # a metavar on the full tree would print the brace list here instead
+    for argv, message in (([], "the following arguments are required: cmd"),
+                          (["frobnicate"], "argument cmd: invalid choice")):
+        code, _, err = _outcome(main, argv, capsys)
+        assert code == 2 and f"sqreparam: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["certify", ORTHANT2, "--y", "0,0"], 2),
+    (["strict-comp", ORTHANT2, "--x", "0,0"], 2),
+    (["selftest", "--seed", "-1"], 2),
+    (["--help"], 6),
+], ids=["certify", "strict-comp", "selftest", "help"])
+def test_a_call_builds_only_its_subcommand_parser(monkeypatch, capsys, argv,
+                                                   parsers):
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _outcome(main, argv, capsys)
+    assert built[0] == parsers
 
 
 def test_fixture_corpus_present():

@@ -71,6 +71,44 @@ def test_kernels_refuse_bad_shapes(build, message):
         build()
 
 
+def test_a_missing_point_is_refused_and_a_missing_rhs_is_zeros():
+    # a point or vector given as None is refused, not read as the origin
+    p = sq.CompositeProblem(sq.SmoothQuadratic(np.eye(2), [-1.0, 1.0]),
+                            sq.PolyhedralFunction.orthant_indicator(2))
+    P = sq.Polyhedron(2, -np.eye(2))
+    S = sq.GeneratorSet(2, np.eye(2))
+    w = np.array([1.0, 0.0])
+    calls = [
+        lambda: sq.lift_point(p, None),
+        lambda: sq.lift_eval(p, None),
+        lambda: sq.lifted_residual(p, None),
+        lambda: sq.classify_first_order(p, None),
+        lambda: sq.correspondence_check(p, None),
+        lambda: sq.d2_lifted_objective_on_SI(p, None, w),
+        lambda: sq.phi_value(p, None),
+        lambda: sq.phi_residual(p, None),
+        lambda: sq.g_eval(p.g, None),
+        lambda: sq.activity_pattern(p.g, None),
+        lambda: sq.project_onto_polyhedron(P, None),
+        lambda: sq.strict_complementarity(p, None),
+        lambda: sq.lemma61_probe(p, None, 0.5),
+        lambda: sq.sample_scatter(p, None),
+        lambda: sq.run_first_order(p, "original", None, steps=3),
+        lambda: sq.min_norm_weighted(S, None, np.ones(2)),
+        lambda: sq.min_norm_weighted(S, np.ones(2), None),
+    ]
+    for call in calls:
+        with pytest.raises(sq.DimensionMismatch, match="got None"):
+            call()
+    # an omitted right-hand side is read as zeros
+    assert P.b_ineq.tolist() == [0.0, 0.0]
+    assert sq.Polyhedron(2, A_eq=[[1.0, -1.0]]).b_eq.tolist() == [0.0]
+    assert sq.PolyhedralFunction(2, [[1.0, 0.0]]).pieces_b.tolist() == [0.0]
+    out = sq.lp_solve(np.ones(2), A_ineq=np.array([[1.0, 1.0]]),
+                      lower=np.zeros(2))
+    assert out.status == sq.LPStatus.OPTIMAL and out.value == 0.0
+
+
 def test_lp_solve_infeasible():
     out = sq.lp_solve(np.ones(1), A_ineq=np.array([[1.0], [-1.0]]),
                       b_ineq=np.array([0.0, -1.0]))

@@ -29,7 +29,10 @@ holds this file) and runs `sqreparam.cli.main` in one process on:
 * the error paths: `certify` on malformed problem files, an empty
   domain and the tolerance example, written to the pool's directory,
   invalid flag values, and `kl-fit` and `solve` with an `--out` that
-  cannot be written.
+  cannot be written;
+* the argparse paths of `USAGE`: help, usage and the parser's own
+  rejections, recorded with COLUMNS=80, since argparse wraps its text at
+  the terminal's width.
 
 Each run's stdout, stderr and exit code go into OUT, keyed by its
 argument list; a run that raises records the exception's type and
@@ -140,6 +143,28 @@ BAD_FLAGS = (
     ("solve", "nnls1", "--variant", "original", "--x0", "3", "--steps", "-3"),
 )
 
+# The argparse paths: help, usage and the parser's own rejections, each
+# an argument list in which a problems/ path names a shipped file.  A
+# call builds only its subcommand's parser, and these runs show that its
+# usage and messages read as the full tree's
+USAGE = (
+    (),
+    ("-h",),
+    ("--help",),
+    ("frobnicate",),
+    ("certify", "--help"),
+    ("strict-comp", "--help"),
+    ("kl-fit", "--help"),
+    ("solve", "--help"),
+    ("selftest", "--help"),
+    ("certify", "--y", "0,0"),
+    ("certify", "problems/orthant2.json"),
+    ("certify", "problems/orthant2.json", "--y", "0,0", "extra"),
+    ("solve", "problems/quartic1.json", "--variant", "mid"),
+    ("certify", "problems/orthant2.json", "--y", "0,0", "--tol", "abc"),
+    ("selftest", "--seed", "x"),
+)
+
 # Runs given an --out in a missing directory, and one that is a directory
 UNWRITABLE_OUT = (
     ("kl-fit", "quartic1", "--y", "0"),
@@ -211,6 +236,9 @@ def _runs(repo, pool_dir):
         for out in (os.path.join(pool_dir, "missing", "x.csv"), pool_dir):
             yield [cmd, os.path.join(problems, name + ".json"), *flags,
                    "--out", out]
+    for argv in USAGE:
+        yield [os.path.join(repo, a) if a.startswith("problems/") else a
+               for a in argv]
 
 
 def _kl_plan_problems(gen):
@@ -257,6 +285,7 @@ def _kl_plan_solver_runs(gen):
 
 def record(repo: str, out_path: str) -> int:
     repo = os.path.abspath(repo)
+    os.environ["COLUMNS"] = "80"        # the width argparse wraps help at
     sys.dont_write_bytecode = True      # no __pycache__ under DIR
     sys.path.insert(0, os.path.join(repo, "src"))
     from sqreparam.cli import main
